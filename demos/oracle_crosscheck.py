@@ -1,7 +1,7 @@
 """Check the analytics against the finite-difference reference solver.
 
-The FD solver shares no mathematics with the closed forms (banded
-Crank-Nicolson conduction, exactly coupled to an advective fluid march),
+The FD solver shares no mathematics with the closed forms (Crank-Nicolson
+conduction on a stretched grid, exactly coupled to an advective fluid march),
 so agreement here is a genuine cross-validation, and the refinement study
 shows the scheme's second order.
 """

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.integrate import quad
 
 from . import specfun
 from .laplace import StehfestConfig, fluid_temp_laplace, stehfest_invert
@@ -205,6 +204,8 @@ def rock_temp(y: float, t: float, sc: Scenario, x: float) -> float:
         # farther than the front has diffused; avoid quadrature on a
         # numerically zero integrand
         return t_hot
+
+    from scipy.integrate import quad  # imported here: SciPy costs ~0.6 s at CLI start
 
     y_sq_over_4a = y * y / (4.0 * alpha)
 

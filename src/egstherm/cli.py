@@ -29,7 +29,7 @@ import numpy as np
 
 from .analytic import fluid_temp_single, interference_table, onset_of_decline
 from .laplace import StehfestConfig, multi_fracture_forecast
-from .oracle import OracleGrid, fd_simulate
+from .oracle import fd_simulate, semi_infinite_grid, slab_grid
 from .scenario import (
     Scenario,
     ScenarioError,
@@ -348,24 +348,9 @@ def cmd_oracle(
     if base == "multi_slab":
         if y_max is not None:
             raise ValueError("slab mode fixes y_max at spacing/2; drop --y-max")
-        grid = OracleGrid(
-            y_max=resolved.fractures.spacing / 2.0,
-            dt=horizon / nt,
-            nx=nx,
-            ny=ny,
-            bc_far="neumann_zero",
-            ratio=ratio,
-        )
+        grid = slab_grid(resolved, nx, ny, nt, ratio=ratio, horizon=horizon)
     else:
-        alpha = thermal_diffusivity(resolved.rock)
-        grid = OracleGrid(
-            y_max=y_max if y_max is not None else 6.0 * math.sqrt(alpha * horizon),
-            dt=horizon / nt,
-            nx=nx,
-            ny=ny,
-            bc_far="dirichlet_T0",
-            ratio=ratio,
-        )
+        grid = semi_infinite_grid(resolved, nx, ny, nt, ratio=ratio, horizon=horizon, y_max=y_max)
 
     if probe_yr:
         probe_times = np.array(sorted(set(probe_yr))) * SECONDS_PER_YEAR

@@ -13,12 +13,15 @@ Numerical layout
   semi-infinite domain) or zero-flux (slab symmetry midplane at half the
   fracture spacing, the same geometry as the transform-domain slab model).
 * time: theta-weighted implicit step (Crank-Nicolson after two damped
-  backward-Euler startup steps), one tridiagonal solve per step covering
-  all x-stations at once.
+  backward-Euler startup steps) taken in modal space. The symmetrized
+  interior Laplacian is diagonalized once per run, so a step scales each
+  mode by its amplification factor and adds the face forcing as one rank-1
+  update covering all x-stations at once; node values are synthesized only
+  where needed (face gradient, far-boundary check, snapshots, ledger).
 * coupling: within a step the rock update is affine in its face temperature,
-  so the face-gradient response is precomputed and the fluid march solves
-  the coupled step directly; the fixed-point sweep then verifies the
-  coupling to tolerance instead of hunting for it.
+  so the fluid march solves the coupled step exactly, once per step, as one
+  precomputed lower-triangular matrix (per theta) applied to the face
+  gradient of the explicit part.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .analytic import ForecastSeries, fluid_temp_single
 from .scenario import Scenario, fracture_velocity, thermal_diffusivity, validate
@@ -45,10 +47,6 @@ __all__ = [
 ]
 
 _BC_TAGS = ("dirichlet_T0", "neumann_zero")
-
-# relative (to span) fixed-point tolerance and sweep cap
-_FP_TOL = 1e-6
-_FP_CAP = 50
 
 # semi-infinite mode aborts when the truncated boundary is disturbed by
 # more than this many degrees
@@ -105,31 +103,48 @@ class OracleGrid:
 
 
 def semi_infinite_grid(
-    sc: Scenario, nx: int = 200, ny: int = 400, n_steps: int = 2000
+    sc: Scenario,
+    nx: int = 200,
+    ny: int = 400,
+    n_steps: int = 2000,
+    ratio: float = 1.02,
+    horizon: float | None = None,
+    y_max: float | None = None,
 ) -> OracleGrid:
-    """Default truncated half-space grid for a scenario's horizon."""
-    alpha = thermal_diffusivity(sc.rock)
-    horizon = sc.operating.horizon
+    """Truncated half-space grid over ``horizon`` (default: the scenario's).
+
+    The rock depth defaults to six diffusion lengths, 6 sqrt(alpha horizon).
+    """
+    if horizon is None:
+        horizon = sc.operating.horizon
+    if y_max is None:
+        y_max = 6.0 * math.sqrt(thermal_diffusivity(sc.rock) * horizon)
     return OracleGrid(
-        y_max=6.0 * math.sqrt(alpha * horizon),
-        dt=horizon / n_steps,
-        nx=nx,
-        ny=ny,
-        bc_far="dirichlet_T0",
+        y_max=y_max, dt=horizon / n_steps, nx=nx, ny=ny, bc_far="dirichlet_T0", ratio=ratio
     )
 
 
-def slab_grid(sc: Scenario, nx: int = 200, ny: int = 400, n_steps: int = 2000) -> OracleGrid:
-    """Slab-mode grid: domain ends at the zero-flux midplane, spacing/2."""
+def slab_grid(
+    sc: Scenario,
+    nx: int = 200,
+    ny: int = 400,
+    n_steps: int = 2000,
+    ratio: float = 1.02,
+    horizon: float | None = None,
+) -> OracleGrid:
+    """Slab-mode grid over ``horizon`` (default: the scenario's); the domain
+    ends at the zero-flux midplane, spacing/2."""
     if sc.fractures.spacing is None or not sc.fractures.spacing > 0.0:
         raise ValueError("slab mode requires a scenario with a positive fracture spacing")
-    horizon = sc.operating.horizon
+    if horizon is None:
+        horizon = sc.operating.horizon
     return OracleGrid(
         y_max=sc.fractures.spacing / 2.0,
         dt=horizon / n_steps,
         nx=nx,
         ny=ny,
         bc_far="neumann_zero",
+        ratio=ratio,
     )
 
 
@@ -150,7 +165,7 @@ class OracleDetails:
     snapshots: tuple[RockSnapshot, ...]
     fluid_enthalpy_J: float
     rock_heat_loss_J: float | None  # slab mode only; unbounded domain otherwise
-    max_sweeps: int
+    max_sweeps: int  # fluid marches per step: 1 (exact coupled step), 0 if no step ran
     n_steps: int
 
     @property
@@ -161,24 +176,29 @@ class OracleDetails:
         return abs(self.fluid_enthalpy_J - self.rock_heat_loss_J) / self.rock_heat_loss_J
 
 
-def _laplacian_coefficients(y: np.ndarray, bc_far: str):
-    """Second-difference weights (lower, diag, upper) per node on the
-    nonuniform grid; face row zeroed (Dirichlet), far row per bc."""
-    n = y.size - 1
-    lower = np.zeros(n + 1)
-    diag = np.zeros(n + 1)
-    upper = np.zeros(n + 1)
-    h_m = y[1:n] - y[0 : n - 1]
-    h_p = y[2 : n + 1] - y[1:n]
-    lower[1:n] = 2.0 / (h_m * (h_m + h_p))
-    upper[1:n] = 2.0 / (h_p * (h_m + h_p))
-    diag[1:n] = -(lower[1:n] + upper[1:n])
+def _modes(y: np.ndarray, bc_far: str):
+    """Eigenpairs of the interior 3-point Laplacian on the stretched grid.
+
+    On the unknown nodes (1 .. ny-1 below a pinned far boundary, 1 .. ny
+    with the mirrored zero-flux midplane) the operator is K = D^-1 S with S
+    symmetric and D the trapezoid weights, so D^1/2 K D^-1/2 is symmetric
+    tridiagonal. Returns its eigenvalues, orthonormal eigenvectors (one per
+    column), the square-rooted weights and each mode's face coupling.
+    """
+    from scipy.linalg import eigh_tridiagonal
+
+    inv_h = 1.0 / np.diff(y)
+    s_diag = -(inv_h[:-1] + inv_h[1:])
     if bc_far == "neumann_zero":
-        # mirror node across the symmetry plane: T[n+1] == T[n-1]
-        h_last = y[n] - y[n - 1]
-        lower[n] = 2.0 / (h_last * h_last)
-        diag[n] = -lower[n]
-    return lower, diag, upper
+        s_diag = np.append(s_diag, -inv_h[-1])
+    m = s_diag.size
+    root_w = np.sqrt(_trapezoid_weights(y)[1 : m + 1])
+    # MRRR (stemr) keeps the small eigenpairs of this strongly graded matrix
+    # accurate; the divide-and-conquer default drifts ~1e-5 C at the outlet
+    lam, vectors = eigh_tridiagonal(
+        s_diag / root_w**2, inv_h[1:m] / (root_w[:-1] * root_w[1:]), lapack_driver="stemr"
+    )
+    return lam, vectors, root_w, vectors[0] * inv_h[0] / root_w[0]
 
 
 def _gradient_stencil(y: np.ndarray) -> np.ndarray:
@@ -194,20 +214,15 @@ def _gradient_stencil(y: np.ndarray) -> np.ndarray:
     )
 
 
-def _implicit_operator(lower, diag, upper, alpha_dt_theta, bc_far):
-    """Banded (1,1) matrix for (I - theta dt alpha Lap) with identity rows
-    at the face and, in Dirichlet mode, the far boundary."""
-    n = diag.size - 1
-    ab = np.zeros((3, n + 1))
-    ab[1, :] = 1.0 - alpha_dt_theta * diag
-    ab[0, 1:] = -alpha_dt_theta * upper[:-1]  # row j, column j+1
-    ab[2, :-1] = -alpha_dt_theta * lower[1:]  # row j, column j-1
-    ab[1, 0] = 1.0
-    ab[0, 1] = 0.0
-    if bc_far == "dirichlet_T0":
-        ab[1, n] = 1.0
-        ab[2, n - 1] = 0.0
-    return ab
+def _march_matrix(gain: float, nx: int) -> np.ndarray:
+    """Lower-triangular M with (M p)[i] = sum over j < i of
+    gain**(i-1-j) * (p[j] + p[j+1]): the trapezoid march from a zero inlet."""
+    lag = np.subtract.outer(np.arange(nx + 1), np.arange(nx + 1))
+    powers = np.where(lag >= 0, gain ** np.maximum(lag, 0), 0.0)
+    march = np.zeros_like(powers)
+    march[1:] = powers[:-1] + powers[1:]
+    march[1:, 0] -= powers[1:, 0]
+    return march
 
 
 def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
@@ -247,9 +262,9 @@ def fd_simulate(
     Raises
     ------
     RuntimeError
-        If the face/fluid fixed point fails to converge, or if semi-infinite
-        mode detects the cooling front disturbing the truncated far boundary
-        (more than 0.1 C), which means y_max is too small for the horizon.
+        If semi-infinite mode detects the cooling front disturbing the
+        truncated far boundary (more than 0.1 C), which means y_max is too
+        small for the horizon.
     """
     violations = validate(sc)
     if violations:
@@ -263,8 +278,7 @@ def fd_simulate(
 
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
-    span = t_hot - t_cold
-    alpha = thermal_diffusivity(sc.rock)
+    alpha_dt = thermal_diffusivity(sc.rock) * grid.dt
     fr = sc.fractures
     velocity = fracture_velocity(sc)
     # fluid-march coupling: d T_f / dx = coupling * (face gradient)
@@ -280,28 +294,47 @@ def fd_simulate(
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
     dx = x[1] - x[0]
-    lower, diag, upper = _laplacian_coefficients(y, grid.bc_far)
     stencil = _gradient_stencil(y)
+    lam, vectors, root_w, face_load = _modes(y, grid.bc_far)
+    # in-place BLAS rank-1 update: about a quarter of NumPy's outer-and-add
+    from scipy.linalg.blas import dger
 
-    rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
-    fluid = np.full(grid.nx + 1, t_hot)
-    fluid[0] = t_cold
+    pinned = grid.bc_far == "dirichlet_T0"
+    # node rows in modal coordinates: the face gradient's interior part and,
+    # when the far boundary is pinned, the node beside it
+    rows = [stencil[1] * vectors[0] / root_w[0] + stencil[2] * vectors[1] / root_w[1]]
+    if pinned:
+        rows.append(vectors[-1] / root_w[-1])
+    rows = np.array(rows)
+
+    def theta_step(theta: float):
+        # modal scale and face forcing of the theta step, the node rows seen
+        # through them, and the fluid march solving the coupled step at once
+        denom = 1.0 - theta * alpha_dt * lam
+        scale = (1.0 + (1.0 - theta) * alpha_dt * lam) / denom
+        forcing = alpha_dt * face_load / denom
+        rows_forcing = rows @ forcing
+        ratio_q = dx * coupling * (stencil[0] + theta * rows_forcing[0]) / 2.0
+        gain = (1.0 + ratio_q) / (1.0 - ratio_q)
+        march = _march_matrix(gain, grid.nx) * (dx * coupling / 2.0 / (1.0 - ratio_q))
+        inlet = (t_cold - t_hot) * gain ** np.arange(grid.nx + 1)
+        return scale[:, None], forcing, rows * scale, rows_forcing, march, inlet
+
+    steppers = {theta: theta_step(theta) for theta in (1.0, 0.5)}
+
+    # modal coefficients of the rock's deviation from T0 at every station,
+    # and the fluid (face) deviation
+    coeffs = np.zeros((lam.size, grid.nx + 1), order="F")
+    fluid = np.zeros(grid.nx + 1)
+
+    def rock_field() -> np.ndarray:
+        rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
+        rock[0] += fluid
+        rock[1 : lam.size + 1] += (vectors @ coeffs) / root_w[:, None]
+        return rock
 
     outlet_history = np.empty(n_steps + 1)
     outlet_history[0] = t_hot
-
-    # per-theta implicit operator and unit face response
-    operator_cache: dict[float, tuple[np.ndarray, np.ndarray, float]] = {}
-
-    def operators(theta: float):
-        if theta not in operator_cache:
-            ab = _implicit_operator(lower, diag, upper, alpha * grid.dt * theta, grid.bc_far)
-            unit = np.zeros(grid.ny + 1)
-            unit[0] = 1.0
-            unit = solve_banded((1, 1), ab, unit)
-            slope = float(stencil @ unit[:3])
-            operator_cache[theta] = (ab, unit, slope)
-        return operator_cache[theta]
 
     snapshots: list[RockSnapshot] = []
     snapshot_steps: dict[int, list[float]] = {}
@@ -313,59 +346,22 @@ def fd_simulate(
     power_coeff = sc.fluid.density * sc.fluid.specific_heat * q_frac
     fluid_energy = 0.0
     power_old = power_coeff * (t_hot - t_cold)  # quasi-steady outlet limit at t -> 0
-    max_sweeps = 0
 
     for step in range(1, n_steps + 1):
         theta = 1.0 if step <= 2 else 0.5  # damped startup, then Crank-Nicolson
-        ab, unit, slope = operators(theta)
+        scale, forcing, rows_scaled, rows_forcing, march, inlet = steppers[theta]
 
-        # explicit part of the theta step; face row carried separately
-        rhs = rock + (1.0 - theta) * alpha * grid.dt * (
-            np.vstack(
-                [
-                    np.zeros(grid.nx + 1),
-                    lower[1:, None] * rock[:-1] + diag[1:, None] * rock[1:],
-                ]
-            )
-            + np.vstack([upper[:-1, None] * rock[1:], np.zeros(grid.nx + 1)])
-        )
-        rhs[0, :] = 0.0
-        if grid.bc_far == "dirichlet_T0":
-            rhs[-1, :] = t_hot
-        part = solve_banded((1, 1), ab, rhs)
-        grad_part = stencil @ part[:3]
+        # node rows after the explicit part (new face value still zero); the
+        # step is affine in the new face value, so one march solves it
+        explicit = (1.0 - theta) * fluid
+        lead = rows_scaled @ coeffs + np.outer(rows_forcing, explicit)
+        fluid = inlet + march @ lead[0]
+        coeffs *= scale
+        coeffs = dger(1.0, forcing, explicit + theta * fluid, a=coeffs, overwrite_a=True)
+        outlet_history[step] = t_hot + fluid[-1]
 
-        # fluid march is exact for the affine face response; the sweep loop
-        # verifies the coupled step rather than searching for it
-        ratio_q = dx * coupling * slope / 2.0
-        gain = (1.0 + ratio_q) / (1.0 - ratio_q)
-        forcing = dx * coupling / 2.0
-        converged = False
-        for sweep in range(1, _FP_CAP + 1):
-            new_fluid = np.empty_like(fluid)
-            new_fluid[0] = t_cold
-            for i in range(grid.nx):
-                new_fluid[i + 1] = gain * new_fluid[i] + forcing * (
-                    grad_part[i] + grad_part[i + 1]
-                ) / (1.0 - ratio_q)
-            change = float(np.max(np.abs(new_fluid - fluid)))
-            fluid = new_fluid
-            if change <= _FP_TOL * span:
-                converged = True
-                max_sweeps = max(max_sweeps, sweep)
-                break
-        if not converged:
-            raise RuntimeError(
-                f"face/fluid fixed point failed to converge at step {step} "
-                f"(t={step * grid.dt:.6g} s): last change {change:.3g} C "
-                f"after {_FP_CAP} sweeps"
-            )
-
-        rock = part + unit[:, None] * fluid[None, :]
-        outlet_history[step] = fluid[-1]
-
-        if grid.bc_far == "dirichlet_T0":
-            disturbed = float(np.max(np.abs(rock[-2, :] - t_hot)))
+        if pinned:
+            disturbed = float(np.max(np.abs(lead[1] + theta * rows_forcing[1] * fluid)))
             if disturbed > _CONTAMINATION_LIMIT_C:
                 raise RuntimeError(
                     "cooling front reached the truncated far boundary at "
@@ -373,14 +369,14 @@ def fd_simulate(
                     f"y_max={grid.y_max:.6g} m); enlarge y_max for this horizon"
                 )
 
-        power_new = power_coeff * (fluid[-1] - t_cold)
+        power_new = power_coeff * (outlet_history[step] - t_cold)
         fluid_energy += grid.dt * (theta * power_new + (1.0 - theta) * power_old)
         power_old = power_new
 
         if step in snapshot_steps:
             snapshots.append(
                 RockSnapshot(
-                    time=step * grid.dt, x=x.copy(), y=y.copy(), temperatures=rock.copy()
+                    time=step * grid.dt, x=x.copy(), y=y.copy(), temperatures=rock_field()
                 )
             )
 
@@ -399,15 +395,15 @@ def fd_simulate(
         return series
 
     rock_loss = None
-    if grid.bc_far == "neumann_zero":
+    if not pinned:
         # finite inventory: every joule the slab loses crosses the face
-        deficit = _trapezoid_weights(y) @ (t_hot - rock) @ _trapezoid_weights(x)
+        deficit = _trapezoid_weights(y) @ (t_hot - rock_field()) @ _trapezoid_weights(x)
         rock_loss = fr.faces * sc.rock.density * sc.rock.specific_heat * fr.height * deficit
     details = OracleDetails(
         snapshots=tuple(snapshots),
         fluid_enthalpy_J=fluid_energy,
         rock_heat_loss_J=rock_loss,
-        max_sweeps=max_sweeps,
+        max_sweeps=min(n_steps, 1),
         n_steps=n_steps,
     )
     return series, details

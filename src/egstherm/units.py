@@ -18,9 +18,10 @@ __all__ = ["Quantity", "convert", "convert_value", "SECONDS_PER_YEAR"]
 # decimal.
 SECONDS_PER_YEAR = 365.0 * 86400.0
 
-# Exact definitions: 1 ft = 0.3048 m, 1 in = 0.0254 m, 1 bbl = 0.158987 m^3,
-# 1 cal = 4.184 J (thermochemical), 1 yr = 365 d.
-_BARREL_M3 = 0.158987
+# Exact definitions: 1 ft = 0.3048 m, 1 in = 0.0254 m,
+# 1 bbl = 42 US gal = 0.158987294928 m^3, 1 cal = 4.184 J (thermochemical),
+# 1 yr = 365 d.
+_BARREL_M3 = 0.158987294928
 _CAL_J = 4.184
 
 # unit tag -> (dimension, factor to the SI tag of that dimension)

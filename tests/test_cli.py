@@ -1,9 +1,14 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import egstherm
 from egstherm.cli import main
 from egstherm.scenario import bundled_scenario_path
 
@@ -235,3 +240,15 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def test_cli_import_loads_no_scipy():
+    # SciPy takes most of a CLI call's start-up; only the oracle and the rock
+    # quadrature need it, and they import it when they run
+    src = str(Path(egstherm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, egstherm.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert proc.stdout.strip() == "[]"

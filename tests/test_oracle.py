@@ -18,6 +18,7 @@ from egstherm.oracle import (
     semi_infinite_grid,
     slab_grid,
 )
+from egstherm.scenario import fracture_velocity, thermal_diffusivity
 from egstherm.units import SECONDS_PER_YEAR as YR
 
 L = 999.744
@@ -82,9 +83,16 @@ def test_grid_factories(valles, valles_single):
     assert semi.y_max == pytest.approx(230.48489002167122, rel=1e-12)
     assert semi.bc_far == "dirichlet_T0"
     assert semi.dt == pytest.approx(valles_single.operating.horizon / 300, rel=1e-15)
+    # a quarter of the horizon halves the diffusion length
+    short = semi_infinite_grid(valles_single, ratio=1.05, horizon=12.5 * YR)
+    assert short.y_max == pytest.approx(230.48489002167122 / 2.0, rel=1e-12)
+    assert (short.ratio, short.dt) == (1.05, 12.5 * YR / 2000)
+    assert semi_infinite_grid(valles_single, y_max=50.0).y_max == 50.0
     slab = slab_grid(valles)
     assert slab.y_max == 20.0  # half the 40 m spacing
     assert slab.bc_far == "neumann_zero"
+    short_slab = slab_grid(valles, ratio=1.05, horizon=12.5 * YR)
+    assert (short_slab.y_max, short_slab.ratio, short_slab.dt) == (20.0, 1.05, 12.5 * YR / 2000)
     with pytest.raises(ValueError):
         slab_grid(valles_single)  # no spacing to halve
 
@@ -198,7 +206,96 @@ def test_fd_slab_energy_balance(slab_run):
     _, _, details = slab_run
     assert details.rock_heat_loss_J is not None
     assert details.energy_imbalance < 1e-4
-    assert details.max_sweeps <= 5
+    assert details.max_sweeps == 1
+
+
+def _direct_theta_scheme(sc, grid, n_steps):
+    """The oracle's discrete scheme solved as one dense system per step.
+
+    Unknowns are every node of every x-station, the face node doubling as
+    the fluid. Rows: the inlet temperature, the trapezoid fluid march driven
+    by the one-sided face gradient, the pinned far node (Dirichlet mode) and
+    the theta-weighted 3-point conduction step everywhere else. Returns the
+    outlet after each step and the final field, shape (ny + 1, nx + 1).
+    """
+    y = grid.y_nodes()
+    ny, nx = grid.ny, grid.nx
+    t_hot = sc.rock.initial_temperature
+    a = thermal_diffusivity(sc.rock) * grid.dt
+    fr = sc.fractures
+    half_march = (
+        fr.flow_length / nx / 2.0 * fr.faces * sc.rock.conductivity
+        / (sc.fluid.density * sc.fluid.specific_heat * fracture_velocity(sc) * fr.aperture)
+    )
+    pinned = grid.bc_far == "dirichlet_T0"
+
+    lap = np.zeros((ny + 1, ny + 1))
+    for j in range(1, ny):
+        hm, hp = y[j] - y[j - 1], y[j + 1] - y[j]
+        lap[j, j - 1] = 2.0 / (hm * (hm + hp))
+        lap[j, j + 1] = 2.0 / (hp * (hm + hp))
+        lap[j, j] = -lap[j, j - 1] - lap[j, j + 1]
+    if not pinned:  # mirror node across the midplane
+        h = y[ny] - y[ny - 1]
+        lap[ny, ny - 1] = 2.0 / h**2
+        lap[ny, ny] = -2.0 / h**2
+    h1, h2 = y[1] - y[0], y[2] - y[1]
+    grad = np.array(
+        [-(2 * h1 + h2) / (h1 * (h1 + h2)), (h1 + h2) / (h1 * h2), -h1 / (h2 * (h1 + h2))]
+    )
+
+    size = (nx + 1) * (ny + 1)
+    faces = np.arange(nx + 1) * (ny + 1)
+
+    def system(theta):
+        blocks = np.kron(np.eye(nx + 1), lap)
+        lhs = np.eye(size) - theta * a * blocks
+        rhs = np.eye(size) + (1.0 - theta) * a * blocks
+        lhs[faces] = 0.0
+        rhs[faces] = 0.0
+        lhs[faces, faces] = 1.0
+        for face in faces[1:]:
+            prev = face - (ny + 1)
+            lhs[face, prev] = -1.0
+            lhs[face, face : face + 3] -= half_march * grad
+            lhs[face, prev : prev + 3] -= half_march * grad
+        if pinned:
+            lhs[faces + ny] = 0.0
+            rhs[faces + ny] = 0.0
+            lhs[faces + ny, faces + ny] = 1.0
+        return lhs, rhs
+
+    systems = {theta: system(theta) for theta in (1.0, 0.5)}
+    field = np.full(size, t_hot)
+    outlets = [t_hot]
+    for step in range(1, n_steps + 1):
+        lhs, rhs = systems[1.0 if step <= 2 else 0.5]
+        b = rhs @ field
+        b[0] = sc.fluid.injection_temperature
+        if pinned:
+            b[faces + ny] = t_hot
+        field = np.linalg.solve(lhs, b)
+        outlets.append(field[faces[-1]])
+    return np.array(outlets), field.reshape(nx + 1, ny + 1).T
+
+
+@pytest.mark.parametrize(
+    "scenario,factory",
+    [("valles_single", semi_infinite_grid), ("valles", slab_grid)],
+    ids=["dirichlet_T0", "neumann_zero"],
+)
+def test_fd_matches_direct_theta_scheme(scenario, factory, request):
+    sc = request.getfixturevalue(scenario)
+    n_steps = 100
+    grid = factory(sc, nx=16, ny=32, n_steps=n_steps)
+    outlets, field = _direct_theta_scheme(sc, grid, n_steps)
+    steps = np.array([1, 2, 3, 10, 37, 100])
+    series, details = fd_simulate(
+        sc, grid, steps * grid.dt, snapshot_times=[n_steps * grid.dt], return_details=True
+    )
+    assert np.max(np.abs(series.outlet_temperatures - outlets[steps])) < 1e-9
+    assert np.max(np.abs(details.snapshots[0].temperatures - field)) < 1e-9
+    assert details.max_sweeps == 1
 
 
 def test_convergence_study_rejects_single_level(valles_single):

@@ -20,7 +20,7 @@ def test_seconds_per_year_is_365_days():
         (1.0, "cal_per_gC", "J_per_kgC", 4184.0),
         (1.0, "cal_per_cm_s_C", "W_per_mC", 418.4),
         (1.0, "yr", "s", float(SECONDS_PER_YEAR)),
-        (86400.0, "bpd", "m3_per_s", 0.158987 / 86400.0 * 86400.0),
+        (86400.0, "bpd", "m3_per_s", 0.158987294928),
     ],
 )
 def test_exact_factors(value, unit, target, expected):
@@ -31,7 +31,7 @@ def test_barrel_per_day_example():
     # one production-rate figure checked to full precision
     q = convert(Quantity(7829.4, "bpd"), "m3_per_s")
     assert q.unit == "m3_per_s"
-    assert q.value == pytest.approx(0.01440709279861111, rel=1e-13)
+    assert q.value == pytest.approx(0.014407119524413, rel=1e-13)
 
 
 def test_convert_returns_quantity_and_is_exact_on_identity():
