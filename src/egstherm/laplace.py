@@ -11,7 +11,9 @@ multi-fracture forecast.
 Stehfest weights are assembled exactly as rationals and only then rounded,
 and the inversion sum is accumulated in extended precision; the alternating
 weights grow like 10^9 by n_terms = 20, so naive double-precision assembly
-loses most of the mantissa to cancellation.
+loses most of the mantissa to cancellation. The inversion takes an array of
+times and evaluates the image once on the whole (times x n_terms) grid of
+sample points, so a forecast costs one vectorised image evaluation.
 """
 
 from __future__ import annotations
@@ -34,9 +36,10 @@ __all__ = [
     "multi_fracture_forecast",
 ]
 
-# An evaluable transform: maps s > 0 to the image value. Called with numpy
-# longdouble scalars during inversion; implementations must be pure.
-LaplaceImage = Callable[[float], float]
+# An evaluable transform: maps s > 0 to the image value. The inversion calls
+# it once, with a longdouble array of sample points, so it must be a pure
+# NumPy elementwise expression returning an array of the same shape.
+LaplaceImage = Callable[[np.ndarray], np.ndarray]
 
 _LN2_LONG = np.log(np.longdouble(2.0))
 
@@ -115,39 +118,46 @@ class StehfestConfig:
 
 
 def stehfest_invert(
-    image: LaplaceImage, t: float, config: StehfestConfig | None = None
-) -> float:
-    """Evaluate the inverse transform at time t > 0.
+    image: LaplaceImage, t: float | np.ndarray, config: StehfestConfig | None = None
+) -> float | np.ndarray:
+    """Evaluate the inverse transform at time t > 0, or at an array of times.
 
-    f(t) ~ (ln 2 / t) * sum_j V_j F(j ln 2 / t). The image is sampled at
-    n_terms real points; the weighted sum runs in extended precision.
+    f(t) ~ (ln 2 / t) * sum_j V_j F(j ln 2 / t). The image is called once, on
+    the longdouble grid s[..., j-1] = j ln 2 / t of shape (*t.shape, n_terms),
+    and the weighted sum runs in extended precision term by term. A scalar t
+    returns a float; an array t returns a float64 array of t's shape.
     Exact for transforms of low-order polynomials; for smooth monotone
     transforms the systematic error floor is reached around n_terms 12-18.
 
     Raises
     ------
+    ValueError
+        If any t is not > 0.
     ArithmeticError
-        If the image raises at some sample point; the offending s is named
-        and the original error chained.
+        If the image raises; the sampled range of s is named and the
+        original error chained.
     """
     if config is None:
         config = StehfestConfig()
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"inversion time must be > 0, got {t}")
+    t_arr = np.asarray(t, dtype=float)
+    if not np.all(t_arr > 0.0):
+        bad = t_arr[~(t_arr > 0.0)].flat[0]
+        raise ValueError(f"inversion time must be > 0, got {float(bad)}")
     weights = _weights_longdouble(config.n_terms)
-    log2_over_t = _LN2_LONG / np.longdouble(t)
-    acc = np.longdouble(0.0)
-    for j in range(1, config.n_terms + 1):
-        s = np.longdouble(j) * log2_over_t
-        try:
-            value = image(s)
-        except Exception as err:
-            raise ArithmeticError(
-                f"Laplace image evaluation failed at s={float(s)!r}: {err}"
-            ) from err
-        acc += weights[j - 1] * np.longdouble(value)
-    return float(log2_over_t * acc)
+    log2_over_t = _LN2_LONG / t_arr.astype(np.longdouble)
+    s = np.arange(1, config.n_terms + 1, dtype=np.longdouble) * log2_over_t[..., None]
+    try:
+        values = np.asarray(image(s), dtype=np.longdouble)
+    except Exception as err:
+        raise ArithmeticError(
+            f"Laplace image evaluation failed on s={float(s.min())!r}..{float(s.max())!r}: {err}"
+        ) from err
+    # one term at a time, in order: a pairwise np.sum would move the last bits
+    acc = np.zeros(t_arr.shape, dtype=np.longdouble)
+    for j in range(config.n_terms):
+        acc += weights[j] * values[..., j]
+    out = (log2_over_t * acc).astype(float)
+    return float(out) if out.ndim == 0 else out
 
 
 def fluid_temp_laplace(sc, x: float) -> LaplaceImage:
@@ -269,9 +279,10 @@ def multi_fracture_forecast(
     """Produced-temperature forecast at the fracture outlet, any array size.
 
     A single fracture takes the exact closed-form path. An array takes the
-    finite-slab transform inverted numerically at each requested time.
-    Times are seconds, strictly increasing; t = 0 evaluates to the initial
-    rock temperature without touching the inversion.
+    finite-slab transform, inverted numerically in one
+    :func:`stehfest_invert` call over every requested time t > 0. Times are
+    seconds, strictly increasing; t = 0 evaluates to the initial rock
+    temperature without touching the inversion.
 
     Returns
     -------
@@ -303,9 +314,7 @@ def multi_fracture_forecast(
             initial_temperature=sc.rock.initial_temperature,
         )
 
-    image = fluid_temp_laplace_slab(sc, length)
-    t_hot = sc.rock.initial_temperature
-    raw = np.array(
-        [t_hot if t == 0.0 else stehfest_invert(image, t, config) for t in times]
-    )
+    raw = np.full(times.shape, sc.rock.initial_temperature)
+    later = times != 0.0  # keeps NaN, which the inversion refuses
+    raw[later] = stehfest_invert(fluid_temp_laplace_slab(sc, length), times[later], config)
     return _finish_series(raw, times, sc, "multi_slab", config)

@@ -261,6 +261,9 @@ def fd_simulate(
 
     Raises
     ------
+    ValueError
+        If the fluid march gain of either theta step is not positive: the
+        grid is too coarse along x and the outlet would oscillate along it.
     RuntimeError
         If semi-infinite mode detects the cooling front disturbing the
         truncated far boundary (more than 0.1 C), which means y_max is too
@@ -316,6 +319,12 @@ def fd_simulate(
         rows_forcing = rows @ forcing
         ratio_q = dx * coupling * (stencil[0] + theta * rows_forcing[0]) / 2.0
         gain = (1.0 + ratio_q) / (1.0 - ratio_q)
+        if not gain > 0.0:
+            raise ValueError(
+                f"fluid march gain {gain:.3g} at theta={theta} is not positive "
+                f"(nx={grid.nx}, dx={dx:.4g} m): the grid is too coarse along x "
+                "and the outlet would oscillate along it; raise nx"
+            )
         march = _march_matrix(gain, grid.nx) * (dx * coupling / 2.0 / (1.0 - ratio_q))
         inlet = (t_cold - t_hot) * gain ** np.arange(grid.nx + 1)
         return scale[:, None], forcing, rows * scale, rows_forcing, march, inlet

@@ -244,10 +244,19 @@ def test_help_exits_zero():
 
 def test_cli_import_loads_no_scipy():
     # SciPy takes most of a CLI call's start-up; only the oracle and the rock
-    # quadrature need it, and they import it when they run
+    # quadrature need it, and they import it when they run. The slab forecast
+    # and the comparison stay NumPy-only as well.
     src = str(Path(egstherm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = "import sys, egstherm.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    code = (
+        "import contextlib, io, sys, egstherm.cli\n"
+        "for argv in (['forecast', '--model', 'multi_slab'],\n"
+        "             ['compare', '--model', 'single', '--model', 'gringarten_ref',\n"
+        "              '--model', 'multi_slab']):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert egstherm.cli.main(argv) == 0, argv\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
     )

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from egstherm.analytic import fluid_temp_single
+import egstherm.laplace
 from egstherm.laplace import (
     StehfestConfig,
     _finish_series,
     _weight_fractions,
+    _weights_longdouble,
     fluid_temp_laplace,
     fluid_temp_laplace_slab,
     multi_fracture_forecast,
@@ -110,6 +112,58 @@ def test_invert_rejects_bad_time():
         stehfest_invert(lambda s: 1.0 / s, 0.0)
     with pytest.raises(ValueError):
         stehfest_invert(lambda s: 1.0 / s, -1.0)
+    for bad in (0.0, -1.0, np.nan):
+        with pytest.raises(ValueError):
+            stehfest_invert(lambda s: 1.0 / s, np.array([1.0, bad, 2.0]))
+
+
+def _scalar_stehfest(image, t, n_terms):
+    # reference: one longdouble scalar image call per term, accumulated in
+    # term order; the array inversion must match it bit for bit
+    weights = _weights_longdouble(n_terms)
+    log2_over_t = np.log(np.longdouble(2.0)) / np.longdouble(t)
+    acc = np.longdouble(0.0)
+    for j in range(1, n_terms + 1):
+        acc += weights[j - 1] * np.longdouble(image(np.longdouble(j) * log2_over_t))
+    return float(log2_over_t * acc)
+
+
+@pytest.mark.parametrize("n", [6, 12, 20])
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+@pytest.mark.parametrize("make_image", [fluid_temp_laplace, fluid_temp_laplace_slab])
+def test_array_inversion_matches_scalar_reference(make_image, site, n, request):
+    sc = request.getfixturevalue(site)
+    image = make_image(sc, sc.fractures.flow_length)
+    horizon = sc.operating.horizon
+    times = np.geomspace(horizon / 1e4, horizon, 200)
+    cfg = StehfestConfig(n_terms=n)
+    want = np.array([_scalar_stehfest(image, t, n) for t in times])
+    got = stehfest_invert(image, times, cfg)
+    assert got.dtype == np.float64 and got.shape == times.shape
+    assert np.array_equal(got, want)
+    one = stehfest_invert(image, times[7], cfg)
+    assert type(one) is float and one == want[7]
+
+
+def test_forecast_zero_time_skips_inversion(valles, monkeypatch):
+    seen = []
+    make_slab = egstherm.laplace.fluid_temp_laplace_slab
+
+    def recording_slab(sc, x):
+        image = make_slab(sc, x)
+
+        def recorded(s):
+            seen.append(np.array(s))
+            return image(s)
+
+        return recorded
+
+    monkeypatch.setattr(egstherm.laplace, "fluid_temp_laplace_slab", recording_slab)
+    times = np.array([0.0, 1.0, 10.0, 25.0]) * YR
+    series = multi_fracture_forecast(valles, times)
+    assert series.outlet_temperatures[0] == 300.0
+    assert len(seen) == 1 and seen[0].shape == (3, 12)
+    assert np.all(np.isfinite(seen[0])) and np.all(seen[0] > 0.0)
 
 
 def test_invert_wraps_image_failure():
@@ -228,6 +282,8 @@ def test_forecast_rejects_bad_times(valles):
         multi_fracture_forecast(valles, np.array([[YR]]))
     with pytest.raises(ValueError):
         multi_fracture_forecast(valles, np.array([2.0 * YR, YR]))
+    with pytest.raises(ValueError):
+        multi_fracture_forecast(valles, np.array([np.nan]))
 
 
 def test_forecast_far_tail_fails_loudly(valles):

@@ -105,6 +105,18 @@ def test_fd_rejects_bad_probes(valles_single):
         fd_simulate(valles_single, grid, [-1.0])
 
 
+def test_fd_refuses_oscillating_fluid_march(valles):
+    # at nx = 50 both fluid march gains (1+q)/(1-q) are negative (-0.001 at
+    # theta = 1, -0.17 at theta = 1/2): the outlet would oscillate along x
+    coarse = slab_grid(valles, nx=50)
+    with pytest.raises(ValueError) as err:
+        fd_simulate(valles, coarse, [coarse.dt])
+    assert "nx=50" in str(err.value) and "too coarse along x" in str(err.value)
+    fine = slab_grid(valles, nx=100)
+    series = fd_simulate(valles, fine, [10.0 * fine.dt])
+    assert np.all(np.isfinite(series.outlet_temperatures))
+
+
 def test_fd_rejects_invalid_scenario(valles_single):
     grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
     bad = dataclasses.replace(
