@@ -14,15 +14,13 @@ import numpy as np
 from egstherm.analytic import fluid_temp_single
 from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import convergence_study, fd_simulate, semi_infinite_grid, slab_grid
-from egstherm.scenario import bundled_scenario
+from egstherm.scenario import bundled_scenario, collapse_to_single
 from egstherm.units import SECONDS_PER_YEAR as YR
 
 
 def main():
     base = bundled_scenario("valles_caldera")
-    single = dataclasses.replace(
-        base, fractures=dataclasses.replace(base.fractures, count=1, faces=1, spacing=None)
-    )
+    single = collapse_to_single(base)
     x = single.fractures.flow_length
 
     probes = np.geomspace(1.0, 50.0, 8) * YR
@@ -32,8 +30,8 @@ def main():
     print(f"semi-infinite run ({grid.nx}x{grid.ny}, {800} steps, "
           f"{time.perf_counter() - t0:.2f} s):")
     print(" t [yr]   FD [C]     closed [C]   diff [C]")
-    for t, fd in zip(probes, series.outlet_temperatures):
-        closed = fluid_temp_single(single, x, float(t))
+    closed_form = fluid_temp_single(single, x, probes)
+    for t, fd, closed in zip(probes, series.outlet_temperatures, closed_form):
         print(f"{t / YR:7.2f}   {fd:8.3f}   {closed:10.3f}   {fd - closed:+8.4f}")
 
     print()

@@ -5,8 +5,6 @@ whole 0.144 m3/s: when does the outlet start to cool, how fast does it
 fall, and what does the adjacent rock look like along the way?
 """
 
-import dataclasses
-
 import numpy as np
 
 from egstherm.analytic import (
@@ -17,15 +15,12 @@ from egstherm.analytic import (
     rock_temp,
     thermal_power,
 )
-from egstherm.scenario import bundled_scenario, transfer_coefficient
+from egstherm.scenario import bundled_scenario, collapse_to_single, transfer_coefficient
 from egstherm.units import SECONDS_PER_YEAR as YR
 
 
 def main():
-    base = bundled_scenario("valles_caldera")
-    sc = dataclasses.replace(
-        base, fractures=dataclasses.replace(base.fractures, count=1, faces=1, spacing=None)
-    )
+    sc = collapse_to_single(bundled_scenario("valles_caldera"))
     x = sc.fractures.flow_length
 
     print("One fracture, full flow, semi-infinite granite on one side.")
@@ -33,9 +28,9 @@ def main():
     print()
 
     times = np.geomspace(0.01, 50.0, 12) * YR
+    temps = fluid_temp_single(sc, x, times)
     print(" t [yr]   outlet [C]   face flux [W/m2]   power [MW]")
-    for t in times:
-        temp = fluid_temp_single(sc, x, float(t))
+    for t, temp in zip(times, temps):
         flux = interfacial_flux(sc, x, float(t))
         power = thermal_power(sc, temp) / 1e6
         print(f"{t / YR:7.2f}   {temp:10.2f}   {flux:16.1f}   {power:10.1f}")
@@ -43,7 +38,7 @@ def main():
     series = ForecastSeries(
         model="single",
         times=times,
-        outlet_temperatures=np.array([fluid_temp_single(sc, x, float(t)) for t in times]),
+        outlet_temperatures=temps,
         injection_temperature=sc.fluid.injection_temperature,
         initial_temperature=sc.rock.initial_temperature,
     )

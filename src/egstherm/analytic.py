@@ -20,7 +20,6 @@ from typing import Sequence
 import numpy as np
 
 from . import specfun
-from .laplace import StehfestConfig, fluid_temp_laplace, stehfest_invert
 from .scenario import Scenario, thermal_diffusivity, transfer_coefficient
 from .units import SECONDS_PER_YEAR
 
@@ -139,33 +138,44 @@ def rock_temp_initial(y: float, t: float, T0: float, alpha: float) -> float:
     return T0 * specfun.erf(y / (2.0 * math.sqrt(alpha * t)))
 
 
-def fluid_temp_single(sc: Scenario, x: float, t: float) -> float:
+def fluid_temp_single(sc: Scenario, x: float, t: float | np.ndarray) -> float | np.ndarray:
     """Produced-fluid temperature for a fracture against semi-infinite rock.
 
     T0 + (T_inj - T0) erfc(a / (2 sqrt(t))) with a = transfer_coefficient(sc, x);
     identically T_inj + (T0 - T_inj) erf of the same argument. Returns the
     initial temperature at t = 0 and whenever the argument has saturated
     (a / (2 sqrt(t)) >= 6): the thermal front has not yet reached the outlet.
+    Evaluated elementwise in one pass over an array of times.
 
     Parameters
     ----------
     sc : Scenario
     x : float
         Along-fracture distance, 0 <= x <= flow_length, m.
-    t : float
-        Time since circulation start, s, >= 0.
+    t : float or array
+        Time since circulation start, s, every element >= 0.
+
+    Returns
+    -------
+    float or array
+        A float for a scalar t, a float64 array of t's shape otherwise.
+
+    Raises
+    ------
+    ValueError
+        If any element of t is negative or NaN.
     """
-    t = float(t)
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0.0).all():
+        raise ValueError(f"t must be >= 0, got {float(t[~(t >= 0.0)].flat[0])}")
     t_hot = sc.rock.initial_temperature
-    if t == 0.0:
-        return t_hot
     a = transfer_coefficient(sc, x)
-    z = a / (2.0 * math.sqrt(t))
-    if z >= _ERFC_SATURATION:
-        return t_hot
-    return t_hot + (sc.fluid.injection_temperature - t_hot) * specfun.erfc(z)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = a / (2.0 * np.sqrt(t))  # inf or NaN at t = 0, so never live
+    live = z < _ERFC_SATURATION
+    out = np.full(t.shape, t_hot)
+    out[live] = t_hot + (sc.fluid.injection_temperature - t_hot) * specfun.erfc(z[live])
+    return float(out) if out.ndim == 0 else out
 
 
 def rock_temp(y: float, t: float, sc: Scenario, x: float) -> float:
@@ -225,23 +235,25 @@ def rock_temp(y: float, t: float, sc: Scenario, x: float) -> float:
 def interfacial_flux(sc: Scenario, x: float, t: float) -> float:
     """Heat flux density through one fracture face, W/m2, positive rock->fluid.
 
-    Inverted from the transform domain: the face-gradient image
-    (k / sqrt(alpha)) sqrt(s) (T0/s - T_f_image(x, s)), built on
-    :func:`egstherm.laplace.fluid_temp_laplace`. The x -> 0 limit reproduces
-    the classical sudden-contact flux k (T0 - T_inj) / sqrt(pi alpha t).
+    The exact inverse of the face-gradient image
+    (k / sqrt(alpha)) sqrt(s) (T0/s - T_f_image(x, s)):
+
+        q = k (T0 - T_inj) exp(-a^2 / (4 t)) / sqrt(pi alpha t)
+
+    with a = transfer_coefficient(sc, x). The x -> 0 limit is the classical
+    sudden-contact flux k (T0 - T_inj) / sqrt(pi alpha t).
     """
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    alpha = thermal_diffusivity(sc.rock)
-    conductivity = sc.rock.conductivity
-    t_hot = sc.rock.initial_temperature
-    temp_image = fluid_temp_laplace(sc, x)
-
-    def flux_image(s):
-        return (conductivity / math.sqrt(alpha)) * np.sqrt(s) * (t_hot / s - temp_image(s))
-
-    return stehfest_invert(flux_image, t, StehfestConfig())
+    a = transfer_coefficient(sc, x)
+    span = sc.rock.initial_temperature - sc.fluid.injection_temperature
+    return (
+        sc.rock.conductivity
+        * span
+        * math.exp(-a * a / (4.0 * t))
+        / math.sqrt(math.pi * thermal_diffusivity(sc.rock) * t)
+    )
 
 
 def point_source_dT(P: float, r: float, t: float, k: float, alpha: float) -> float:

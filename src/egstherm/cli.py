@@ -34,6 +34,7 @@ from .scenario import (
     Scenario,
     ScenarioError,
     bundled_scenario_path,
+    collapse_to_single,
     load_scenario,
     thermal_diffusivity,
 )
@@ -63,8 +64,10 @@ class RunConfig:
     def __post_init__(self) -> None:
         if not (isinstance(self.steps, int) and self.steps >= 2):
             raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
-        if not self.horizon_yr > 0.0:
-            raise ValueError(f"horizon must be > 0 yr, got {self.horizon_yr}")
+        if not (self.horizon_yr > 0.0 and math.isfinite(self.horizon_s)):
+            raise ValueError(
+                f"--horizon-yr must be a finite number > 0, got {self.horizon_yr}"
+            )
         if not 0.0 < self.onset_frac < 1.0:
             raise ValueError(f"onset fraction must lie in (0, 1), got {self.onset_frac}")
 
@@ -125,21 +128,20 @@ def _resolve_model_scenario(
     --spacing-m flag, or the scenario, in that order.
     """
     base, token_spacing = _parse_model_token(token)
-    fr = sc.fractures
     if base == "single":
-        fractures = dataclasses.replace(fr, count=1, spacing=None, faces=faces or 1)
-    elif base == "gringarten_ref":
-        fractures = dataclasses.replace(fr, count=1, spacing=None, faces=faces or 2)
-    else:
-        if fr.count <= 1:
-            raise ValueError("model multi_slab requires a scenario with count > 1")
-        spacing = token_spacing or spacing_flag or fr.spacing
-        if spacing is None:
-            raise ValueError(
-                "model multi_slab needs a fracture spacing (scenario field, "
-                "--spacing-m, or a multi_slab:<spacing> token)"
-            )
-        fractures = dataclasses.replace(fr, spacing=float(spacing), faces=faces or fr.faces)
+        return collapse_to_single(sc, faces or 1), base
+    if base == "gringarten_ref":
+        return collapse_to_single(sc, faces or 2), base
+    fr = sc.fractures
+    if fr.count <= 1:
+        raise ValueError("model multi_slab requires a scenario with count > 1")
+    spacing = token_spacing or spacing_flag or fr.spacing
+    if spacing is None:
+        raise ValueError(
+            "model multi_slab needs a fracture spacing (scenario field, "
+            "--spacing-m, or a multi_slab:<spacing> token)"
+        )
+    fractures = dataclasses.replace(fr, spacing=float(spacing), faces=faces or fr.faces)
     return dataclasses.replace(sc, fractures=fractures), base
 
 
@@ -369,8 +371,7 @@ def cmd_oracle(
                 resolved, probe_times, StehfestConfig(cfg.stehfest_n)
             ).outlet_temperatures
         else:
-            length = resolved.fractures.flow_length
-            ref = np.array([fluid_temp_single(resolved, length, t) for t in probe_times])
+            ref = fluid_temp_single(resolved, resolved.fractures.flow_length, probe_times)
         deviations = series.outlet_temperatures - ref
         rows = [
             [probe_times[i] / SECONDS_PER_YEAR, series.outlet_temperatures[i], ref[i], deviations[i]]

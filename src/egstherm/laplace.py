@@ -21,10 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial
+from math import factorial
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .analytic import ForecastSeries, fluid_temp_single
+from .scenario import face_coupling, thermal_diffusivity, transfer_coefficient, validate
 
 __all__ = [
     "LaplaceImage",
@@ -169,8 +172,6 @@ def fluid_temp_laplace(sc, x: float) -> LaplaceImage:
     closed form in :func:`egstherm.analytic.fluid_temp_single`, so the two
     routes cross-validate each other.
     """
-    from .scenario import transfer_coefficient
-
     a = transfer_coefficient(sc, x)
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
@@ -199,8 +200,6 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
     drops toward T_inj on the depletion timescale
     faces x d rho_r c_r / (rho_f c_f v b).
     """
-    from .scenario import fracture_velocity, thermal_diffusivity
-
     fr = sc.fractures
     if fr.count <= 1:
         raise ValueError("slab image requires a multi-fracture array (count > 1)")
@@ -211,12 +210,7 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
         raise ValueError(f"x must lie in [0, flow_length={fr.flow_length}], got {x}")
 
     alpha = thermal_diffusivity(sc.rock)
-    v = fracture_velocity(sc)
-    coupling = (
-        fr.faces
-        * sc.rock.conductivity
-        / (sc.fluid.density * sc.fluid.specific_heat * v * fr.aperture)
-    )
+    coupling = face_coupling(sc)
     half_spacing = fr.spacing / 2.0
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
@@ -237,8 +231,6 @@ def _finish_series(raw, times, sc, model: str, config: StehfestConfig):
     non-monotone wiggle above 0.5% of span, means the inversion has gone
     unstable for this transform and is reported instead of smoothed over.
     """
-    from .analytic import ForecastSeries
-
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
     span = t_hot - t_cold
@@ -289,9 +281,6 @@ def multi_fracture_forecast(
     ForecastSeries
         Model tag ``single`` (count = 1) or ``multi_slab``.
     """
-    from .analytic import ForecastSeries, fluid_temp_single
-    from .scenario import validate
-
     violations = validate(sc)
     if violations:
         raise ValueError("invalid scenario: " + "; ".join(violations))
@@ -305,11 +294,10 @@ def multi_fracture_forecast(
 
     length = sc.fractures.flow_length
     if sc.fractures.count == 1:
-        temps = np.array([fluid_temp_single(sc, length, t) for t in times])
         return ForecastSeries(
             model="single",
             times=times,
-            outlet_temperatures=temps,
+            outlet_temperatures=fluid_temp_single(sc, length, times),
             injection_temperature=sc.fluid.injection_temperature,
             initial_temperature=sc.rock.initial_temperature,
         )

@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from .analytic import ForecastSeries, fluid_temp_single
-from .scenario import Scenario, fracture_velocity, thermal_diffusivity, validate
+from .scenario import Scenario, face_coupling, thermal_diffusivity, validate
 
 __all__ = [
     "OracleGrid",
@@ -283,13 +283,7 @@ def fd_simulate(
     t_cold = sc.fluid.injection_temperature
     alpha_dt = thermal_diffusivity(sc.rock) * grid.dt
     fr = sc.fractures
-    velocity = fracture_velocity(sc)
-    # fluid-march coupling: d T_f / dx = coupling * (face gradient)
-    coupling = (
-        fr.faces
-        * sc.rock.conductivity
-        / (sc.fluid.density * sc.fluid.specific_heat * velocity * fr.aperture)
-    )
+    coupling = face_coupling(sc)
 
     t_end = float(max(probe_times.max(initial=0.0), snapshot_times.max(initial=0.0)))
     n_steps = max(0, math.ceil(t_end / grid.dt - 1e-12))
@@ -453,9 +447,7 @@ def convergence_study(
     if probe_times is None:
         probe_times = np.geomspace(0.05 * horizon, horizon, 8)
     probe_times = np.asarray(probe_times, dtype=float)
-    reference = np.array(
-        [fluid_temp_single(sc, sc.fractures.flow_length, t) for t in probe_times]
-    )
+    reference = fluid_temp_single(sc, sc.fractures.flow_length, probe_times)
 
     rows: list[tuple[int, float]] = []
     for level in range(levels):

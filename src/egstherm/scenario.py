@@ -15,6 +15,7 @@ package: ``valles_caldera`` and ``zeinali``.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.resources
 import json
 import math
@@ -31,7 +32,9 @@ __all__ = [
     "ScenarioError",
     "thermal_diffusivity",
     "fracture_velocity",
+    "face_coupling",
     "transfer_coefficient",
+    "collapse_to_single",
     "validate",
     "scenario_from_dict",
     "load_scenario",
@@ -132,6 +135,18 @@ def fracture_velocity(sc: Scenario) -> float:
     return (sc.operating.total_rate / fr.count) / (fr.aperture * fr.height)
 
 
+def face_coupling(sc: Scenario) -> float:
+    """Dimensionless fluid-march coupling faces k / (rho_f c_f v b): the
+    fluid warms along x at this multiple of the rock's face gradient,
+    d T_f / dx = face_coupling * d T_rock / dy at y = 0."""
+    fr = sc.fractures
+    return (
+        fr.faces
+        * sc.rock.conductivity
+        / (sc.fluid.density * sc.fluid.specific_heat * fracture_velocity(sc) * fr.aperture)
+    )
+
+
 def transfer_coefficient(sc: Scenario, x: float) -> float:
     """Convective-conductive transfer coefficient at distance x, s^(1/2).
 
@@ -159,6 +174,16 @@ def transfer_coefficient(sc: Scenario, x: float) -> float:
         * x
         / (fl.density * fl.specific_heat * v * sc.fractures.aperture * math.sqrt(alpha))
     )
+
+
+def collapse_to_single(sc: Scenario, faces: int = 1) -> Scenario:
+    """Route the scenario's entire flow through one fracture.
+
+    The isolated-fracture closed form's scenario: count 1, no spacing, the
+    full total_rate, and the requested number of exchange faces.
+    """
+    fr = dataclasses.replace(sc.fractures, count=1, faces=faces, spacing=None)
+    return dataclasses.replace(sc, fractures=fr)
 
 
 def validate(sc: Scenario) -> list[str]:

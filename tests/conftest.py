@@ -4,17 +4,7 @@ import dataclasses
 
 import pytest
 
-from egstherm.scenario import bundled_scenario
-
-
-def collapse_to_single(sc, faces=1):
-    """Route the scenario's entire flow through one fracture.
-
-    Used for the isolated-fracture closed form: count 1, no spacing,
-    the full total_rate, and the requested number of active faces.
-    """
-    fr = dataclasses.replace(sc.fractures, count=1, faces=faces, spacing=None)
-    return dataclasses.replace(sc, fractures=fr)
+from egstherm.scenario import bundled_scenario, collapse_to_single
 
 
 def with_total_rate(sc, total_rate):

@@ -23,7 +23,7 @@ from egstherm.analytic import (
     thermal_radius,
     time_to_radius,
 )
-from egstherm.scenario import thermal_diffusivity, transfer_coefficient
+from egstherm.scenario import collapse_to_single, thermal_diffusivity, transfer_coefficient
 from egstherm.specfun import erf, exp_integral_e1
 from egstherm.units import SECONDS_PER_YEAR
 
@@ -35,7 +35,7 @@ L = 999.744
 T50_SINGLE = 79.83728812809943
 T50_GRINGARTEN = 94.5818148130997
 T50_ISOLATED_ARRAY = 273.41418501957554
-FLUX_L_25YR = 12.582728777552251
+FLUX_L_25YR = 12.582732408347953
 POINT_50M_50YR = 219.26258171709023
 LINE_10_30_50YR = 15.2401827655707
 GREENS_SAMPLE = 0.1135611476263995
@@ -80,10 +80,55 @@ def test_fluid_temp_single_limits(valles_single):
     assert fluid_temp_single(valles_single, 0.0, T50) == 65.0
 
 
+def _scalar_fluid_temp(sc, x, t):
+    """The closed form one time at a time: T0 at t = 0 and once the erfc
+    argument reaches 6, else T0 + (T_inj - T0) erfc(a / (2 sqrt(t)))."""
+    t_hot = sc.rock.initial_temperature
+    if t == 0.0:
+        return t_hot
+    z = transfer_coefficient(sc, x) / (2.0 * math.sqrt(t))
+    if z >= 6.0:
+        return t_hot
+    return t_hot + (sc.fluid.injection_temperature - t_hot) * math.erfc(z)
+
+
+@pytest.mark.parametrize("faces", [1, 2])
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+def test_fluid_temp_single_array_matches_scalar_form(site, faces, request):
+    sc = collapse_to_single(request.getfixturevalue(site), faces=faces)
+    # t = 0, early times saturated at the outlet (z >= 6 below 0.9e5 s on
+    # both sites), and the whole decline; the inlet is never saturated
+    times = np.concatenate([[0.0, 1.0, 1e4], np.geomspace(1e5, 1e11, 300)])
+    for x in (0.0, 1.0, sc.fractures.flow_length / 3.0, sc.fractures.flow_length):
+        got = fluid_temp_single(sc, x, times)
+        want = np.array([_scalar_fluid_temp(sc, x, float(t)) for t in times])
+        assert np.array_equal(got, want)
+        grid = fluid_temp_single(sc, x, times.reshape(3, -1))
+        assert np.array_equal(grid, want.reshape(3, -1))
+    saturated = fluid_temp_single(sc, sc.fractures.flow_length, times)
+    assert saturated[0] == saturated[1] == saturated[2] == sc.rock.initial_temperature
+
+
+def test_fluid_temp_single_scalar_returns_float(valles_single):
+    got = fluid_temp_single(valles_single, L, T50)
+    assert type(got) is float
+    assert type(fluid_temp_single(valles_single, L, 0.0)) is float
+    assert type(fluid_temp_single(valles_single, L, np.float64(T50))) is float
+    assert got == fluid_temp_single(valles_single, L, np.array([T50]))[0]
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan])
+def test_fluid_temp_single_rejects_bad_time(valles_single, bad):
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got"):
+        fluid_temp_single(valles_single, L, bad)
+    with pytest.raises(ValueError, match=r"^t must be >= 0, got"):
+        fluid_temp_single(valles_single, L, np.array([0.0, T50, bad]))
+
+
 def test_fluid_temp_single_monotone(valles_single):
     times = np.geomspace(0.01, 50.0, 40) * SECONDS_PER_YEAR
-    vals = [fluid_temp_single(valles_single, L, float(t)) for t in times]
-    assert all(b <= a for a, b in zip(vals, vals[1:]))
+    vals = fluid_temp_single(valles_single, L, times)
+    assert np.all(np.diff(vals) <= 0.0)
     # hotter further along the fracture at fixed time
     assert fluid_temp_single(valles_single, 500.0, T50) < fluid_temp_single(
         valles_single, 999.0, T50
@@ -117,8 +162,7 @@ def test_rock_temp_monotone_in_y(valles_single):
 
 
 def test_interfacial_flux_against_closed_form(valles_single):
-    # single-fracture flux has its own closed form; the shipped routine
-    # goes through the transform and must land on it
+    # the face flux of the closed-form temperature, written out independently
     k = valles_single.rock.conductivity
     for t_yr in (1.0, 10.0, 25.0):
         t = t_yr * SECONDS_PER_YEAR
@@ -126,7 +170,7 @@ def test_interfacial_flux_against_closed_form(valles_single):
         expected = (
             k * (300.0 - 65.0) / math.sqrt(math.pi * ALPHA * t) * math.exp(-a * a / (4.0 * t))
         )
-        assert interfacial_flux(valles_single, L, t) == pytest.approx(expected, rel=1e-4)
+        assert interfacial_flux(valles_single, L, t) == pytest.approx(expected, rel=1e-12)
 
 
 def test_interfacial_flux_frozen(valles_single):
@@ -247,7 +291,7 @@ def test_onset_of_decline_edge_cases():
 def test_onset_of_decline_matches_analytic_inverse(valles_single):
     # dense sampling of the closed form vs inverting erfc directly
     times = np.geomspace(1e5, SECONDS_PER_YEAR, 600)
-    temps = np.array([fluid_temp_single(valles_single, L, float(t)) for t in times])
+    temps = fluid_temp_single(valles_single, L, times)
     s = ForecastSeries(
         model="single",
         times=times,

@@ -124,6 +124,18 @@ def test_forecast_failure_leaves_no_partial_csv(tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "argv", [["forecast"], ["forecast", "--model", "multi_slab"], ["oracle", "--probes", "0"]]
+)
+@pytest.mark.parametrize("horizon", ["inf", "nan", "1e308"])
+def test_non_finite_horizon_names_the_flag(argv, horizon, capsys):
+    # 1e308 yr is finite but overflows to an infinite horizon in seconds
+    rc, out, err = run(capsys, *argv, "--horizon-yr", horizon)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error: --horizon-yr must be a finite number > 0")
+
+
 def test_table2_default(capsys):
     rc, out, _ = run(capsys, "table2")
     assert rc == 0

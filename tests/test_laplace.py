@@ -224,8 +224,7 @@ def test_forecast_single_path_is_closed_form(valles_single):
     times = np.array([0.0, 1.0, 10.0, 50.0]) * YR
     series = multi_fracture_forecast(valles_single, times)
     assert series.model == "single"
-    expected = [fluid_temp_single(valles_single, L, float(t)) for t in times]
-    assert list(series.outlet_temperatures) == expected
+    assert np.array_equal(series.outlet_temperatures, fluid_temp_single(valles_single, L, times))
 
 
 def test_forecast_slab_frozen_and_reference(valles):
@@ -248,7 +247,7 @@ def test_forecast_before_interference_matches_isolated(valles):
     # the slab result tracks the isolated-fracture curve
     times = np.array([1.0, 2.0, 5.0]) * YR
     slab = multi_fracture_forecast(valles, times).outlet_temperatures
-    iso = np.array([fluid_temp_single(valles, L, float(t)) for t in times])
+    iso = fluid_temp_single(valles, L, times)
     assert np.max(np.abs(slab - iso)) < 0.05
 
 

@@ -80,7 +80,8 @@ def test_e1_against_quadrature_oracle(x):
 
 
 def test_e1_continuous_across_algorithm_switch():
-    # series below 1, continued fraction above; the seam must be smooth
+    # E1 is classically summed as a series below 1 and a continued fraction
+    # above; the seam must be smooth
     lo = exp_integral_e1(1.0 - 1e-9)
     hi = exp_integral_e1(1.0 + 1e-9)
     assert abs(hi - lo) < 1e-8 * exp_integral_e1(1.0)
@@ -139,6 +140,21 @@ def test_e1_domain_errors():
     for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError):
             exp_integral_e1(bad)
+
+
+def test_erfc_elementwise_matches_math_erfc():
+    xs = np.concatenate([np.linspace(-7.0, 30.0, 371), [6.0, 5.92, 1e-300]])
+    got = erfc(xs.reshape(11, 34))
+    assert got.dtype == np.float64 and got.shape == (11, 34)
+    assert np.array_equal(got.ravel(), [math.erfc(x) for x in xs])
+    assert type(erfc(1.0)) is float
+    assert erfc(np.array([])).shape == (0,)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_erfc_array_refuses_non_finite_element(bad):
+    with pytest.raises(ValueError, match=f"x must be finite, got {bad!r}"):
+        erfc(np.array([0.5, bad, 1.0]))
 
 
 def test_erf_rejects_non_finite():
