@@ -10,16 +10,11 @@ from .analytic import (
     ForecastSeries,
     InterferenceRow,
     fluid_temp_single,
-    greens_semi_infinite,
     interfacial_flux,
     interference_table,
-    line_source_dT,
     onset_of_decline,
-    point_source_dT,
     rock_temp,
-    rock_temp_initial,
     thermal_power,
-    thermal_radius,
     time_to_radius,
 )
 from .laplace import (
@@ -62,16 +57,11 @@ __all__ = [
     "ForecastSeries",
     "InterferenceRow",
     "fluid_temp_single",
-    "greens_semi_infinite",
     "interfacial_flux",
     "interference_table",
-    "line_source_dT",
     "onset_of_decline",
-    "point_source_dT",
     "rock_temp",
-    "rock_temp_initial",
     "thermal_power",
-    "thermal_radius",
     "time_to_radius",
     "StehfestConfig",
     "fluid_temp_laplace",

@@ -6,9 +6,9 @@ semi-infinite conducting half-space, the produced-fluid temperature is
     T_f(x, t) = T0 + (T_inj - T0) erfc(a(x) / (2 sqrt(t)))
 
 with a(x) the scenario's transfer coefficient. Around it sit the rock
-temperature field it implies, the interfacial heat flux, the method-of-images
-Green's function the derivation rests on, classical continuous point and
-line sources, and the thermal-radius bookkeeping used for spacing design.
+temperature it implies (the same erfc with a shifted by y / sqrt(alpha)),
+the interfacial heat flux, the front-traversal table used for spacing
+design, the onset of decline of a forecast, and the produced thermal power.
 """
 
 from __future__ import annotations
@@ -27,14 +27,9 @@ __all__ = [
     "InterferenceRow",
     "ForecastSeries",
     "MODEL_TAGS",
-    "greens_semi_infinite",
-    "rock_temp_initial",
     "rock_temp",
     "fluid_temp_single",
     "interfacial_flux",
-    "point_source_dT",
-    "line_source_dT",
-    "thermal_radius",
     "time_to_radius",
     "interference_table",
     "onset_of_decline",
@@ -100,42 +95,23 @@ class ForecastSeries:
             )
 
 
-def greens_semi_infinite(y: float, t: float, y_src: float, tau: float, alpha: float) -> float:
-    """Half-space heat kernel with a zero-temperature boundary at y = 0.
+def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> float | np.ndarray:
+    """T0 + (T_inj - T0) erfc(numerator / (2 sqrt(t))), elementwise over t.
 
-    Method of images: the free-space Gaussian minus its mirror,
-
-        G = (4 pi alpha (t - tau))^(-1/2)
-            [exp(-(y - y_src)^2 / (4 alpha (t - tau)))
-             - exp(-(y + y_src)^2 / (4 alpha (t - tau)))]
-
-    Vanishes identically at y = 0 and for t <= tau (causality). Units 1/m.
+    Exactly T0 at t = 0 and wherever the argument has saturated (>= 6): the
+    cooling front has not arrived. A float for a scalar t, a float64 array
+    of t's shape otherwise; any negative or NaN time is refused.
     """
-    y, y_src = float(y), float(y_src)
-    if y < 0.0 or y_src < 0.0:
-        raise ValueError(f"coordinates must be >= 0, got y={y}, y_src={y_src}")
-    dt = float(t) - float(tau)
-    if dt <= 0.0:
-        return 0.0
-    spread = 4.0 * alpha * dt
-    direct = math.exp(-((y - y_src) ** 2) / spread)
-    mirror = math.exp(-((y + y_src) ** 2) / spread)
-    return (direct - mirror) / math.sqrt(math.pi * spread)
-
-
-def rock_temp_initial(y: float, t: float, T0: float, alpha: float) -> float:
-    """Rock temperature from the initial field alone, face held at zero.
-
-    T0 erf(y / (2 sqrt(alpha t))): the undisturbed interior relaxing against
-    a cold boundary, before any fluid-history contribution is added back.
-    """
-    y = float(y)
-    t = float(t)
-    if y < 0.0:
-        raise ValueError(f"y must be >= 0, got {y}")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    return T0 * specfun.erf(y / (2.0 * math.sqrt(alpha * t)))
+    t = np.asarray(t, dtype=float)
+    if not (t >= 0.0).all():
+        raise ValueError(f"t must be >= 0, got {float(t[~(t >= 0.0)].flat[0])}")
+    t_hot = sc.rock.initial_temperature
+    with np.errstate(divide="ignore", invalid="ignore"):
+        z = numerator / (2.0 * np.sqrt(t))  # inf or NaN at t = 0, so never live
+    live = z < _ERFC_SATURATION
+    out = np.full(t.shape, t_hot)
+    out[live] = t_hot + (sc.fluid.injection_temperature - t_hot) * specfun.erfc(z[live])
+    return float(out) if out.ndim == 0 else out
 
 
 def fluid_temp_single(sc: Scenario, x: float, t: float | np.ndarray) -> float | np.ndarray:
@@ -165,38 +141,27 @@ def fluid_temp_single(sc: Scenario, x: float, t: float | np.ndarray) -> float | 
     ValueError
         If any element of t is negative or NaN.
     """
-    t = np.asarray(t, dtype=float)
-    if not (t >= 0.0).all():
-        raise ValueError(f"t must be >= 0, got {float(t[~(t >= 0.0)].flat[0])}")
-    t_hot = sc.rock.initial_temperature
-    a = transfer_coefficient(sc, x)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        z = a / (2.0 * np.sqrt(t))  # inf or NaN at t = 0, so never live
-    live = z < _ERFC_SATURATION
-    out = np.full(t.shape, t_hot)
-    out[live] = t_hot + (sc.fluid.injection_temperature - t_hot) * specfun.erfc(z[live])
-    return float(out) if out.ndim == 0 else out
+    return _erfc_response(sc, transfer_coefficient(sc, x), t)
 
 
 def rock_temp(y: float, t: float, sc: Scenario, x: float) -> float:
     """Rock temperature at depth y into the face, at station x and time t.
 
-    Superposes the relaxing initial field and the convolution of the fluid
-    history with the half-space boundary kernel. Substituting
-    w = y / (2 sqrt(alpha (t - tau))) turns the (t - tau)^(-3/2) kernel into
-    a plain Gaussian weight:
+    The rock's Laplace image at depth y is the fluid's times
+    exp(-y sqrt(s / alpha)), which shifts the transfer coefficient by
+    y / sqrt(alpha). Exactly,
 
-        T_r = T0 erf(eta) + (2/sqrt(pi)) * integral_eta^inf
-              T_f(x, t - y^2/(4 alpha w^2)) exp(-w^2) dw,   eta = y/(2 sqrt(alpha t))
+        T_r = T0 + (T_inj - T0) erfc((a + y / sqrt(alpha)) / (2 sqrt(t)))
 
-    evaluated by adaptive quadrature to 1e-8 relative. At y = 0 the fluid
-    temperature itself is returned (the coupling boundary condition).
+    with a = transfer_coefficient(sc, x), under fluid_temp_single's
+    saturation rule: T0 once the argument reaches 6. At y = 0 this is the
+    fluid temperature bit for bit (the coupling boundary condition), and
+    from eta = y / (2 sqrt(alpha t)) >= 6 on it is exactly T0.
 
     Raises
     ------
-    ArithmeticError
-        If the quadrature does not converge; the achieved error estimate is
-        reported.
+    ValueError
+        If y < 0 or t <= 0.
     """
     y = float(y)
     t = float(t)
@@ -204,32 +169,8 @@ def rock_temp(y: float, t: float, sc: Scenario, x: float) -> float:
         raise ValueError(f"y must be >= 0, got {y}")
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    if y == 0.0:
-        return fluid_temp_single(sc, x, t)
-
-    alpha = thermal_diffusivity(sc.rock)
-    t_hot = sc.rock.initial_temperature
-    eta = y / (2.0 * math.sqrt(alpha * t))
-    if eta >= 8.0:
-        # farther than the front has diffused; avoid quadrature on a
-        # numerically zero integrand
-        return t_hot
-
-    from scipy.integrate import quad  # imported here: SciPy costs ~0.6 s at CLI start
-
-    y_sq_over_4a = y * y / (4.0 * alpha)
-
-    def integrand(w: float) -> float:
-        tau_lag = t - y_sq_over_4a / (w * w)
-        return fluid_temp_single(sc, x, tau_lag) * math.exp(-w * w) * 2.0 / math.sqrt(math.pi)
-
-    value, abserr = quad(integrand, eta, np.inf, epsabs=1e-10 * t_hot, epsrel=1e-8, limit=200)
-    if abserr > max(1e-6, 1e-6 * abs(value)):
-        raise ArithmeticError(
-            f"rock temperature quadrature did not converge at (y={y}, t={t}): "
-            f"achieved error estimate {abserr:.3g}"
-        )
-    return t_hot * specfun.erf(eta) + value
+    lag = y / math.sqrt(thermal_diffusivity(sc.rock))
+    return _erfc_response(sc, transfer_coefficient(sc, x) + lag, t)
 
 
 def interfacial_flux(sc: Scenario, x: float, t: float) -> float:
@@ -254,50 +195,6 @@ def interfacial_flux(sc: Scenario, x: float, t: float) -> float:
         * math.exp(-a * a / (4.0 * t))
         / math.sqrt(math.pi * thermal_diffusivity(sc.rock) * t)
     )
-
-
-def point_source_dT(P: float, r: float, t: float, k: float, alpha: float) -> float:
-    """Temperature rise at distance r from a continuous point source of power P.
-
-    P / (4 pi k r) * erfc(r / (2 sqrt(alpha t))): transient approach to the
-    steady conduction field. Singular at r = 0, which is rejected.
-    """
-    r = float(r)
-    t = float(t)
-    if not r > 0.0:
-        raise ValueError(f"r must be > 0 (the source point is singular), got {r}")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    return P / (4.0 * math.pi * k * r) * specfun.erfc(r / (2.0 * math.sqrt(alpha * t)))
-
-
-def line_source_dT(q_l: float, r1: float, r2: float, t: float, k: float, alpha: float) -> float:
-    """Temperature rise from a continuous line source and its image line.
-
-    q_l / (4 pi k) * [E1(r1^2 / 4 alpha t) + E1(r2^2 / 4 alpha t)] for the
-    two perpendicular distances; coincident distances double the single term.
-    """
-    r1 = float(r1)
-    r2 = float(r2)
-    t = float(t)
-    if not (r1 > 0.0 and r2 > 0.0):
-        raise ValueError(f"line-source distances must be > 0, got r1={r1}, r2={r2}")
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    denom = 4.0 * alpha * t
-    return (
-        q_l
-        / (4.0 * math.pi * k)
-        * (specfun.exp_integral_e1(r1 * r1 / denom) + specfun.exp_integral_e1(r2 * r2 / denom))
-    )
-
-
-def thermal_radius(t: float, alpha: float) -> float:
-    """Reach of a cooling front after time t: sqrt(4 alpha t), m."""
-    t = float(t)
-    if not t > 0.0:
-        raise ValueError(f"t must be > 0, got {t}")
-    return math.sqrt(4.0 * alpha * t)
 
 
 def time_to_radius(r: float, alpha: float) -> float:

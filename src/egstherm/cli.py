@@ -362,8 +362,9 @@ def cmd_oracle(
         probe_times = np.array([])
 
     snapshot_times = np.array(sorted(set(snapshot_yr))) * SECONDS_PER_YEAR
-    result = fd_simulate(resolved, grid, probe_times, snapshot_times=snapshot_times)
-    series, details = result if isinstance(result, tuple) else (result, None)
+    series, details = fd_simulate(
+        resolved, grid, probe_times, snapshot_times=snapshot_times, return_details=True
+    )
 
     if probe_times.size:
         if base == "multi_slab":
@@ -392,7 +393,7 @@ def cmd_oracle(
     else:
         print("no probe times: header-only CSV written")
 
-    if details is not None and snapshot_out is not None:
+    if snapshot_out is not None:
         for snap in details.snapshots:
             label = _fmt(snap.time / SECONDS_PER_YEAR).replace(".", "p")
             path = Path(f"{snapshot_out}_{label}yr.csv")

@@ -1,11 +1,8 @@
-"""Special functions used by the closed-form heat-transfer solutions.
+"""The complementary error function behind the closed-form solutions.
 
-The error function, the complementary error function (elementwise over
-arrays), and the exponential integral E1, each behind a finiteness check so
-a NaN or infinity is refused by name instead of propagating. erf and erfc
-are the standard library's correctly rounded routines; E1 is SciPy's
-``scipy.special.exp1``, imported on first use so the forecasting path stays
-free of SciPy.
+erfc elementwise over arrays: the standard library's correctly rounded
+``math.erfc`` per element, behind a finiteness check so a NaN or infinity
+is refused by name instead of propagating.
 """
 
 from __future__ import annotations
@@ -14,34 +11,9 @@ import math
 
 import numpy as np
 
-__all__ = ["erf", "erfc", "exp_integral_e1"]
+__all__ = ["erfc"]
 
 _erfc_elementwise = np.frompyfunc(math.erfc, 1, 1)
-
-
-def _require_finite(x: float, name: str) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"{name} must be finite, got {x!r}")
-    return x
-
-
-def erf(x: float) -> float:
-    """Error function erf(x) = (2/sqrt(pi)) * integral_0^x exp(-u^2) du.
-
-    Odd in x; the returned double is exactly +-1 from |x| ~ 5.92 on.
-
-    Parameters
-    ----------
-    x : float
-        Argument. Must be finite.
-
-    Returns
-    -------
-    float
-        erf(x), in [-1, 1].
-    """
-    return math.erf(_require_finite(x, "x"))
 
 
 def erfc(x: float | np.ndarray) -> float | np.ndarray:
@@ -69,27 +41,3 @@ def erfc(x: float | np.ndarray) -> float | np.ndarray:
         raise ValueError(f"x must be finite, got {float(x[~finite].flat[0])!r}")
     out = np.asarray(_erfc_elementwise(x), dtype=float)
     return float(out) if out.ndim == 0 else out
-
-
-def exp_integral_e1(x: float) -> float:
-    """Exponential integral E1(x) = integral_x^inf exp(-u)/u du, x > 0.
-
-    SciPy's ``scipy.special.exp1``; it underflows to 0 beyond x ~ 700,
-    which is the correct double.
-
-    Parameters
-    ----------
-    x : float
-        Argument, strictly positive and finite.
-
-    Returns
-    -------
-    float
-        E1(x), positive and strictly decreasing in x.
-    """
-    x = _require_finite(x, "x")
-    if x <= 0.0:
-        raise ValueError(f"exp_integral_e1 requires x > 0, got {x}")
-    from scipy.special import exp1  # imported here: SciPy costs ~0.6 s at CLI start
-
-    return float(exp1(x))

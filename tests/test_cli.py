@@ -255,18 +255,29 @@ def test_help_exits_zero():
 
 
 def test_cli_import_loads_no_scipy():
-    # SciPy takes most of a CLI call's start-up; only the oracle and the rock
-    # quadrature need it, and they import it when they run. The slab forecast
-    # and the comparison stay NumPy-only as well.
+    # SciPy takes most of a CLI call's start-up; only the finite-difference
+    # oracle needs it, and imports it when it runs. The slab forecast, the
+    # comparison and every closed-form entry point stay NumPy-only.
     src = str(Path(egstherm.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     code = (
-        "import contextlib, io, sys, egstherm.cli\n"
+        "import contextlib, io, sys, numpy as np, egstherm, egstherm.cli\n"
         "for argv in (['forecast', '--model', 'multi_slab'],\n"
         "             ['compare', '--model', 'single', '--model', 'gringarten_ref',\n"
         "              '--model', 'multi_slab']):\n"
         "    with contextlib.redirect_stdout(io.StringIO()):\n"
         "        assert egstherm.cli.main(argv) == 0, argv\n"
+        "sc = egstherm.bundled_scenario('valles_caldera')\n"
+        "L, yr = sc.fractures.flow_length, egstherm.SECONDS_PER_YEAR\n"
+        "T0, T_inj = sc.rock.initial_temperature, sc.fluid.injection_temperature\n"
+        "times = np.geomspace(0.1, 50.0, 40) * yr\n"
+        "assert T_inj < egstherm.rock_temp(2.0, 10.0 * yr, sc, L) < T0\n"
+        "assert egstherm.interfacial_flux(sc, L, 10.0 * yr) > 0.0\n"
+        "assert egstherm.interference_table([10.0], egstherm.thermal_diffusivity(sc.rock))\n"
+        "assert egstherm.thermal_power(sc, T0) > 0.0\n"
+        "outlet = egstherm.fluid_temp_single(sc, L, times)\n"
+        "series = egstherm.ForecastSeries('single', times, outlet, T_inj, T0)\n"
+        "assert egstherm.onset_of_decline(series) is not None\n"
         "print([m for m in sys.modules if m.startswith('scipy')])"
     )
     proc = subprocess.run(
