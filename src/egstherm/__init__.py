@@ -10,6 +10,7 @@ from .analytic import (
     ForecastSeries,
     InterferenceRow,
     fluid_temp_single,
+    greens_semi_infinite,
     interfacial_flux,
     interference_table,
     onset_of_decline,
@@ -57,6 +58,7 @@ __all__ = [
     "ForecastSeries",
     "InterferenceRow",
     "fluid_temp_single",
+    "greens_semi_infinite",
     "interfacial_flux",
     "interference_table",
     "onset_of_decline",

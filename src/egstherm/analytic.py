@@ -7,8 +7,9 @@ semi-infinite conducting half-space, the produced-fluid temperature is
 
 with a(x) the scenario's transfer coefficient. Around it sit the rock
 temperature it implies (the same erfc with a shifted by y / sqrt(alpha)),
-the interfacial heat flux, the front-traversal table used for spacing
-design, the onset of decline of a forecast, and the produced thermal power.
+the interfacial heat flux, the method-of-images Green's function of the
+rock half-space, the front-traversal table used for spacing design, the
+onset of decline of a forecast, and the produced thermal power.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
     "InterferenceRow",
     "ForecastSeries",
     "MODEL_TAGS",
+    "greens_semi_infinite",
     "rock_temp",
     "fluid_temp_single",
     "interfacial_flux",
@@ -93,6 +95,29 @@ class ForecastSeries:
                 "outlet temperatures must lie between the injection and initial "
                 f"temperatures [{self.injection_temperature}, {self.initial_temperature}]"
             )
+
+
+def greens_semi_infinite(y: float, t: float, y_src: float, tau: float, alpha: float) -> float:
+    """Half-space heat kernel with a zero-temperature boundary at y = 0.
+
+    Method of images: the free-space Gaussian minus its mirror,
+
+        G = (4 pi alpha (t - tau))^(-1/2)
+            [exp(-(y - y_src)^2 / (4 alpha (t - tau)))
+             - exp(-(y + y_src)^2 / (4 alpha (t - tau)))]
+
+    Vanishes identically at y = 0 and for t <= tau (causality). Units 1/m.
+    """
+    y, y_src = float(y), float(y_src)
+    if y < 0.0 or y_src < 0.0:
+        raise ValueError(f"coordinates must be >= 0, got y={y}, y_src={y_src}")
+    dt = float(t) - float(tau)
+    if dt <= 0.0:
+        return 0.0
+    spread = 4.0 * alpha * dt
+    direct = math.exp(-((y - y_src) ** 2) / spread)
+    mirror = math.exp(-((y + y_src) ** 2) / spread)
+    return (direct - mirror) / math.sqrt(math.pi * spread)
 
 
 def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> float | np.ndarray:

@@ -5,11 +5,13 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.special import erfcinv
 
 from egstherm.analytic import (
     ForecastSeries,
     fluid_temp_single,
+    greens_semi_infinite,
     interfacial_flux,
     interference_table,
     onset_of_decline,
@@ -29,6 +31,7 @@ T50_SINGLE = 79.83728812809943
 T50_GRINGARTEN = 94.5818148130997
 T50_ISOLATED_ARRAY = 273.41418501957554
 FLUX_L_25YR = 12.582732408347953
+GREENS_SAMPLE = 0.1135611476263995
 ROCK_PROFILE_10YR = {0.5: 101.83062928654472, 2.0: 113.10694287210673,
                      5.0: 135.0834782718513, 10.0: 169.33012700480208}
 
@@ -206,8 +209,11 @@ def test_interfacial_flux_positive_and_decaying(valles_single):
     assert all(b < a for a, b in zip(vals, vals[1:]))
 
 
-def test_time_to_radius_frozen():
-    assert time_to_radius(10.0, ALPHA) == pytest.approx(26713709.677419357, rel=1e-13)
+def test_thermal_radius_round_trip():
+    t = time_to_radius(10.0, ALPHA)
+    assert t == pytest.approx(26713709.677419357, rel=1e-13)
+    # the front's reach sqrt(4 alpha t) after that time is the radius again
+    assert math.sqrt(4.0 * ALPHA * t) == pytest.approx(10.0, rel=1e-13)
     with pytest.raises(ValueError):
         time_to_radius(-1.0, ALPHA)
 
@@ -293,3 +299,59 @@ def test_forecast_series_invariants():
     # a hair above the initial temperature is tolerated as rounding noise
     s = _series([1.0, 2.0], [300.0 + 1e-9, 300.0])
     assert s.outlet_temperatures[0] >= 300.0
+
+
+def test_greens_boundary_and_causality():
+    assert greens_semi_infinite(0.0, 1e6, 0.9, 0.0, ALPHA) == 0.0
+    assert greens_semi_infinite(1.0, 1e6, 0.9, 1e6, ALPHA) == 0.0
+    assert greens_semi_infinite(1.0, 1e6, 0.9, 2e6, ALPHA) == 0.0
+    with pytest.raises(ValueError):
+        greens_semi_infinite(-1.0, 1e6, 0.9, 0.0, ALPHA)
+    with pytest.raises(ValueError):
+        greens_semi_infinite(1.0, 1e6, -0.9, 0.0, ALPHA)
+
+
+def test_greens_symmetry_and_frozen_value():
+    a = greens_semi_infinite(1.3, 2.0e6, 0.9, 0.3e6, ALPHA)
+    b = greens_semi_infinite(0.9, 2.0e6, 1.3, 0.3e6, ALPHA)
+    assert a == b
+    assert a == pytest.approx(GREENS_SAMPLE, rel=1e-13)
+
+
+def test_greens_satisfies_heat_equation():
+    # central-difference residual of G_t - alpha G_yy at an interior point
+    y, y_src, tau, t = 1.3, 0.9, 0.3e6, 2.0e6
+    h_t, h_y = 40.0, 2e-3
+    g = lambda yy, tt: greens_semi_infinite(yy, tt, y_src, tau, ALPHA)
+    dt = (g(y, t + h_t) - g(y, t - h_t)) / (2.0 * h_t)
+    dyy = (g(y + h_y, t) - 2.0 * g(y, t) + g(y - h_y, t)) / h_y**2
+    assert abs(dt - ALPHA * dyy) < 1e-4 * abs(dt)
+
+
+def test_greens_absorbing_mass_deficit():
+    # the cold face removes heat, so the kernel integrates to less than one
+    # and keeps shrinking
+    g = lambda yy, tt: greens_semi_infinite(yy, tt, 0.9, 0.0, ALPHA)
+    early, _ = quad(lambda yy: g(yy, 1e5), 0.0, np.inf, limit=200)
+    late, _ = quad(lambda yy: g(yy, 2e6), 0.0, np.inf, limit=200)
+    assert late < early < 1.0
+    assert late > 0.0
+
+
+def test_rock_temp_initial_identity(valles_single):
+    # at the inlet a = 0, so the wall rock is the classical fixed-face
+    # profile: the initial field relaxing toward T_inj as
+    # T_inj + (T0 - T_inj) erf(y / (2 sqrt(alpha t)))
+    t_inj = valles_single.fluid.injection_temperature
+    t_hot = valles_single.rock.initial_temperature
+    alpha = thermal_diffusivity(valles_single.rock)
+    for y, t in [(0.5, 1e6), (2.0, 5e7), (10.0, 1e9)]:
+        expected = t_inj + (t_hot - t_inj) * math.erf(y / (2.0 * math.sqrt(alpha * t)))
+        assert rock_temp(y, t, valles_single, 0.0) == pytest.approx(expected, rel=1e-14)
+    assert rock_temp(0.0, 1e6, valles_single, 0.0) == t_inj
+    # deep interior is undisturbed
+    assert rock_temp(1e4, 1e6, valles_single, 0.0) == t_hot
+    with pytest.raises(ValueError):
+        rock_temp(-1.0, 1e6, valles_single, 0.0)
+    with pytest.raises(ValueError):
+        rock_temp(1.0, 0.0, valles_single, 0.0)

@@ -1,7 +1,9 @@
-"""The complementary error function against frozen references and identities.
+"""The complementary error function against oracles, frozen references and identities.
 
-Values are frozen at full double precision; the identities check erfc
-against the standard library's separately computed erf.
+The oracle is deliberately unrelated to the implementation: a Maclaurin
+series for erf, checked through erf = 1 - erfc. Values are frozen at full
+double precision; the identities check erfc against the standard library's
+separately computed erf.
 """
 
 import math
@@ -11,8 +13,13 @@ import pytest
 
 from egstherm.specfun import erfc
 
-# Frozen at full precision from the shipped routine; any drift is a change
-# in behaviour, not a tolerance question.
+# Frozen at full precision; any drift is a change in behaviour, not a
+# tolerance question. erf is reached as 1 - erfc.
+ERF_FROZEN = {
+    0.5: 0.52049987781304654,
+    1.0: 0.84270079294971487,
+    2.0: 0.99532226501895273,
+}
 ERFC_FROZEN = {
     1.0: 0.15729920705028513,
     3.0: 2.2090496998585441e-05,
@@ -20,9 +27,30 @@ ERFC_FROZEN = {
 }
 
 
+def erf_series(x, terms=60):
+    """Maclaurin series 2/sqrt(pi) sum (-1)^k x^(2k+1) / (k! (2k+1))."""
+    total = 0.0
+    term = x
+    for k in range(terms):
+        total += term / (2 * k + 1)
+        term *= -x * x / (k + 1)
+    return 2.0 / math.sqrt(math.pi) * total
+
+
+@pytest.mark.parametrize("x,expected", sorted(ERF_FROZEN.items()))
+def test_erf_frozen(x, expected):
+    assert 1.0 - erfc(x) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 @pytest.mark.parametrize("x,expected", sorted(ERFC_FROZEN.items()))
 def test_erfc_frozen(x, expected):
     assert erfc(x) == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("x", [0.1, 0.5, 1.0, 2.0, 3.0])
+def test_erf_against_series_oracle(x):
+    assert 1.0 - erfc(x) == pytest.approx(erf_series(x), rel=1e-12)
+    assert 1.0 - erfc(-x) == pytest.approx(-erf_series(x), rel=1e-12)
 
 
 def test_erf_erfc_complement():
@@ -40,6 +68,12 @@ def test_erf_special_points():
 def test_erf_odd_erfc_reflection():
     for x in (0.2, 1.3, 2.8):
         assert erfc(-x) == pytest.approx(2.0 - erfc(x), rel=1e-15)
+
+
+def test_erf_monotone():
+    xs = np.linspace(-3.0, 3.0, 41)
+    vals = [1.0 - erfc(float(x)) for x in xs]
+    assert all(b > a for a, b in zip(vals, vals[1:]))
 
 
 def test_erfc_elementwise_matches_math_erfc():
