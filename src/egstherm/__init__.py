@@ -10,7 +10,6 @@ from .analytic import (
     ForecastSeries,
     InterferenceRow,
     fluid_temp_single,
-    greens_semi_infinite,
     interfacial_flux,
     interference_table,
     onset_of_decline,
@@ -58,7 +57,6 @@ __all__ = [
     "ForecastSeries",
     "InterferenceRow",
     "fluid_temp_single",
-    "greens_semi_infinite",
     "interfacial_flux",
     "interference_table",
     "onset_of_decline",

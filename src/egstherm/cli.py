@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analytic import fluid_temp_single, interference_table, onset_of_decline
+from .analytic import interference_table, onset_of_decline
 from .laplace import StehfestConfig, multi_fracture_forecast
 from .oracle import fd_simulate, semi_infinite_grid, slab_grid
 from .scenario import (
@@ -40,40 +40,21 @@ from .scenario import (
 )
 from .units import SECONDS_PER_YEAR, convert_value
 
-__all__ = ["RunConfig", "main", "cmd_forecast", "cmd_table2", "cmd_compare", "cmd_oracle"]
+__all__ = ["main"]
 
 _MODEL_BASES = ("single", "gringarten_ref", "multi_slab")
 _DEFAULT_SPACINGS = "10,20,30,40,50,60,70,80"
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Resolved run options shared by the forecasting subcommands."""
+class _Model:
+    """One --model token, read once: its base model, its spacing qualifier
+    and the scenario reconfigured for it."""
 
-    scenario_path: Path
-    models: tuple[str, ...]
-    horizon_yr: float
-    steps: int
-    stehfest_n: int
-    onset_frac: float
-    out: Path | None
-    faces: int | None = None
-    spacing_m: float | None = None
-    linear_time: bool = False
-
-    def __post_init__(self) -> None:
-        if not (isinstance(self.steps, int) and self.steps >= 2):
-            raise ValueError(f"steps must be an integer >= 2, got {self.steps!r}")
-        if not (self.horizon_yr > 0.0 and math.isfinite(self.horizon_s)):
-            raise ValueError(
-                f"--horizon-yr must be a finite number > 0, got {self.horizon_yr}"
-            )
-        if not 0.0 < self.onset_frac < 1.0:
-            raise ValueError(f"onset fraction must lie in (0, 1), got {self.onset_frac}")
-
-    @property
-    def horizon_s(self) -> float:
-        return self.horizon_yr * SECONDS_PER_YEAR
+    token: str
+    base: str
+    spacing: float | None
+    scenario: Scenario
 
 
 def _fmt(value: float) -> str:
@@ -117,80 +98,108 @@ def _parse_model_token(token: str) -> tuple[str, float | None]:
     return base, spacing
 
 
-def _resolve_model_scenario(
-    sc: Scenario, token: str, faces: int | None, spacing_flag: float | None
-) -> tuple[Scenario, str]:
+def _model_scenario(
+    sc: Scenario, base: str, token_spacing: float | None, args: argparse.Namespace
+) -> Scenario:
     """Reconfigure the scenario for the requested model.
 
     single and gringarten_ref collapse the array to one fracture carrying
     the full rate (one and two exchange faces respectively); multi_slab
     keeps the array and takes its spacing from the token qualifier, the
-    --spacing-m flag, or the scenario, in that order.
+    --spacing-m flag, or the scenario: the first of them that is given.
     """
-    base, token_spacing = _parse_model_token(token)
     if base == "single":
-        return collapse_to_single(sc, faces or 1), base
+        return collapse_to_single(sc, args.faces or 1)
     if base == "gringarten_ref":
-        return collapse_to_single(sc, faces or 2), base
+        return collapse_to_single(sc, args.faces or 2)
     fr = sc.fractures
     if fr.count <= 1:
         raise ValueError("model multi_slab requires a scenario with count > 1")
-    spacing = token_spacing or spacing_flag or fr.spacing
-    if spacing is None:
+    given = [s for s in (token_spacing, args.spacing_m, fr.spacing) if s is not None]
+    if not given:
         raise ValueError(
             "model multi_slab needs a fracture spacing (scenario field, "
             "--spacing-m, or a multi_slab:<spacing> token)"
         )
-    fractures = dataclasses.replace(fr, spacing=float(spacing), faces=faces or fr.faces)
-    return dataclasses.replace(sc, fractures=fractures), base
+    fractures = dataclasses.replace(fr, spacing=float(given[0]), faces=args.faces or fr.faces)
+    return dataclasses.replace(sc, fractures=fractures)
 
 
-def _forecast_times(cfg: RunConfig) -> np.ndarray:
+def _resolve(
+    args: argparse.Namespace, tokens: list[str]
+) -> tuple[list[_Model], np.ndarray, StehfestConfig]:
+    """Read the scenario and each model token once and check the run flags.
+
+    Fills in args.scenario, args.horizon_yr and args.steps from the bundled
+    default and the scenario where they were not given. Returns the models,
+    the forecast times (log-spaced unless --linear-time) and the inversion
+    order.
+    """
+    if args.scenario is None:
+        args.scenario = bundled_scenario_path("valles_caldera")
+    sc = load_scenario(args.scenario)
+    parsed = [(token, *_parse_model_token(token)) for token in tokens]
+    if args.horizon_yr is None:
+        args.horizon_yr = sc.operating.horizon / SECONDS_PER_YEAR
+    if args.steps is None:
+        args.steps = sc.operating.n_steps
+    horizon = args.horizon_yr * SECONDS_PER_YEAR
+    if args.steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {args.steps!r}")
+    if not (args.horizon_yr > 0.0 and math.isfinite(horizon)):
+        raise ValueError(f"--horizon-yr must be a finite number > 0, got {args.horizon_yr}")
+    if not 0.0 < args.onset_frac < 1.0:
+        raise ValueError(f"onset fraction must lie in (0, 1), got {args.onset_frac}")
+    models = [
+        _Model(token, base, spacing, _model_scenario(sc, base, spacing, args))
+        for token, base, spacing in parsed
+    ]
     # log spacing by default: drawdown knees live decades before the horizon
-    if cfg.linear_time:
-        return np.linspace(cfg.horizon_s / cfg.steps, cfg.horizon_s, cfg.steps)
-    return np.geomspace(cfg.horizon_s / 1e4, cfg.horizon_s, cfg.steps)
+    if args.linear_time:
+        times = np.linspace(horizon / args.steps, horizon, args.steps)
+    else:
+        times = np.geomspace(horizon / 1e4, horizon, args.steps)
+    return models, times, StehfestConfig(args.stehfest_n)
 
 
-def _model_series(sc: Scenario, token: str, cfg: RunConfig, times: np.ndarray):
-    resolved, base = _resolve_model_scenario(sc, token, cfg.faces, cfg.spacing_m)
-    series = multi_fracture_forecast(resolved, times, StehfestConfig(cfg.stehfest_n))
-    return dataclasses.replace(series, model=base), resolved
+def _series(model: _Model, times: np.ndarray, stehfest: StehfestConfig):
+    series = multi_fracture_forecast(model.scenario, times, stehfest)
+    return dataclasses.replace(series, model=model.base)
 
 
-def cmd_forecast(cfg: RunConfig) -> int:
+def cmd_forecast(args: argparse.Namespace) -> int:
     """Write the produced-temperature series for one model as CSV."""
-    sc = load_scenario(cfg.scenario_path)
-    times = _forecast_times(cfg)
-    series, _ = _model_series(sc, cfg.models[0], cfg, times)
+    (model,), times, stehfest = _resolve(args, [args.model])
+    series = _series(model, times, stehfest)
     rows = [
         [t / SECONDS_PER_YEAR, temp, series.model]
         for t, temp in zip(series.times, series.outlet_temperatures)
     ]
-    _emit_csv(cfg.out, ["time_yr", "T_out_C", "model"], rows)
+    _emit_csv(args.out, ["time_yr", "T_out_C", "model"], rows)
     return 0
 
 
-def cmd_table2(scenario_path: Path, spacings: list[float], out: Path | None) -> int:
+def cmd_table2(args: argparse.Namespace) -> int:
     """Write the thermal-radius / interference-time table as CSV."""
-    sc = load_scenario(scenario_path)
+    spacings = _parse_spacings(args.spacings)
+    sc = load_scenario(args.scenario or bundled_scenario_path("valles_caldera"))
     alpha = thermal_diffusivity(sc.rock)
     rows = [
         [row.radius_m, row.time_yr, row.interference_time_yr, row.interference_radius_m]
         for row in interference_table(spacings, alpha)
     ]
     _emit_csv(
-        out,
+        args.out,
         ["radius_m", "time_yr", "interference_time_yr", "interference_radius_m"],
         rows,
     )
     return 0
 
 
-def _column_names(tokens: tuple[str, ...]) -> list[str]:
+def _column_names(models: list[_Model]) -> list[str]:
     names = []
-    for token in tokens:
-        base, spacing = _parse_model_token(token)
+    for model in models:
+        base, spacing = model.base, model.spacing
         name = f"T_{base}_C" if spacing is None else f"T_{base}_{spacing:g}m_C"
         while name in names:
             name += "_dup"
@@ -208,18 +217,13 @@ def _per_fracture_rate_bpd(sc: Scenario) -> float:
     return convert_value(rate_si, "m3_per_s", "bpd")
 
 
-def _anchor_lines(
-    cfg: RunConfig,
-    tokens: tuple[str, ...],
-    resolved: dict[str, Scenario],
-    series: dict[str, object],
-) -> list[str]:
+def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -> list[str]:
     """Informational published reference values with engine deviations.
 
     These derive from a formulation that was never published in full, so
     they are context, never gates; the report says so on every line.
     """
-    stem = Path(cfg.scenario_path).stem
+    stem = Path(args.scenario).stem
     anchors = _load_anchor_file()
     lines = [
         "informational anchors (reference values from an unpublished "
@@ -227,19 +231,17 @@ def _anchor_lines(
     ]
     matched = 0
 
-    def token_matches(anchor: dict, token: str) -> bool:
-        base, _ = _parse_model_token(token)
-        if base != anchor.get("model"):
+    def model_matches(anchor: dict, model: _Model) -> bool:
+        if model.base != anchor.get("model"):
             return False
-        sc_resolved = resolved[token]
         if "spacing_m" in anchor:
-            spacing = sc_resolved.fractures.spacing
+            spacing = model.scenario.fractures.spacing
             if spacing is None or not math.isclose(
                 spacing, anchor["spacing_m"], rel_tol=1e-6
             ):
                 return False
         if "per_fracture_rate_bpd" in anchor:
-            rate = _per_fracture_rate_bpd(sc_resolved)
+            rate = _per_fracture_rate_bpd(model.scenario)
             if not math.isclose(rate, anchor["per_fracture_rate_bpd"], rel_tol=0.01):
                 return False
         return True
@@ -247,17 +249,16 @@ def _anchor_lines(
     for anchor in anchors.get("temperature_anchors", []):
         if anchor.get("scenario") != stem:
             continue
-        for token in tokens:
-            if not token_matches(anchor, token):
+        for model, ser in runs:
+            if not model_matches(anchor, model):
                 continue
-            ser = series[token]
             t_anchor = anchor["time_yr"] * SECONDS_PER_YEAR
             if t_anchor > ser.times[-1]:
                 continue
             engine = float(np.interp(t_anchor, ser.times, ser.outlet_temperatures))
             dev = engine - anchor["reported_C"]
             lines.append(
-                f"  {token} at {anchor['time_yr']:g} yr: engine {_fmt(engine)} C, "
+                f"  {model.token} at {anchor['time_yr']:g} yr: engine {_fmt(engine)} C, "
                 f"reported {anchor['reported_C']:g} C, deviation {dev:+.4g} C [not gated]"
             )
             matched += 1
@@ -266,10 +267,10 @@ def _anchor_lines(
     for anchor in anchors.get("onset_anchors", []):
         if anchor.get("scenario") != stem:
             continue
-        for token in tokens:
-            if not token_matches(anchor, token):
+        for model, ser in runs:
+            if not model_matches(anchor, model):
                 continue
-            onset = onset_of_decline(series[token], anchor.get("onset_frac", cfg.onset_frac))
+            onset = onset_of_decline(ser, anchor.get("onset_frac", args.onset_frac))
             engine_txt = "none" if onset is None else f"{_fmt(onset / SECONDS_PER_YEAR)} yr"
             dev_txt = (
                 "n/a"
@@ -277,7 +278,7 @@ def _anchor_lines(
                 else f"{onset / SECONDS_PER_YEAR - anchor['reported_yr']:+.4g} yr"
             )
             lines.append(
-                f"  onset {token}: engine {engine_txt}, reported "
+                f"  onset {model.token}: engine {engine_txt}, reported "
                 f"{anchor['reported_yr']:g} yr, deviation {dev_txt} [not gated]"
             )
             matched += 1
@@ -288,35 +289,27 @@ def _anchor_lines(
     return lines
 
 
-def cmd_compare(cfg: RunConfig) -> int:
+def cmd_compare(args: argparse.Namespace) -> int:
     """Run several models on one scenario: wide CSV plus a text report."""
-    if len(cfg.models) < 2:
+    tokens = args.model or []
+    if len(tokens) < 2:
         raise ValueError("compare needs at least two --model entries")
-    sc = load_scenario(cfg.scenario_path)
-    times = _forecast_times(cfg)
-    series: dict[str, object] = {}
-    resolved: dict[str, Scenario] = {}
-    for token in cfg.models:
-        ser, res = _model_series(sc, token, cfg, times)
-        series[token] = ser
-        resolved[token] = res
-
-    columns = _column_names(cfg.models)
-    temp_matrix = np.vstack([series[t].outlet_temperatures for t in cfg.models])
+    models, times, stehfest = _resolve(args, tokens)
+    runs = [(model, _series(model, times, stehfest)) for model in models]
+    temp_matrix = np.vstack([ser.outlet_temperatures for _, ser in runs])
     rows = [
         [times[i] / SECONDS_PER_YEAR, *temp_matrix[:, i]] for i in range(times.size)
     ]
-    _emit_csv(cfg.out, ["time_yr", *columns], rows)
+    _emit_csv(args.out, ["time_yr", *_column_names(models)], rows)
 
     report = []
-    for token in cfg.models:
-        ser = series[token]
-        onset = onset_of_decline(ser, cfg.onset_frac)
+    for model, ser in runs:
+        onset = onset_of_decline(ser, args.onset_frac)
         onset_txt = "none" if onset is None else f"{_fmt(onset / SECONDS_PER_YEAR)} yr"
         final = ser.outlet_temperatures[-1]
         report.append(
-            f"model {token}: onset {onset_txt}, "
-            f"T({_fmt(cfg.horizon_yr)} yr) = {_fmt(final)} C"
+            f"model {model.token}: onset {onset_txt}, "
+            f"T({_fmt(args.horizon_yr)} yr) = {_fmt(final)} C"
         )
     gaps = temp_matrix.max(axis=0) - temp_matrix.min(axis=0)
     worst = int(np.argmax(gaps))
@@ -324,55 +317,40 @@ def cmd_compare(cfg: RunConfig) -> int:
         f"max pairwise gap: {_fmt(gaps[worst])} C at t = "
         f"{_fmt(times[worst] / SECONDS_PER_YEAR)} yr"
     )
-    report.extend(_anchor_lines(cfg, cfg.models, resolved, series))
+    report.extend(_anchor_lines(args, runs))
     print("\n".join(report))
     return 0
 
 
-def cmd_oracle(
-    cfg: RunConfig,
-    nx: int,
-    ny: int,
-    nt: int,
-    y_max: float | None,
-    ratio: float,
-    probes: int,
-    probe_yr: list[float] | None,
-    snapshot_yr: list[float],
-    snapshot_out: Path | None,
-) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     """Finite-difference run with a per-probe deviation table vs the model."""
-    sc = load_scenario(cfg.scenario_path)
-    token = cfg.models[0]
-    resolved, base = _resolve_model_scenario(sc, token, cfg.faces, cfg.spacing_m)
-    horizon = cfg.horizon_s
+    (model,), _, stehfest = _resolve(args, [args.model])
+    if args.probes < 0:
+        raise ValueError(f"--probes must be >= 0, got {args.probes}")
+    resolved = model.scenario
+    horizon = args.horizon_yr * SECONDS_PER_YEAR
 
-    if base == "multi_slab":
-        if y_max is not None:
+    if model.base == "multi_slab":
+        if args.y_max is not None:
             raise ValueError("slab mode fixes y_max at spacing/2; drop --y-max")
-        grid = slab_grid(resolved, nx, ny, nt, ratio=ratio, horizon=horizon)
+        grid = slab_grid(resolved, args.nx, args.ny, args.nt, ratio=args.ratio, horizon=horizon)
     else:
-        grid = semi_infinite_grid(resolved, nx, ny, nt, ratio=ratio, horizon=horizon, y_max=y_max)
+        grid = semi_infinite_grid(
+            resolved, args.nx, args.ny, args.nt, ratio=args.ratio, horizon=horizon, y_max=args.y_max
+        )
 
-    if probe_yr:
-        probe_times = np.array(sorted(set(probe_yr))) * SECONDS_PER_YEAR
-    elif probes > 0:
-        probe_times = np.geomspace(horizon / 100.0, horizon, probes)
+    if args.probe_yr:
+        probe_times = np.array(sorted(set(args.probe_yr))) * SECONDS_PER_YEAR
     else:
-        probe_times = np.array([])
+        probe_times = np.geomspace(horizon / 100.0, horizon, args.probes)
 
-    snapshot_times = np.array(sorted(set(snapshot_yr))) * SECONDS_PER_YEAR
+    snapshot_times = np.array(sorted(set(args.snapshot_yr or []))) * SECONDS_PER_YEAR
     series, details = fd_simulate(
         resolved, grid, probe_times, snapshot_times=snapshot_times, return_details=True
     )
 
     if probe_times.size:
-        if base == "multi_slab":
-            ref = multi_fracture_forecast(
-                resolved, probe_times, StehfestConfig(cfg.stehfest_n)
-            ).outlet_temperatures
-        else:
-            ref = fluid_temp_single(resolved, resolved.fractures.flow_length, probe_times)
+        ref = _series(model, probe_times, stehfest).outlet_temperatures
         deviations = series.outlet_temperatures - ref
         rows = [
             [probe_times[i] / SECONDS_PER_YEAR, series.outlet_temperatures[i], ref[i], deviations[i]]
@@ -380,23 +358,23 @@ def cmd_oracle(
         ]
     else:
         rows = []
-    _emit_csv(cfg.out, ["time_yr", "T_oracle_C", "T_model_C", "deviation_C"], rows)
+    _emit_csv(args.out, ["time_yr", "T_oracle_C", "T_model_C", "deviation_C"], rows)
 
     if rows:
         span = resolved.rock.initial_temperature - resolved.fluid.injection_temperature
         worst = int(np.argmax(np.abs(deviations)))
         print(
-            f"max deviation vs {base}: {_fmt(abs(deviations[worst]))} C "
+            f"max deviation vs {model.base}: {_fmt(abs(deviations[worst]))} C "
             f"({_fmt(100.0 * abs(deviations[worst]) / span)}% of span) at "
             f"t = {_fmt(probe_times[worst] / SECONDS_PER_YEAR)} yr"
         )
     else:
         print("no probe times: header-only CSV written")
 
-    if snapshot_out is not None:
+    if args.snapshot_out is not None:
         for snap in details.snapshots:
             label = _fmt(snap.time / SECONDS_PER_YEAR).replace(".", "p")
-            path = Path(f"{snapshot_out}_{label}yr.csv")
+            path = Path(f"{args.snapshot_out}_{label}yr.csv")
             snap_rows = [
                 [snap.x[i], snap.y[j], snap.temperatures[j, i]]
                 for i in range(snap.x.size)
@@ -440,31 +418,6 @@ def _add_common(parser: argparse.ArgumentParser, multi_model: bool) -> None:
     )
 
 
-def _build_config(args: argparse.Namespace, models: tuple[str, ...]) -> RunConfig:
-    scenario_path = args.scenario or bundled_scenario_path("valles_caldera")
-    sc = load_scenario(scenario_path)  # fail fast, and supply defaults
-    horizon_yr = (
-        args.horizon_yr
-        if args.horizon_yr is not None
-        else sc.operating.horizon / SECONDS_PER_YEAR
-    )
-    steps = args.steps if args.steps is not None else sc.operating.n_steps
-    for token in models:
-        _parse_model_token(token)
-    return RunConfig(
-        scenario_path=Path(scenario_path),
-        models=models,
-        horizon_yr=horizon_yr,
-        steps=steps,
-        stehfest_n=args.stehfest_n,
-        onset_frac=args.onset_frac,
-        out=args.out,
-        faces=args.faces,
-        spacing_m=args.spacing_m,
-        linear_time=args.linear_time,
-    )
-
-
 def _parse_spacings(text: str) -> list[float]:
     text = text.strip()
     if not text:
@@ -484,6 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_forecast = sub.add_parser("forecast", help="produced-temperature series -> CSV")
     _add_common(p_forecast, multi_model=False)
+    p_forecast.set_defaults(run=cmd_forecast)
 
     p_table2 = sub.add_parser("table2", help="thermal radius / interference table -> CSV")
     p_table2.add_argument("--scenario", type=Path, default=None)
@@ -494,9 +448,11 @@ def build_parser() -> argparse.ArgumentParser:
         help=f"comma-separated spacings in m (default {_DEFAULT_SPACINGS}); empty for none",
     )
     p_table2.add_argument("--out", type=Path, default=None)
+    p_table2.set_defaults(run=cmd_table2)
 
     p_compare = sub.add_parser("compare", help="models side by side -> CSV + report")
     _add_common(p_compare, multi_model=True)
+    p_compare.set_defaults(run=cmd_compare)
 
     p_oracle = sub.add_parser("oracle", help="finite-difference check vs a model -> CSV")
     _add_common(p_oracle, multi_model=False)
@@ -515,46 +471,27 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument(
         "--snapshot-out", type=Path, default=None, help="path prefix for snapshot CSV dumps"
     )
+    p_oracle.set_defaults(run=cmd_oracle)
 
     p_convert = sub.add_parser("convert", help="convert a value between unit tags")
     p_convert.add_argument("value", type=float)
     p_convert.add_argument("src", help="source unit tag")
     p_convert.add_argument("dst", help="target unit tag")
+    p_convert.set_defaults(run=cmd_convert)
 
     return parser
+
+
+def cmd_convert(args: argparse.Namespace) -> int:
+    """Print one unit conversion."""
+    print(_fmt(convert_value(args.value, args.src, args.dst)))
+    return 0
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.command == "convert":
-            print(_fmt(convert_value(args.value, args.src, args.dst)))
-            return 0
-        if args.command == "table2":
-            scenario_path = args.scenario or bundled_scenario_path("valles_caldera")
-            return cmd_table2(scenario_path, _parse_spacings(args.spacings), args.out)
-        if args.command == "forecast":
-            cfg = _build_config(args, (args.model,))
-            return cmd_forecast(cfg)
-        if args.command == "compare":
-            models = tuple(args.model or ())
-            cfg = _build_config(args, models)
-            return cmd_compare(cfg)
-        if args.command == "oracle":
-            cfg = _build_config(args, (args.model,))
-            return cmd_oracle(
-                cfg,
-                nx=args.nx,
-                ny=args.ny,
-                nt=args.nt,
-                y_max=args.y_max,
-                ratio=args.ratio,
-                probes=args.probes,
-                probe_yr=args.probe_yr,
-                snapshot_yr=args.snapshot_yr or [],
-                snapshot_out=args.snapshot_out,
-            )
-        raise ValueError(f"unknown command {args.command!r}")
+        return args.run(args)
     except (ScenarioError, ValueError, ArithmeticError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -71,9 +71,6 @@ def _weight_fractions(n_terms: int) -> tuple[Fraction, ...]:
             )
             acc += num / den
         weights.append(acc if (k + m) % 2 == 0 else -acc)
-    total = sum(weights, Fraction(0))
-    if total != 0:
-        raise ArithmeticError(f"Stehfest weights for n_terms={n_terms} do not sum to 0")
     return tuple(weights)
 
 
@@ -117,7 +114,6 @@ class StehfestConfig:
 
     def __post_init__(self) -> None:
         _check_n_terms(self.n_terms, lo=6)
-        _weight_fractions(self.n_terms)  # raises if the zero-sum identity fails
 
 
 def stehfest_invert(

@@ -27,7 +27,7 @@ Numerical layout
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -102,6 +102,12 @@ class OracleGrid:
         return self.y_max * np.expm1(beta * xi) / math.expm1(beta)
 
 
+def _step(horizon: float, n_steps: int) -> float:
+    if not (isinstance(n_steps, int) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    return horizon / n_steps
+
+
 def semi_infinite_grid(
     sc: Scenario,
     nx: int = 200,
@@ -120,7 +126,7 @@ def semi_infinite_grid(
     if y_max is None:
         y_max = 6.0 * math.sqrt(thermal_diffusivity(sc.rock) * horizon)
     return OracleGrid(
-        y_max=y_max, dt=horizon / n_steps, nx=nx, ny=ny, bc_far="dirichlet_T0", ratio=ratio
+        y_max=y_max, dt=_step(horizon, n_steps), nx=nx, ny=ny, bc_far="dirichlet_T0", ratio=ratio
     )
 
 
@@ -140,7 +146,7 @@ def slab_grid(
         horizon = sc.operating.horizon
     return OracleGrid(
         y_max=sc.fractures.spacing / 2.0,
-        dt=horizon / n_steps,
+        dt=_step(horizon, n_steps),
         nx=nx,
         ny=ny,
         bc_far="neumann_zero",
@@ -452,12 +458,11 @@ def convergence_study(
     rows: list[tuple[int, float]] = []
     for level in range(levels):
         factor = 2**level
-        refined = OracleGrid(
-            y_max=base_grid.y_max,
+        refined = replace(
+            base_grid,
             dt=base_grid.dt / factor,
             nx=base_grid.nx * factor,
             ny=base_grid.ny * factor,
-            bc_far=base_grid.bc_far,
             ratio=base_grid.ratio ** (1.0 / factor),
         )
         series = fd_simulate(sc, refined, probe_times)

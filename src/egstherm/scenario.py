@@ -233,35 +233,42 @@ def validate(sc: Scenario) -> list[str]:
     return out
 
 
-# JSON schema: section -> (required fields, optional fields with defaults)
-_SCHEMA: dict[str, tuple[tuple[str, ...], dict[str, Any]]] = {
-    "rock": (("conductivity", "density", "specific_heat", "initial_temperature"), {}),
-    "fluid": (("density", "specific_heat", "injection_temperature"), {}),
-    "fractures": (
-        ("count", "aperture", "height", "flow_length"),
-        {"spacing": None, "faces": 1},
-    ),
-    "operating": (("total_rate", "horizon"), {"n_steps": 200}),
+# JSON sections and the dataclasses they fill; each section's keys, defaults
+# and value types are those of its dataclass's fields
+_SECTIONS = {
+    "rock": RockProperties,
+    "fluid": FluidProperties,
+    "fractures": FractureArray,
+    "operating": Operating,
 }
 
 
-def _parse_section(name: str, raw: Any, problems: list[str]) -> dict[str, Any]:
-    required, optional = _SCHEMA[name]
+def _check_section(name: str, raw: Any, problems: list[str]) -> None:
     if not isinstance(raw, dict):
         problems.append(f"section {name!r} must be a JSON object")
-        return {}
-    fields: dict[str, Any] = {}
-    for key in required:
-        if key not in raw:
-            problems.append(f"section {name!r} is missing required field {key!r}")
-    for key, value in raw.items():
-        if key in required or key in optional:
-            fields[key] = value
-        else:
+        return
+    fields = dataclasses.fields(_SECTIONS[name])
+    for f in fields:
+        if f.default is dataclasses.MISSING and f.name not in raw:
+            problems.append(f"section {name!r} is missing required field {f.name!r}")
+    known = {f.name for f in fields}
+    for key in raw:
+        if key not in known:
             problems.append(f"section {name!r} has unknown field {key!r}")
-    for key, default in optional.items():
-        fields.setdefault(key, default)
-    return fields
+
+
+def _field_value(section: str, f: dataclasses.Field, raw: dict[str, Any]) -> Any:
+    # annotations are strings here (postponed evaluation)
+    value = raw.get(f.name, f.default)
+    if f.type == "int":
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ScenarioError(f"field {section}.{f.name} must be an integer, got {value!r}")
+        return value
+    if value is None and f.type == "float | None":
+        return None
+    if not isinstance(value, (int, float)) or isinstance(value, bool):
+        raise ScenarioError(f"field {section}.{f.name} must be a number, got {value!r}")
+    return float(value)
 
 
 def scenario_from_dict(data: dict[str, Any]) -> Scenario:
@@ -269,16 +276,19 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
 
     The document must contain exactly the sections rock, fluid, fractures
     and operating; an optional ``metadata`` object is carried through
-    untouched. Integer-typed fields are coerced from JSON numbers; all
-    other numeric fields become floats.
+    untouched. Each section's keys, defaults and value types are those of
+    its dataclass's fields: an ``int`` field takes a JSON integer, a
+    ``float | None`` field also takes null, and every other value must be
+    a number and becomes a float.
     """
     problems: list[str] = []
     if not isinstance(data, dict):
         raise ScenarioError("scenario document must be a JSON object")
     for key in data:
-        if key not in _SCHEMA and key != "metadata":
+        if key not in _SECTIONS and key != "metadata":
             problems.append(f"unknown top-level key {key!r}")
-    sections = {name: _parse_section(name, data.get(name), problems) for name in _SCHEMA}
+    for name in _SECTIONS:
+        _check_section(name, data.get(name), problems)
     metadata = data.get("metadata", {})
     if not isinstance(metadata, dict):
         problems.append("metadata must be a JSON object when present")
@@ -286,46 +296,11 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     if problems:
         raise ScenarioError("invalid scenario: " + "; ".join(problems))
 
-    def num(section: str, key: str) -> float:
-        value = sections[section][key]
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            raise ScenarioError(f"field {section}.{key} must be a number, got {value!r}")
-        return float(value)
-
-    def integer(section: str, key: str) -> int:
-        value = sections[section][key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ScenarioError(f"field {section}.{key} must be an integer, got {value!r}")
-        return value
-
-    spacing_raw = sections["fractures"]["spacing"]
-    sc = Scenario(
-        rock=RockProperties(
-            conductivity=num("rock", "conductivity"),
-            density=num("rock", "density"),
-            specific_heat=num("rock", "specific_heat"),
-            initial_temperature=num("rock", "initial_temperature"),
-        ),
-        fluid=FluidProperties(
-            density=num("fluid", "density"),
-            specific_heat=num("fluid", "specific_heat"),
-            injection_temperature=num("fluid", "injection_temperature"),
-        ),
-        fractures=FractureArray(
-            count=integer("fractures", "count"),
-            aperture=num("fractures", "aperture"),
-            height=num("fractures", "height"),
-            flow_length=num("fractures", "flow_length"),
-            spacing=None if spacing_raw is None else num("fractures", "spacing"),
-            faces=integer("fractures", "faces"),
-        ),
-        operating=Operating(
-            total_rate=num("operating", "total_rate"),
-            horizon=num("operating", "horizon"),
-            n_steps=integer("operating", "n_steps"),
-        ),
-        metadata=dict(metadata),
-    )
+    parts = {
+        name: cls(**{f.name: _field_value(name, f, data[name]) for f in dataclasses.fields(cls)})
+        for name, cls in _SECTIONS.items()
+    }
+    sc = Scenario(**parts, metadata=dict(metadata))
     violations = validate(sc)
     if violations:
         raise ScenarioError("invalid scenario: " + "; ".join(violations))

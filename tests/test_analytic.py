@@ -5,13 +5,11 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 from scipy.special import erfcinv
 
 from egstherm.analytic import (
     ForecastSeries,
     fluid_temp_single,
-    greens_semi_infinite,
     interfacial_flux,
     interference_table,
     onset_of_decline,
@@ -31,7 +29,6 @@ T50_SINGLE = 79.83728812809943
 T50_GRINGARTEN = 94.5818148130997
 T50_ISOLATED_ARRAY = 273.41418501957554
 FLUX_L_25YR = 12.582732408347953
-GREENS_SAMPLE = 0.1135611476263995
 ROCK_PROFILE_10YR = {0.5: 101.83062928654472, 2.0: 113.10694287210673,
                      5.0: 135.0834782718513, 10.0: 169.33012700480208}
 
@@ -235,6 +232,14 @@ def test_interference_table_empty():
     assert interference_table([], ALPHA) == []
 
 
+@pytest.mark.parametrize(
+    "bad, rule", [(0.0, "> 0"), (-10.0, "> 0"), (math.nan, "> 0"), (math.inf, "finite")]
+)
+def test_interference_table_rejects_bad_spacing(bad, rule):
+    with pytest.raises(ValueError, match=rf"^spacings must be {rule}, got"):
+        interference_table([10.0, bad], ALPHA)
+
+
 def _series(times_yr, temps, t0=300.0, t_inj=65.0, model="single"):
     return ForecastSeries(
         model=model,
@@ -299,43 +304,6 @@ def test_forecast_series_invariants():
     # a hair above the initial temperature is tolerated as rounding noise
     s = _series([1.0, 2.0], [300.0 + 1e-9, 300.0])
     assert s.outlet_temperatures[0] >= 300.0
-
-
-def test_greens_boundary_and_causality():
-    assert greens_semi_infinite(0.0, 1e6, 0.9, 0.0, ALPHA) == 0.0
-    assert greens_semi_infinite(1.0, 1e6, 0.9, 1e6, ALPHA) == 0.0
-    assert greens_semi_infinite(1.0, 1e6, 0.9, 2e6, ALPHA) == 0.0
-    with pytest.raises(ValueError):
-        greens_semi_infinite(-1.0, 1e6, 0.9, 0.0, ALPHA)
-    with pytest.raises(ValueError):
-        greens_semi_infinite(1.0, 1e6, -0.9, 0.0, ALPHA)
-
-
-def test_greens_symmetry_and_frozen_value():
-    a = greens_semi_infinite(1.3, 2.0e6, 0.9, 0.3e6, ALPHA)
-    b = greens_semi_infinite(0.9, 2.0e6, 1.3, 0.3e6, ALPHA)
-    assert a == b
-    assert a == pytest.approx(GREENS_SAMPLE, rel=1e-13)
-
-
-def test_greens_satisfies_heat_equation():
-    # central-difference residual of G_t - alpha G_yy at an interior point
-    y, y_src, tau, t = 1.3, 0.9, 0.3e6, 2.0e6
-    h_t, h_y = 40.0, 2e-3
-    g = lambda yy, tt: greens_semi_infinite(yy, tt, y_src, tau, ALPHA)
-    dt = (g(y, t + h_t) - g(y, t - h_t)) / (2.0 * h_t)
-    dyy = (g(y + h_y, t) - 2.0 * g(y, t) + g(y - h_y, t)) / h_y**2
-    assert abs(dt - ALPHA * dyy) < 1e-4 * abs(dt)
-
-
-def test_greens_absorbing_mass_deficit():
-    # the cold face removes heat, so the kernel integrates to less than one
-    # and keeps shrinking
-    g = lambda yy, tt: greens_semi_infinite(yy, tt, 0.9, 0.0, ALPHA)
-    early, _ = quad(lambda yy: g(yy, 1e5), 0.0, np.inf, limit=200)
-    late, _ = quad(lambda yy: g(yy, 2e6), 0.0, np.inf, limit=200)
-    assert late < early < 1.0
-    assert late > 0.0
 
 
 def test_rock_temp_initial_identity(valles_single):

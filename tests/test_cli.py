@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import egstherm
+import egstherm.cli
 from egstherm.cli import main
 from egstherm.scenario import bundled_scenario_path
 
@@ -85,6 +86,24 @@ def test_forecast_spacing_flag_overrides(capsys):
     assert out.splitlines()[-1] == "50,267.761,multi_slab"
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["forecast", "--steps", "2"], "fractures.spacing must be > 0"),
+        (["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "0"],
+         "positive fracture spacing"),
+    ],
+    ids=["forecast", "oracle"],
+)
+def test_zero_spacing_flag_is_refused(argv, needle, capsys):
+    # 0 m is a given spacing, not a missing one: it must not fall back to
+    # the scenario's 40 m
+    rc, out, err = run(capsys, *argv, "--model", "multi_slab", "--spacing-m", "0")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and needle in err
+
+
 def test_forecast_faces_flag(capsys):
     # the reference collapse keeps both faces active by default; forcing
     # one face reproduces the plain single-fracture curve
@@ -156,6 +175,13 @@ def test_table2_bad_spacings(capsys):
     rc, _, err = run(capsys, "table2", "--spacings", "40,abc")
     assert rc == 1
     assert err.startswith("error:")
+
+
+def test_table2_refuses_infinite_spacing(capsys):
+    rc, out, err = run(capsys, "table2", "--spacings", "40,inf")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: spacings must be finite, got inf\n"
 
 
 def test_compare_reference_gap(capsys):
@@ -233,6 +259,43 @@ def test_oracle_slab_rejects_y_max(capsys):
                      "--probes", "0")
     assert rc == 1
     assert "y_max" in err
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--nt", "0"], "error: n_steps must be an integer >= 1, got 0\n"),
+        (["--nt", "60", "--probes", "-3"], "error: --probes must be >= 0, got -3\n"),
+    ],
+    ids=["nt-zero", "probes-negative"],
+)
+def test_oracle_refuses_bad_grid_input(flags, message, capsys):
+    rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)
+    assert rc == 1
+    assert out == ""
+    assert err == message
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--model", "multi_slab", "--steps", "2"],
+        ["compare", "--model", "single", "--model", "multi_slab:80", "--steps", "2"],
+        ["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "1"],
+    ],
+    ids=["forecast", "compare", "oracle"],
+)
+def test_each_call_reads_the_scenario_once(argv, monkeypatch, capsys):
+    calls = []
+
+    def counting_load(path):
+        calls.append(path)
+        return egstherm.load_scenario(path)
+
+    monkeypatch.setattr(egstherm.cli, "load_scenario", counting_load)
+    rc, _, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    assert len(calls) == 1
 
 
 def test_oracle_snapshots(tmp_path, capsys):

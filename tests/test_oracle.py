@@ -95,6 +95,11 @@ def test_grid_factories(valles, valles_single):
     assert (short_slab.y_max, short_slab.ratio, short_slab.dt) == (20.0, 1.05, 12.5 * YR / 2000)
     with pytest.raises(ValueError):
         slab_grid(valles_single)  # no spacing to halve
+    for bad in (0, -5, 2.5):
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 1, got"):
+            semi_infinite_grid(valles_single, n_steps=bad)
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 1, got"):
+            slab_grid(valles, n_steps=bad)
 
 
 def test_fd_rejects_bad_probes(valles_single):

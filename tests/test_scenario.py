@@ -233,6 +233,16 @@ def test_metadata_passthrough():
     assert sc.metadata["label"] == "demo"
 
 
+@pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
+def test_scenario_round_trips_through_asdict(name):
+    # the JSON schema is the dataclasses' fields: every field written out
+    # is read back under the same key, type and value
+    sc = bundled_scenario(name)
+    back = scenario_from_dict(dataclasses.asdict(sc))
+    assert back == sc
+    assert repr(back) == repr(sc)  # ints stay ints, floats stay floats
+
+
 def test_load_scenario_round_trip(tmp_path):
     path = tmp_path / "case.json"
     path.write_text(json.dumps(_valid_dict()))
