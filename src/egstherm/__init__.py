@@ -23,7 +23,6 @@ from .laplace import (
     fluid_temp_laplace_slab,
     multi_fracture_forecast,
     stehfest_invert,
-    stehfest_weights,
 )
 from .oracle import (
     ConvergenceStudy,
@@ -68,7 +67,6 @@ __all__ = [
     "fluid_temp_laplace_slab",
     "multi_fracture_forecast",
     "stehfest_invert",
-    "stehfest_weights",
     "ConvergenceStudy",
     "OracleGrid",
     "convergence_study",

@@ -161,11 +161,11 @@ def rock_temp(y: float, t: float, sc: Scenario, x: float) -> float:
     Raises
     ------
     ValueError
-        If y < 0 or t <= 0.
+        If y is not >= 0 (negative or NaN) or t <= 0.
     """
     y = float(y)
     t = float(t)
-    if y < 0.0:
+    if not y >= 0.0:
         raise ValueError(f"y must be >= 0, got {y}")
     if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")

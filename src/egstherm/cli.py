@@ -115,25 +115,20 @@ def _model_scenario(
     fr = sc.fractures
     if fr.count <= 1:
         raise ValueError("model multi_slab requires a scenario with count > 1")
-    given = [s for s in (token_spacing, args.spacing_m, fr.spacing) if s is not None]
-    if not given:
-        raise ValueError(
-            "model multi_slab needs a fracture spacing (scenario field, "
-            "--spacing-m, or a multi_slab:<spacing> token)"
-        )
-    fractures = dataclasses.replace(fr, spacing=float(given[0]), faces=args.faces or fr.faces)
+    # a loaded array scenario always has a spacing, so one of them is given
+    spacing = next(s for s in (token_spacing, args.spacing_m, fr.spacing) if s is not None)
+    fractures = dataclasses.replace(fr, spacing=float(spacing), faces=args.faces or fr.faces)
     return dataclasses.replace(sc, fractures=fractures)
 
 
 def _resolve(
     args: argparse.Namespace, tokens: list[str]
-) -> tuple[list[_Model], np.ndarray, StehfestConfig]:
+) -> tuple[list[_Model], StehfestConfig]:
     """Read the scenario and each model token once and check the run flags.
 
-    Fills in args.scenario, args.horizon_yr and args.steps from the bundled
-    default and the scenario where they were not given. Returns the models,
-    the forecast times (log-spaced unless --linear-time) and the inversion
-    order.
+    Fills in args.scenario and args.horizon_yr from the bundled default and
+    the scenario where they were not given. Returns the models and the
+    inversion order.
     """
     if args.scenario is None:
         args.scenario = bundled_scenario_path("valles_caldera")
@@ -141,25 +136,29 @@ def _resolve(
     parsed = [(token, *_parse_model_token(token)) for token in tokens]
     if args.horizon_yr is None:
         args.horizon_yr = sc.operating.horizon / SECONDS_PER_YEAR
-    if args.steps is None:
-        args.steps = sc.operating.n_steps
-    horizon = args.horizon_yr * SECONDS_PER_YEAR
-    if args.steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {args.steps!r}")
-    if not (args.horizon_yr > 0.0 and math.isfinite(horizon)):
+    if not (args.horizon_yr > 0.0 and math.isfinite(args.horizon_yr * SECONDS_PER_YEAR)):
         raise ValueError(f"--horizon-yr must be a finite number > 0, got {args.horizon_yr}")
-    if not 0.0 < args.onset_frac < 1.0:
-        raise ValueError(f"onset fraction must lie in (0, 1), got {args.onset_frac}")
     models = [
         _Model(token, base, spacing, _model_scenario(sc, base, spacing, args))
         for token, base, spacing in parsed
     ]
+    return models, StehfestConfig(args.stehfest_n)
+
+
+def _forecast_times(args: argparse.Namespace, sc: Scenario) -> np.ndarray:
+    """The forecast times over the horizon, log-spaced unless --linear-time.
+
+    Fills in args.steps from the scenario where it was not given.
+    """
+    if args.steps is None:
+        args.steps = sc.operating.n_steps
+    if args.steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {args.steps!r}")
+    horizon = args.horizon_yr * SECONDS_PER_YEAR
     # log spacing by default: drawdown knees live decades before the horizon
     if args.linear_time:
-        times = np.linspace(horizon / args.steps, horizon, args.steps)
-    else:
-        times = np.geomspace(horizon / 1e4, horizon, args.steps)
-    return models, times, StehfestConfig(args.stehfest_n)
+        return np.linspace(horizon / args.steps, horizon, args.steps)
+    return np.geomspace(horizon / 1e4, horizon, args.steps)
 
 
 def _series(model: _Model, times: np.ndarray, stehfest: StehfestConfig):
@@ -169,8 +168,8 @@ def _series(model: _Model, times: np.ndarray, stehfest: StehfestConfig):
 
 def cmd_forecast(args: argparse.Namespace) -> int:
     """Write the produced-temperature series for one model as CSV."""
-    (model,), times, stehfest = _resolve(args, [args.model])
-    series = _series(model, times, stehfest)
+    (model,), stehfest = _resolve(args, [args.model])
+    series = _series(model, _forecast_times(args, model.scenario), stehfest)
     rows = [
         [t / SECONDS_PER_YEAR, temp, series.model]
         for t, temp in zip(series.times, series.outlet_temperatures)
@@ -207,16 +206,6 @@ def _column_names(models: list[_Model]) -> list[str]:
     return names
 
 
-def _load_anchor_file() -> dict:
-    resource = importlib.resources.files("egstherm.data") / "anchors.json"
-    return json.loads(resource.read_text(encoding="utf-8"))
-
-
-def _per_fracture_rate_bpd(sc: Scenario) -> float:
-    rate_si = sc.operating.total_rate / sc.fractures.count
-    return convert_value(rate_si, "m3_per_s", "bpd")
-
-
 def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -> list[str]:
     """Informational published reference values with engine deviations.
 
@@ -224,7 +213,8 @@ def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -
     they are context, never gates; the report says so on every line.
     """
     stem = Path(args.scenario).stem
-    anchors = _load_anchor_file()
+    resource = importlib.resources.files("egstherm.data") / "anchors.json"
+    anchors = json.loads(resource.read_text(encoding="utf-8"))
     lines = [
         "informational anchors (reference values from an unpublished "
         "formulation; deviations are context only, never gates):"
@@ -241,7 +231,8 @@ def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -
             ):
                 return False
         if "per_fracture_rate_bpd" in anchor:
-            rate = _per_fracture_rate_bpd(model.scenario)
+            sc = model.scenario
+            rate = convert_value(sc.operating.total_rate / sc.fractures.count, "m3_per_s", "bpd")
             if not math.isclose(rate, anchor["per_fracture_rate_bpd"], rel_tol=0.01):
                 return False
         return True
@@ -294,7 +285,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     tokens = args.model or []
     if len(tokens) < 2:
         raise ValueError("compare needs at least two --model entries")
-    models, times, stehfest = _resolve(args, tokens)
+    models, stehfest = _resolve(args, tokens)
+    times = _forecast_times(args, models[0].scenario)
+    if not 0.0 < args.onset_frac < 1.0:
+        raise ValueError(f"onset fraction must lie in (0, 1), got {args.onset_frac}")
     runs = [(model, _series(model, times, stehfest)) for model in models]
     temp_matrix = np.vstack([ser.outlet_temperatures for _, ser in runs])
     rows = [
@@ -324,7 +318,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     """Finite-difference run with a per-probe deviation table vs the model."""
-    (model,), _, stehfest = _resolve(args, [args.model])
+    (model,), stehfest = _resolve(args, [args.model])
     if args.probes < 0:
         raise ValueError(f"--probes must be >= 0, got {args.probes}")
     resolved = model.scenario
@@ -384,38 +378,32 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_common(parser: argparse.ArgumentParser, multi_model: bool) -> None:
-    parser.add_argument(
-        "--scenario",
-        type=Path,
-        default=None,
-        help="scenario JSON (default: bundled valles_caldera)",
-    )
-    if multi_model:
-        parser.add_argument(
-            "--model",
-            action="append",
-            default=None,
-            help="model token, repeatable: single | gringarten_ref | "
-            "multi_slab[:spacing_m]",
-        )
-    else:
-        parser.add_argument(
-            "--model",
-            choices=_MODEL_BASES,
-            default="single",
-            help="forecast model (default single)",
-        )
-    parser.add_argument("--horizon-yr", type=float, default=None, help="forecast horizon, years")
-    parser.add_argument("--steps", type=int, default=None, help="number of time samples")
-    parser.add_argument("--stehfest-n", type=int, default=12, help="Stehfest term count")
-    parser.add_argument("--onset-frac", type=float, default=0.01, help="decline-onset fraction of span")
-    parser.add_argument("--faces", type=int, choices=(1, 2), default=None, help="override exchange faces")
-    parser.add_argument("--spacing-m", type=float, default=None, help="override fracture spacing, m")
-    parser.add_argument("--out", type=Path, default=None, help="CSV output path (default stdout)")
-    parser.add_argument(
-        "--linear-time", action="store_true", help="linear time samples instead of log-spaced"
-    )
+# flags of the model-running subcommands; each subcommand names the ones it reads
+_RUN_FLAGS = {
+    "--scenario": dict(type=Path, default=None, help="scenario JSON (default: bundled valles_caldera)"),
+    "--horizon-yr": dict(type=float, default=None, help="forecast horizon, years"),
+    "--steps": dict(type=int, default=None, help="number of time samples"),
+    "--stehfest-n": dict(type=int, default=12, help="Stehfest term count"),
+    "--onset-frac": dict(type=float, default=0.01, help="decline-onset fraction of span"),
+    "--faces": dict(type=int, choices=(1, 2), default=None, help="override exchange faces"),
+    "--spacing-m": dict(type=float, default=None, help="override fracture spacing, m"),
+    "--out": dict(type=Path, default=None, help="CSV output path (default stdout)"),
+    "--linear-time": dict(action="store_true", help="linear time samples instead of log-spaced"),
+}
+_ONE_MODEL = dict(choices=_MODEL_BASES, default="single", help="forecast model (default single)")
+_MODEL_LIST = dict(
+    action="append",
+    default=None,
+    help="model token, repeatable: single | gringarten_ref | multi_slab[:spacing_m]",
+)
+
+
+def _add_run_flags(parser: argparse.ArgumentParser, model: dict, *flags: str) -> None:
+    """--scenario, then --model as given, then the named flags."""
+    parser.add_argument("--scenario", **_RUN_FLAGS["--scenario"])
+    parser.add_argument("--model", **model)
+    for flag in flags:
+        parser.add_argument(flag, **_RUN_FLAGS[flag])
 
 
 def _parse_spacings(text: str) -> list[float]:
@@ -436,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_forecast = sub.add_parser("forecast", help="produced-temperature series -> CSV")
-    _add_common(p_forecast, multi_model=False)
+    _add_run_flags(p_forecast, _ONE_MODEL, "--horizon-yr", "--steps", "--stehfest-n", "--faces",
+                   "--spacing-m", "--out", "--linear-time")
     p_forecast.set_defaults(run=cmd_forecast)
 
     p_table2 = sub.add_parser("table2", help="thermal radius / interference table -> CSV")
@@ -451,11 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_table2.set_defaults(run=cmd_table2)
 
     p_compare = sub.add_parser("compare", help="models side by side -> CSV + report")
-    _add_common(p_compare, multi_model=True)
+    _add_run_flags(p_compare, _MODEL_LIST, "--horizon-yr", "--steps", "--stehfest-n",
+                   "--onset-frac", "--faces", "--spacing-m", "--out", "--linear-time")
     p_compare.set_defaults(run=cmd_compare)
 
     p_oracle = sub.add_parser("oracle", help="finite-difference check vs a model -> CSV")
-    _add_common(p_oracle, multi_model=False)
+    _add_run_flags(p_oracle, _ONE_MODEL, "--horizon-yr", "--stehfest-n", "--faces", "--spacing-m",
+                   "--out")
     p_oracle.add_argument("--nx", type=int, default=200, help="along-fracture cells")
     p_oracle.add_argument("--ny", type=int, default=400, help="into-rock cells")
     p_oracle.add_argument("--nt", type=int, default=2000, help="time steps over the horizon")

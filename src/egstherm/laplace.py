@@ -32,7 +32,6 @@ from .scenario import face_coupling, thermal_diffusivity, transfer_coefficient, 
 __all__ = [
     "LaplaceImage",
     "StehfestConfig",
-    "stehfest_weights",
     "stehfest_invert",
     "fluid_temp_laplace",
     "fluid_temp_laplace_slab",
@@ -74,25 +73,6 @@ def _weight_fractions(n_terms: int) -> tuple[Fraction, ...]:
     return tuple(weights)
 
 
-def _check_n_terms(n_terms: int, lo: int) -> None:
-    if not isinstance(n_terms, int) or n_terms % 2 != 0 or not lo <= n_terms <= 20:
-        raise ValueError(
-            f"Stehfest term count must be an even integer in [{lo}, 20], got {n_terms!r}"
-        )
-
-
-def stehfest_weights(n_terms: int) -> list[float]:
-    """Stehfest coefficients V_1..V_n as floats.
-
-    The exact rational weights sum to zero identically (inverting F = 0);
-    the returned floats are each correctly rounded. Accepts any even count
-    from 2 to 20; production inversions use :class:`StehfestConfig`, which
-    restricts the range further.
-    """
-    _check_n_terms(n_terms, lo=2)
-    return [float(w) for w in _weight_fractions(n_terms)]
-
-
 @lru_cache(maxsize=None)
 def _weights_longdouble(n_terms: int) -> np.ndarray:
     # Round each exact weight through a hi/lo double-double split so the
@@ -113,7 +93,9 @@ class StehfestConfig:
     n_terms: int = 12
 
     def __post_init__(self) -> None:
-        _check_n_terms(self.n_terms, lo=6)
+        n = self.n_terms
+        if not isinstance(n, int) or n % 2 != 0 or not 6 <= n <= 20:
+            raise ValueError(f"Stehfest term count must be an even integer in [6, 20], got {n!r}")
 
 
 def stehfest_invert(
@@ -202,7 +184,7 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
     if fr.spacing is None or not fr.spacing > 0.0:
         raise ValueError("slab image requires a positive fracture spacing")
     x = float(x)
-    if x < 0.0 or x > fr.flow_length:
+    if not 0.0 <= x <= fr.flow_length:
         raise ValueError(f"x must lie in [0, flow_length={fr.flow_length}], got {x}")
 
     alpha = thermal_diffusivity(sc.rock)
@@ -219,7 +201,7 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
     return image
 
 
-def _finish_series(raw, times, sc, model: str, config: StehfestConfig):
+def _finish_series(raw, times, sc, config: StehfestConfig):
     """Clamp and sanity-check inverted samples, then box them.
 
     Numerical inversion may leave harmless sub-0.1%-of-span excursions
@@ -253,7 +235,7 @@ def _finish_series(raw, times, sc, model: str, config: StehfestConfig):
             "10-16 usually behaves best)"
         )
     return ForecastSeries(
-        model=model,
+        model="multi_slab",
         times=np.asarray(times, dtype=float),
         outlet_temperatures=clipped,
         injection_temperature=t_cold,
@@ -301,4 +283,4 @@ def multi_fracture_forecast(
     raw = np.full(times.shape, sc.rock.initial_temperature)
     later = times != 0.0  # keeps NaN, which the inversion refuses
     raw[later] = stehfest_invert(fluid_temp_laplace_slab(sc, length), times[later], config)
-    return _finish_series(raw, times, sc, "multi_slab", config)
+    return _finish_series(raw, times, sc, config)

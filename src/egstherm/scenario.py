@@ -161,7 +161,7 @@ def transfer_coefficient(sc: Scenario, x: float) -> float:
         Along-fracture distance from the inlet, 0 <= x <= flow_length, m.
     """
     x = float(x)
-    if x < 0.0 or x > sc.fractures.flow_length:
+    if not 0.0 <= x <= sc.fractures.flow_length:
         raise ValueError(
             f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}"
         )

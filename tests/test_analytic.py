@@ -321,5 +321,7 @@ def test_rock_temp_initial_identity(valles_single):
     assert rock_temp(1e4, 1e6, valles_single, 0.0) == t_hot
     with pytest.raises(ValueError):
         rock_temp(-1.0, 1e6, valles_single, 0.0)
+    with pytest.raises(ValueError, match=r"^y must be >= 0, got nan"):
+        rock_temp(math.nan, 1e6, valles_single, 0.0)
     with pytest.raises(ValueError):
         rock_temp(1.0, 0.0, valles_single, 0.0)

@@ -1,5 +1,6 @@
 """Command-line interface, driven in-process through main(argv)."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 
 import egstherm
 import egstherm.cli
-from egstherm.cli import main
+from egstherm.cli import build_parser, main
 from egstherm.scenario import bundled_scenario_path
 
 FORECAST_TWO_STEPS = "time_yr,T_out_C,model\n0.005,300,single\n50,79.8373,single\n"
@@ -266,8 +267,10 @@ def test_oracle_slab_rejects_y_max(capsys):
     [
         (["--nt", "0"], "error: n_steps must be an integer >= 1, got 0\n"),
         (["--nt", "60", "--probes", "-3"], "error: --probes must be >= 0, got -3\n"),
+        (["--nt", "60", "--probe-yr", "nan"], "error: probe times must be finite, got nan\n"),
+        (["--nt", "60", "--snapshot-yr", "inf"], "error: snapshot times must be finite, got inf\n"),
     ],
-    ids=["nt-zero", "probes-negative"],
+    ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)
@@ -309,6 +312,60 @@ def test_oracle_snapshots(tmp_path, capsys):
     lines = snap.read_text().splitlines()
     assert lines[0] == "x_m,y_m,T_C"
     assert len(lines) == 1 + 17 * 17
+
+
+def test_compare_checks_onset_fraction_before_writing(tmp_path, capsys):
+    target = tmp_path / "cmp.csv"
+    rc, out, err = run(capsys, "compare", "--model", "single", "--model", "gringarten_ref",
+                       "--onset-frac", "2", "--out", str(target))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: onset fraction must lie in (0, 1), got 2.0\n"
+    assert not target.exists()
+
+
+# every option string each subcommand accepts; a flag that its command does
+# not read has no place here
+CLI_SURFACE = {
+    "forecast": {"--scenario", "--model", "--horizon-yr", "--steps", "--stehfest-n", "--faces",
+                 "--spacing-m", "--out", "--linear-time"},
+    "table2": {"--scenario", "--spacings", "--out"},
+    "compare": {"--scenario", "--model", "--horizon-yr", "--steps", "--stehfest-n",
+                "--onset-frac", "--faces", "--spacing-m", "--out", "--linear-time"},
+    "oracle": {"--scenario", "--model", "--horizon-yr", "--stehfest-n", "--faces", "--spacing-m",
+               "--out", "--nx", "--ny", "--nt", "--y-max", "--ratio", "--probes", "--probe-yr",
+               "--snapshot-yr", "--snapshot-out"},
+    "convert": set(),
+}
+
+
+def test_cli_surface_is_pinned():
+    (subparsers,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    surface = {
+        name: {opt for action in sub._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, sub in subparsers.choices.items()
+    }
+    assert surface == CLI_SURFACE
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle", "--steps", "3"],
+        ["oracle", "--linear-time"],
+        ["oracle", "--onset-frac", "0.1"],
+        ["forecast", "--onset-frac", "0.1"],
+    ],
+    ids=["oracle-steps", "oracle-linear-time", "oracle-onset-frac", "forecast-onset-frac"],
+)
+def test_flags_a_command_does_not_read_are_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_help_exits_zero():

@@ -108,6 +108,19 @@ def test_fd_rejects_bad_probes(valles_single):
         fd_simulate(valles_single, grid, [0.0])
     with pytest.raises(ValueError):
         fd_simulate(valles_single, grid, [-1.0])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match=rf"^probe times must be finite, got {bad}$"):
+            fd_simulate(valles_single, grid, [YR, bad])
+        with pytest.raises(ValueError, match=rf"^snapshot times must be finite, got {bad}$"):
+            fd_simulate(valles_single, grid, [YR], snapshot_times=[bad])
+
+
+def test_fd_probe_before_the_first_step_reads_t0(valles_single):
+    # a probe short of 1e-12 steps needs no step at all: the outlet is T0
+    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=60)
+    series, details = fd_simulate(valles_single, grid, [1e-20 * YR], return_details=True)
+    assert details.n_steps == 0
+    assert series.outlet_temperatures.tolist() == [valles_single.rock.initial_temperature]
 
 
 def test_fd_refuses_oscillating_fluid_march(valles):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -98,6 +99,8 @@ def test_transfer_coefficient_domain(valles_single):
         transfer_coefficient(valles_single, -1.0)
     with pytest.raises(ValueError):
         transfer_coefficient(valles_single, 999.745)
+    with pytest.raises(ValueError, match=r"^x must lie in \[0, flow_length="):
+        transfer_coefficient(valles_single, math.nan)
 
 
 @pytest.mark.parametrize(
