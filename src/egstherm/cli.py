@@ -318,6 +318,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     """Finite-difference run with a per-probe deviation table vs the model."""
+    if (args.snapshot_yr is None) != (args.snapshot_out is None):
+        raise ValueError("--snapshot-yr and --snapshot-out go together: give both or neither")
     (model,), stehfest = _resolve(args, [args.model])
     if args.probes < 0:
         raise ValueError(f"--probes must be >= 0, got {args.probes}")

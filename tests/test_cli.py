@@ -262,15 +262,22 @@ def test_oracle_slab_rejects_y_max(capsys):
     assert "y_max" in err
 
 
+SNAPSHOT_PAIR = "error: --snapshot-yr and --snapshot-out go together: give both or neither\n"
+
+
 @pytest.mark.parametrize(
     "flags, message",
     [
         (["--nt", "0"], "error: n_steps must be an integer >= 1, got 0\n"),
         (["--nt", "60", "--probes", "-3"], "error: --probes must be >= 0, got -3\n"),
         (["--nt", "60", "--probe-yr", "nan"], "error: probe times must be finite, got nan\n"),
-        (["--nt", "60", "--snapshot-yr", "inf"], "error: snapshot times must be finite, got inf\n"),
+        (["--nt", "60", "--snapshot-yr", "inf", "--snapshot-out", "snap"],
+         "error: snapshot times must be finite, got inf\n"),
+        (["--nt", "60", "--probes", "1", "--snapshot-yr", "2"], SNAPSHOT_PAIR),
+        (["--nt", "60", "--probes", "1", "--snapshot-out", "snap"], SNAPSHOT_PAIR),
     ],
-    ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf"],
+    ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
+         "snapshot-out-alone"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)

@@ -8,10 +8,12 @@ import dataclasses
 
 import numpy as np
 import pytest
+from scipy.linalg import lu_factor, lu_solve
 
 from egstherm.analytic import fluid_temp_single, rock_temp
 from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
+    _BLOCK,
     OracleGrid,
     convergence_study,
     fd_simulate,
@@ -209,12 +211,22 @@ def test_fd_near_degenerate_span_is_stable(valles_single):
 
 
 def test_fd_detects_contaminated_far_boundary(valles_single):
-    # 5 m of rock cannot impersonate a half-space for ten years
-    grid = OracleGrid(y_max=5.0, dt=50.0 * YR / 300.0, nx=16, ny=16)
-    with pytest.raises(RuntimeError) as err:
-        fd_simulate(valles_single, grid, [10.0 * YR])
-    msg = str(err.value)
-    assert "far boundary" in msg and "y_max" in msg
+    # 5 m of rock cannot impersonate a half-space for ten years; the front
+    # disturbs y_max at step 1 of the long step and at step 58, inside a
+    # block, of the short one
+    for dt in (50.0 * YR / 300.0, YR / 2000.0):
+        grid = OracleGrid(y_max=5.0, dt=dt, nx=16, ny=16)
+        with pytest.raises(RuntimeError) as err:
+            fd_simulate(valles_single, grid, [10.0 * YR])
+        msg = str(err.value)
+        assert "far boundary" in msg and "y_max" in msg
+        # the refusal names the first step whose node beside y_max moved 0.1 C
+        fields = _direct_theta_scheme(valles_single, grid, 60)
+        t_hot = valles_single.rock.initial_temperature
+        beside = np.max(np.abs(fields[:, grid.ny - 1] - t_hot), axis=1)
+        first = int(np.argmax(beside > 0.1))
+        assert first > 0
+        assert f"at t={first * grid.dt:.6g} s " in msg
 
 
 def test_fd_slab_matches_reference_inversion(slab_run):
@@ -245,8 +257,10 @@ def _direct_theta_scheme(sc, grid, n_steps):
     Unknowns are every node of every x-station, the face node doubling as
     the fluid. Rows: the inlet temperature, the trapezoid fluid march driven
     by the one-sided face gradient, the pinned far node (Dirichlet mode) and
-    the theta-weighted 3-point conduction step everywhere else. Returns the
-    outlet after each step and the final field, shape (ny + 1, nx + 1).
+    the theta-weighted 3-point conduction step everywhere else. Each theta
+    system is LU-factored once. Returns the field before the first step and
+    after each step, shape (n_steps + 1, ny + 1, nx + 1); the outlet is
+    [:, 0, nx].
     """
     y = grid.y_nodes()
     ny, nx = grid.ny, grid.nx
@@ -295,37 +309,71 @@ def _direct_theta_scheme(sc, grid, n_steps):
             lhs[faces + ny, faces + ny] = 1.0
         return lhs, rhs
 
-    systems = {theta: system(theta) for theta in (1.0, 0.5)}
-    field = np.full(size, t_hot)
-    outlets = [t_hot]
+    systems = {}
+    for theta in (1.0, 0.5):
+        lhs, rhs = system(theta)
+        systems[theta] = lu_factor(lhs), rhs
+    fields = [np.full(size, t_hot)]
     for step in range(1, n_steps + 1):
-        lhs, rhs = systems[1.0 if step <= 2 else 0.5]
-        b = rhs @ field
+        lu, rhs = systems[1.0 if step <= 2 else 0.5]
+        b = rhs @ fields[-1]
         b[0] = sc.fluid.injection_temperature
         if pinned:
             b[faces + ny] = t_hot
-        field = np.linalg.solve(lhs, b)
-        outlets.append(field[faces[-1]])
-    return np.array(outlets), field.reshape(nx + 1, ny + 1).T
+        fields.append(lu_solve(lu, b))
+    return np.array(fields).reshape(n_steps + 1, nx + 1, ny + 1).transpose(0, 2, 1)
 
 
-@pytest.mark.parametrize(
+MODES = pytest.mark.parametrize(
     "scenario,factory",
     [("valles_single", semi_infinite_grid), ("valles", slab_grid)],
     ids=["dirichlet_T0", "neumann_zero"],
 )
+
+# step counts on either side of the block edges (after steps 2, 2 + B, ...)
+# and snapshot steps inside blocks
+EDGE_STEPS = (1, 2, 3, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3, 100)
+INNER_SNAPSHOTS = (3, 37, 61)
+
+
+@MODES
 def test_fd_matches_direct_theta_scheme(scenario, factory, request):
     sc = request.getfixturevalue(scenario)
-    n_steps = 100
-    grid = factory(sc, nx=16, ny=32, n_steps=n_steps)
-    outlets, field = _direct_theta_scheme(sc, grid, n_steps)
-    steps = np.array([1, 2, 3, 10, 37, 100])
-    series, details = fd_simulate(
-        sc, grid, steps * grid.dt, snapshot_times=[n_steps * grid.dt], return_details=True
-    )
-    assert np.max(np.abs(series.outlet_temperatures - outlets[steps])) < 1e-9
-    assert np.max(np.abs(details.snapshots[0].temperatures - field)) < 1e-9
-    assert details.max_sweeps == 1
+    grid = factory(sc, nx=16, ny=32, n_steps=100)
+    fields = _direct_theta_scheme(sc, grid, 100)
+    for n_steps in EDGE_STEPS:
+        steps = np.arange(1, n_steps + 1)
+        snaps = [s for s in INNER_SNAPSHOTS if s < n_steps] + [n_steps]
+        series, details = fd_simulate(
+            sc, grid, steps * grid.dt, snapshot_times=np.array(snaps) * grid.dt,
+            return_details=True,
+        )
+        assert details.n_steps == n_steps and details.max_sweeps == 1
+        assert np.max(np.abs(series.outlet_temperatures - fields[steps, 0, -1])) < 1e-9
+        assert [snap.time for snap in details.snapshots] == [s * grid.dt for s in snaps]
+        for s, snap in zip(snaps, details.snapshots):
+            assert np.max(np.abs(snap.temperatures - fields[s])) < 1e-9
+
+
+@MODES
+def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, request):
+    # block edges follow the step index alone: asking for snapshots or
+    # details, or stopping early, leaves every outlet bit for bit
+    sc = request.getfixturevalue(scenario)
+    grid = factory(sc, nx=16, ny=32, n_steps=100)
+    steps = np.arange(1, 101)
+    full = fd_simulate(sc, grid, steps * grid.dt).outlet_temperatures
+    for n_steps in EDGE_STEPS:
+        probes = steps[:n_steps] * grid.dt
+        plain = fd_simulate(sc, grid, probes).outlet_temperatures
+        assert np.array_equal(plain, full[:n_steps])
+        detailed, _ = fd_simulate(
+            sc, grid, probes, snapshot_times=np.array(INNER_SNAPSHOTS) * grid.dt,
+            return_details=True,
+        )
+        assert np.array_equal(detailed.outlet_temperatures, plain)
+        assert np.array_equal(fd_simulate(sc, grid, probes, return_details=True)[0]
+                              .outlet_temperatures, plain)
 
 
 def test_convergence_study_rejects_single_level(valles_single):
