@@ -9,9 +9,9 @@ import dataclasses
 
 import numpy as np
 
-from egstherm.analytic import fluid_temp_single, interference_table, onset_of_decline
+from egstherm.analytic import fluid_temp_single, onset_of_decline
 from egstherm.laplace import multi_fracture_forecast
-from egstherm.scenario import bundled_scenario, thermal_diffusivity
+from egstherm.scenario import bundled_scenario, interference_table, thermal_diffusivity
 from egstherm.units import SECONDS_PER_YEAR as YR
 
 

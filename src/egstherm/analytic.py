@@ -7,31 +7,27 @@ semi-infinite conducting half-space, the produced-fluid temperature is
 
 with a(x) the scenario's transfer coefficient. Around it sit the rock
 temperature it implies (the same erfc with a shifted by y / sqrt(alpha)),
-the interfacial heat flux, the front-traversal table used for spacing
-design, the onset of decline of a forecast, and the produced thermal power.
+the interfacial heat flux, the onset of decline of a forecast, and the
+produced thermal power. The front-traversal table used for spacing design
+needs no NumPy and lives in :mod:`egstherm.scenario`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from . import specfun
 from .scenario import Scenario, thermal_diffusivity, transfer_coefficient
-from .units import SECONDS_PER_YEAR
 
 __all__ = [
-    "InterferenceRow",
     "ForecastSeries",
     "MODEL_TAGS",
     "rock_temp",
     "fluid_temp_single",
     "interfacial_flux",
-    "time_to_radius",
-    "interference_table",
     "onset_of_decline",
     "thermal_power",
 ]
@@ -41,21 +37,6 @@ MODEL_TAGS = ("single", "gringarten_ref", "multi_slab", "oracle")
 # erfc argument beyond which the produced temperature is the initial
 # temperature to double precision
 _ERFC_SATURATION = 6.0
-
-
-@dataclass(frozen=True)
-class InterferenceRow:
-    """One spacing's worth of thermal-front bookkeeping.
-
-    radius_m is the front's reach sqrt(4 alpha t); interference_time_yr is
-    half the full-traversal time (the moment fronts advancing from both
-    neighbours meet), and interference_radius_m is half the spacing.
-    """
-
-    radius_m: float
-    time_yr: float
-    interference_time_yr: float
-    interference_radius_m: float
 
 
 @dataclass(frozen=True)
@@ -195,40 +176,6 @@ def interfacial_flux(sc: Scenario, x: float, t: float) -> float:
         * math.exp(-a * a / (4.0 * t))
         / math.sqrt(math.pi * thermal_diffusivity(sc.rock) * t)
     )
-
-
-def time_to_radius(r: float, alpha: float) -> float:
-    """Time for the front to reach distance r: r^2 / (4 alpha), s."""
-    r = float(r)
-    if not r > 0.0:
-        raise ValueError(f"r must be > 0, got {r}")
-    return r * r / (4.0 * alpha)
-
-
-def interference_table(spacings: Sequence[float], alpha: float) -> list[InterferenceRow]:
-    """Front-traversal and interference times for candidate fracture spacings.
-
-    Per spacing s: the traversal time t(s) = time_to_radius(s), the
-    interference time t_i = t(s)/2 (fronts advance from both neighbours),
-    and the interference radius s/2. Times reported in 365-day years.
-    """
-    rows = []
-    for spacing in spacings:
-        spacing = float(spacing)
-        if not spacing > 0.0:
-            raise ValueError(f"spacings must be > 0, got {spacing}")
-        if spacing == math.inf:
-            raise ValueError(f"spacings must be finite, got {spacing}")
-        t_yr = time_to_radius(spacing, alpha) / SECONDS_PER_YEAR
-        rows.append(
-            InterferenceRow(
-                radius_m=spacing,
-                time_yr=t_yr,
-                interference_time_yr=t_yr / 2.0,
-                interference_radius_m=spacing / 2.0,
-            )
-        )
-    return rows
 
 
 def onset_of_decline(series: ForecastSeries, frac: float = 0.01) -> float | None:

@@ -12,6 +12,10 @@ convert    single unit conversion, printed at 6 significant digits
 All CSV output is deterministic: fixed column order, 6-significant-digit
 values, LF line endings, and nothing is written until the full run has
 succeeded (no partial files on failure). Errors exit nonzero.
+
+Each subcommand imports only what it runs: convert and table2 need the
+standard library alone, forecast and compare add NumPy and the Laplace
+engine, and only oracle loads the finite-difference oracle and SciPy.
 """
 
 from __future__ import annotations
@@ -24,21 +28,23 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import numpy as np
-
-from .analytic import interference_table, onset_of_decline
-from .laplace import StehfestConfig, multi_fracture_forecast
-from .oracle import fd_simulate, semi_infinite_grid, slab_grid
 from .scenario import (
     Scenario,
     ScenarioError,
     bundled_scenario_path,
     collapse_to_single,
+    interference_table,
     load_scenario,
     thermal_diffusivity,
 )
 from .units import SECONDS_PER_YEAR, convert_value
+
+if TYPE_CHECKING:
+    import numpy as np
+
+    from .laplace import StehfestConfig
 
 __all__ = ["main"]
 
@@ -130,6 +136,8 @@ def _resolve(
     the scenario where they were not given. Returns the models and the
     inversion order.
     """
+    from .laplace import StehfestConfig
+
     if args.scenario is None:
         args.scenario = bundled_scenario_path("valles_caldera")
     sc = load_scenario(args.scenario)
@@ -150,6 +158,8 @@ def _forecast_times(args: argparse.Namespace, sc: Scenario) -> np.ndarray:
 
     Fills in args.steps from the scenario where it was not given.
     """
+    import numpy as np
+
     if args.steps is None:
         args.steps = sc.operating.n_steps
     if args.steps < 2:
@@ -162,6 +172,8 @@ def _forecast_times(args: argparse.Namespace, sc: Scenario) -> np.ndarray:
 
 
 def _series(model: _Model, times: np.ndarray, stehfest: StehfestConfig):
+    from .laplace import multi_fracture_forecast
+
     series = multi_fracture_forecast(model.scenario, times, stehfest)
     return dataclasses.replace(series, model=model.base)
 
@@ -212,6 +224,10 @@ def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -
     These derive from a formulation that was never published in full, so
     they are context, never gates; the report says so on every line.
     """
+    import numpy as np
+
+    from .analytic import onset_of_decline
+
     stem = Path(args.scenario).stem
     resource = importlib.resources.files("egstherm.data") / "anchors.json"
     anchors = json.loads(resource.read_text(encoding="utf-8"))
@@ -282,6 +298,10 @@ def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -
 
 def cmd_compare(args: argparse.Namespace) -> int:
     """Run several models on one scenario: wide CSV plus a text report."""
+    import numpy as np
+
+    from .analytic import onset_of_decline
+
     tokens = args.model or []
     if len(tokens) < 2:
         raise ValueError("compare needs at least two --model entries")
@@ -318,6 +338,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     """Finite-difference run with a per-probe deviation table vs the model."""
+    import numpy as np
+
+    from .oracle import fd_simulate, semi_infinite_grid, slab_grid
+
     if (args.snapshot_yr is None) != (args.snapshot_out is None):
         raise ValueError("--snapshot-yr and --snapshot-out go together: give both or neither")
     (model,), stehfest = _resolve(args, [args.model])

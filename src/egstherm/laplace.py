@@ -26,7 +26,11 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .analytic import ForecastSeries, fluid_temp_single
+# fluid_temp_single is read through its module at call time: this module may
+# load after egstherm.analytic's bindings were replaced (perfbench/tracing.py
+# wraps them), and a copy taken at import would then be wrapped twice
+from . import analytic
+from .analytic import ForecastSeries
 from .scenario import face_coupling, thermal_diffusivity, transfer_coefficient, validate
 
 __all__ = [
@@ -275,7 +279,7 @@ def multi_fracture_forecast(
         return ForecastSeries(
             model="single",
             times=times,
-            outlet_temperatures=fluid_temp_single(sc, length, times),
+            outlet_temperatures=analytic.fluid_temp_single(sc, length, times),
             injection_temperature=sc.fluid.injection_temperature,
             initial_temperature=sc.rock.initial_temperature,
         )

@@ -37,7 +37,11 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import ForecastSeries, fluid_temp_single
+# fluid_temp_single is read through its module at call time: this module may
+# load after egstherm.analytic's bindings were replaced (perfbench/tracing.py
+# wraps them), and a copy taken at import would then be wrapped twice
+from . import analytic
+from .analytic import ForecastSeries
 from .scenario import Scenario, face_coupling, thermal_diffusivity, validate
 
 __all__ = [
@@ -494,7 +498,7 @@ def convergence_study(sc: Scenario, base_grid: OracleGrid, levels: int) -> Conve
         raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
     horizon = sc.operating.horizon
     probe_times = np.geomspace(0.05 * horizon, horizon, 8)
-    reference = fluid_temp_single(sc, sc.fractures.flow_length, probe_times)
+    reference = analytic.fluid_temp_single(sc, sc.fractures.flow_length, probe_times)
 
     rows: list[tuple[int, float]] = []
     for level in range(levels):

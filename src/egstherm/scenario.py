@@ -5,7 +5,10 @@ and the operating schedule, and supplies the derived quantities the
 solvers need: thermal diffusivity, in-fracture fluid velocity, and the
 convective-conductive transfer coefficient. Scenarios are plain immutable
 value objects; ``validate`` returns rule violations as data instead of
-raising, so partially built cases can be inspected.
+raising, so partially built cases can be inspected. Beside the diffusivity
+sit the front-traversal helpers used for spacing design
+(``time_to_radius``, ``interference_table``); like the rest of this module
+they need only the standard library.
 
 Scenario files are strict JSON with top-level keys ``rock``, ``fluid``,
 ``fractures``, ``operating`` and an optional free-form ``metadata`` block;
@@ -21,7 +24,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, Sequence
+
+from .units import SECONDS_PER_YEAR
 
 __all__ = [
     "RockProperties",
@@ -31,6 +36,9 @@ __all__ = [
     "Scenario",
     "ScenarioError",
     "thermal_diffusivity",
+    "InterferenceRow",
+    "time_to_radius",
+    "interference_table",
     "fracture_velocity",
     "face_coupling",
     "transfer_coefficient",
@@ -123,6 +131,59 @@ class Scenario:
 def thermal_diffusivity(rock: RockProperties) -> float:
     """Rock thermal diffusivity k / (rho c), m2/s."""
     return rock.conductivity / (rock.density * rock.specific_heat)
+
+
+@dataclass(frozen=True)
+class InterferenceRow:
+    """One spacing's worth of thermal-front bookkeeping.
+
+    radius_m is the front's reach sqrt(4 alpha t); interference_time_yr is
+    half the full-traversal time (the moment fronts advancing from both
+    neighbours meet), and interference_radius_m is half the spacing.
+    """
+
+    radius_m: float
+    time_yr: float
+    interference_time_yr: float
+    interference_radius_m: float
+
+
+def time_to_radius(r: float, alpha: float) -> float:
+    """Time for the front to reach distance r: r^2 / (4 alpha), s."""
+    r = float(r)
+    if not r > 0.0:
+        raise ValueError(f"r must be > 0, got {r}")
+    return r * r / (4.0 * alpha)
+
+
+def interference_table(spacings: Sequence[float], alpha: float) -> list[InterferenceRow]:
+    """Front-traversal and interference times for candidate fracture spacings.
+
+    Per spacing s: the traversal time t(s) = time_to_radius(s), the
+    interference time t_i = t(s)/2 (fronts advance from both neighbours),
+    and the interference radius s/2. Times reported in 365-day years. A
+    spacing that is not > 0, or whose traversal time is not finite (an
+    infinite spacing, or one so large that s^2 / (4 alpha) overflows), is
+    refused with a ValueError that names it.
+    """
+    rows = []
+    for spacing in spacings:
+        spacing = float(spacing)
+        if not spacing > 0.0:
+            raise ValueError(f"spacings must be > 0, got {spacing}")
+        t_yr = time_to_radius(spacing, alpha) / SECONDS_PER_YEAR
+        if not math.isfinite(t_yr):
+            rule = "finite" if math.isinf(spacing) else "small enough for a finite traversal time"
+            raise ValueError(f"spacings must be {rule}, got {spacing}")
+        rows.append(
+            InterferenceRow(
+                radius_m=spacing,
+                time_yr=t_yr,
+                interference_time_yr=t_yr / 2.0,
+                interference_radius_m=spacing / 2.0,
+            )
+        )
+    return rows
 
 
 def fracture_velocity(sc: Scenario) -> float:

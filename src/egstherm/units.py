@@ -76,8 +76,9 @@ def convert(q: Quantity, target: str) -> Quantity:
     Raises
     ------
     ValueError
-        If either tag is unknown or the tags belong to different
-        dimensions (both tags are named in the message).
+        If either tag is unknown, the tags belong to different
+        dimensions (both tags are named in the message), or the converted
+        value overflows the float range (the value and both tags are named).
     """
     if target not in _UNIT_TABLE:
         known = ", ".join(sorted(_UNIT_TABLE))
@@ -89,7 +90,13 @@ def convert(q: Quantity, target: str) -> Quantity:
             f"dimension mismatch: cannot convert {q.unit!r} ({src_dim}) "
             f"to {target!r} ({dst_dim})"
         )
-    return Quantity(q.value * (src_factor / dst_factor), target)
+    value = q.value * (src_factor / dst_factor)
+    if not math.isfinite(value):
+        raise ValueError(
+            f"converting {q.value} {q.unit!r} to {target!r} overflows: "
+            "the result is beyond the float range"
+        )
+    return Quantity(value, target)
 
 
 def convert_value(value: float, unit: str, target: str) -> float:

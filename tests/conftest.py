@@ -1,15 +1,34 @@
 """Shared fixtures: bundled scenarios and common collapsed variants."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import egstherm
 from egstherm.scenario import bundled_scenario, collapse_to_single
 
 
 def with_total_rate(sc, total_rate):
     op = dataclasses.replace(sc.operating, total_rate=total_rate)
     return dataclasses.replace(sc, operating=op)
+
+
+def fresh_python(code: str) -> str:
+    """Run code in a new interpreter that imports this egstherm; return its stdout.
+
+    What a new interpreter has in sys.modules shows what the code imported,
+    which this test session's own imports would hide.
+    """
+    src = str(Path(egstherm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    return proc.stdout
 
 
 @pytest.fixture(scope="session")

@@ -16,7 +16,7 @@ import time
 import numpy as np
 import pytest
 
-from egstherm.analytic import fluid_temp_single, interference_table, onset_of_decline
+from egstherm.analytic import fluid_temp_single, onset_of_decline
 from egstherm.cli import main
 from egstherm.laplace import (
     StehfestConfig,
@@ -25,7 +25,12 @@ from egstherm.laplace import (
     stehfest_invert,
 )
 from egstherm.oracle import convergence_study, fd_simulate, semi_infinite_grid, slab_grid
-from egstherm.scenario import bundled_scenario_path, collapse_to_single, thermal_diffusivity
+from egstherm.scenario import (
+    bundled_scenario_path,
+    collapse_to_single,
+    interference_table,
+    thermal_diffusivity,
+)
 from egstherm.units import SECONDS_PER_YEAR as YR, convert_value
 
 from conftest import with_total_rate

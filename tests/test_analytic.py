@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,13 +12,17 @@ from egstherm.analytic import (
     ForecastSeries,
     fluid_temp_single,
     interfacial_flux,
-    interference_table,
     onset_of_decline,
     rock_temp,
     thermal_power,
-    time_to_radius,
 )
-from egstherm.scenario import collapse_to_single, thermal_diffusivity, transfer_coefficient
+from egstherm.scenario import (
+    collapse_to_single,
+    interference_table,
+    thermal_diffusivity,
+    time_to_radius,
+    transfer_coefficient,
+)
 from egstherm.units import SECONDS_PER_YEAR
 
 ALPHA = 9.358490566037735e-07
@@ -233,10 +238,18 @@ def test_interference_table_empty():
 
 
 @pytest.mark.parametrize(
-    "bad, rule", [(0.0, "> 0"), (-10.0, "> 0"), (math.nan, "> 0"), (math.inf, "finite")]
+    "bad, rule",
+    [
+        (0.0, "> 0"),
+        (-10.0, "> 0"),
+        (math.nan, "> 0"),
+        (math.inf, "finite"),
+        # finite, but s^2 / (4 alpha) overflows
+        (1e200, "small enough for a finite traversal time"),
+    ],
 )
 def test_interference_table_rejects_bad_spacing(bad, rule):
-    with pytest.raises(ValueError, match=rf"^spacings must be {rule}, got"):
+    with pytest.raises(ValueError, match=rf"^spacings must be {rule}, got {re.escape(str(bad))}$"):
         interference_table([10.0, bad], ALPHA)
 
 

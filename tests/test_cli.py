@@ -2,17 +2,15 @@
 
 import argparse
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
-import egstherm
 import egstherm.cli
 from egstherm.cli import build_parser, main
 from egstherm.scenario import bundled_scenario_path
+
+from conftest import fresh_python
 
 FORECAST_TWO_STEPS = "time_yr,T_out_C,model\n0.005,300,single\n50,79.8373,single\n"
 
@@ -179,10 +177,12 @@ def test_table2_bad_spacings(capsys):
 
 
 def test_table2_refuses_infinite_spacing(capsys):
-    rc, out, err = run(capsys, "table2", "--spacings", "40,inf")
-    assert rc == 1
-    assert out == ""
-    assert err == "error: spacings must be finite, got inf\n"
+    # 1e200 m is finite, but its traversal time overflows to inf years
+    for spacing, rule in (("inf", "finite"), ("1e200", "small enough for a finite traversal time")):
+        rc, out, err = run(capsys, "table2", "--spacings", f"40,{spacing}")
+        assert rc == 1
+        assert out == ""
+        assert err == f"error: spacings must be {rule}, got {float(spacing)}\n"
 
 
 def test_compare_reference_gap(capsys):
@@ -381,33 +381,34 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-def test_cli_import_loads_no_scipy():
-    # SciPy takes most of a CLI call's start-up; only the finite-difference
-    # oracle needs it, and imports it when it runs. The slab forecast, the
-    # comparison and every closed-form entry point stay NumPy-only.
-    src = str(Path(egstherm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    code = (
-        "import contextlib, io, sys, numpy as np, egstherm, egstherm.cli\n"
-        "for argv in (['forecast', '--model', 'multi_slab'],\n"
-        "             ['compare', '--model', 'single', '--model', 'gringarten_ref',\n"
-        "              '--model', 'multi_slab']):\n"
-        "    with contextlib.redirect_stdout(io.StringIO()):\n"
-        "        assert egstherm.cli.main(argv) == 0, argv\n"
-        "sc = egstherm.bundled_scenario('valles_caldera')\n"
-        "L, yr = sc.fractures.flow_length, egstherm.SECONDS_PER_YEAR\n"
-        "T0, T_inj = sc.rock.initial_temperature, sc.fluid.injection_temperature\n"
-        "times = np.geomspace(0.1, 50.0, 40) * yr\n"
-        "assert T_inj < egstherm.rock_temp(2.0, 10.0 * yr, sc, L) < T0\n"
-        "assert egstherm.interfacial_flux(sc, L, 10.0 * yr) > 0.0\n"
-        "assert egstherm.interference_table([10.0], egstherm.thermal_diffusivity(sc.rock))\n"
-        "assert egstherm.thermal_power(sc, T0) > 0.0\n"
-        "outlet = egstherm.fluid_temp_single(sc, L, times)\n"
-        "series = egstherm.ForecastSeries('single', times, outlet, T_inj, T0)\n"
-        "assert egstherm.onset_of_decline(series) is not None\n"
-        "print([m for m in sys.modules if m.startswith('scipy')])"
+# subcommand -> (argv, modules the call loads, modules it leaves unloaded)
+_IMPORT_GRAPH = {
+    "convert": (["convert", "300", "ft", "m"], [], ["numpy", "egstherm.oracle", "scipy"]),
+    "table2": (["table2"], [], ["numpy", "egstherm.oracle", "scipy"]),
+    "forecast": (["forecast", "--model", "multi_slab"], ["numpy"], ["egstherm.oracle", "scipy"]),
+    "compare": (
+        ["compare", "--model", "single", "--model", "gringarten_ref", "--model", "multi_slab"],
+        ["numpy"],
+        ["egstherm.oracle", "scipy"],
+    ),
+    "oracle": (
+        ["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "1"],
+        ["numpy", "egstherm.oracle", "scipy"],
+        [],
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(_IMPORT_GRAPH))
+def test_each_subcommand_imports_only_what_it_runs(command):
+    argv, loads, leaves = _IMPORT_GRAPH[command]
+    out = fresh_python(
+        "import contextlib, io, json, sys, egstherm.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    rc = egstherm.cli.main({argv!r})\n"
+        "print(json.dumps([rc, sorted(sys.modules)]))"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    rc, modules = json.loads(out)
+    assert rc == 0
+    assert [m for m in loads if m not in modules] == []
+    assert [m for m in leaves if m in modules] == []

@@ -104,3 +104,7 @@ def test_non_finite_value_rejected():
         Quantity(math.nan, "m")
     with pytest.raises(ValueError):
         Quantity(math.inf, "s")
+    # a finite value whose converted result overflows: the message blames the
+    # conversion, not the input
+    with pytest.raises(ValueError, match=r"^converting 1e\+308 'ft' to 'in' overflows"):
+        convert_value(1e308, "ft", "in")
