@@ -10,8 +10,11 @@ oracle     finite-difference run vs the matching analytical model -> CSV
 convert    single unit conversion, printed at 6 significant digits
 
 All CSV output is deterministic: fixed column order, 6-significant-digit
-values, LF line endings, and nothing is written until the full run has
-succeeded (no partial files on failure). Errors exit nonzero.
+values, LF line endings. Each cmd_* function returns its output as
+(destination, text) pairs and writes nothing itself; main writes them,
+files first and stdout last, only after the command has returned. So a
+command that fails leaves stdout empty and writes no file; it prints one
+"error:" line to stderr and exits 1.
 
 Each subcommand imports only what it runs: convert and table2 need the
 standard library alone, forecast and compare add NumPy and the Laplace
@@ -32,7 +35,6 @@ from typing import TYPE_CHECKING
 
 from .scenario import (
     Scenario,
-    ScenarioError,
     bundled_scenario_path,
     collapse_to_single,
     interference_table,
@@ -50,6 +52,9 @@ __all__ = ["main"]
 
 _MODEL_BASES = ("single", "gringarten_ref", "multi_slab")
 _DEFAULT_SPACINGS = "10,20,30,40,50,60,70,80"
+
+# what a command returns: (destination, text) pairs, None = stdout
+_Output = list[tuple[Path | None, str]]
 
 
 @dataclass(frozen=True)
@@ -70,18 +75,13 @@ def _fmt(value: float) -> str:
     return format(value, ".6g")
 
 
-def _emit_csv(out: Path | None, header: list[str], rows: list[list]) -> None:
+def _csv(header: list[str], rows: list[list]) -> str:
     lines = [",".join(header)]
     for row in rows:
         lines.append(
             ",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row)
         )
-    text = "\n".join(lines) + "\n"
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+    return "\n".join(lines) + "\n"
 
 
 def _parse_model_token(token: str) -> tuple[str, float | None]:
@@ -142,6 +142,8 @@ def _resolve(
         args.scenario = bundled_scenario_path("valles_caldera")
     sc = load_scenario(args.scenario)
     parsed = [(token, *_parse_model_token(token)) for token in tokens]
+    if args.spacing_m is not None and all(base != "multi_slab" for _, base, _ in parsed):
+        raise ValueError("--spacing-m applies only to multi_slab models; drop --spacing-m")
     if args.horizon_yr is None:
         args.horizon_yr = sc.operating.horizon / SECONDS_PER_YEAR
     if not (args.horizon_yr > 0.0 and math.isfinite(args.horizon_yr * SECONDS_PER_YEAR)):
@@ -154,44 +156,38 @@ def _resolve(
 
 
 def _forecast_times(args: argparse.Namespace, sc: Scenario) -> np.ndarray:
-    """The forecast times over the horizon, log-spaced unless --linear-time.
-
-    Fills in args.steps from the scenario where it was not given.
-    """
+    """The forecast times over the horizon, log-spaced unless --linear-time."""
     import numpy as np
 
-    if args.steps is None:
-        args.steps = sc.operating.n_steps
-    if args.steps < 2:
-        raise ValueError(f"steps must be an integer >= 2, got {args.steps!r}")
+    steps = sc.operating.n_steps if args.steps is None else args.steps
+    if steps < 2:
+        raise ValueError(f"steps must be an integer >= 2, got {steps!r}")
     horizon = args.horizon_yr * SECONDS_PER_YEAR
     # log spacing by default: drawdown knees live decades before the horizon
     if args.linear_time:
-        return np.linspace(horizon / args.steps, horizon, args.steps)
-    return np.geomspace(horizon / 1e4, horizon, args.steps)
+        return np.linspace(horizon / steps, horizon, steps)
+    return np.geomspace(horizon / 1e4, horizon, steps)
 
 
 def _series(model: _Model, times: np.ndarray, stehfest: StehfestConfig):
     from .laplace import multi_fracture_forecast
 
-    series = multi_fracture_forecast(model.scenario, times, stehfest)
-    return dataclasses.replace(series, model=model.base)
+    return multi_fracture_forecast(model.scenario, times, stehfest)
 
 
-def cmd_forecast(args: argparse.Namespace) -> int:
-    """Write the produced-temperature series for one model as CSV."""
+def cmd_forecast(args: argparse.Namespace) -> _Output:
+    """The produced-temperature series for one model as CSV."""
     (model,), stehfest = _resolve(args, [args.model])
     series = _series(model, _forecast_times(args, model.scenario), stehfest)
     rows = [
-        [t / SECONDS_PER_YEAR, temp, series.model]
+        [t / SECONDS_PER_YEAR, temp, model.base]
         for t, temp in zip(series.times, series.outlet_temperatures)
     ]
-    _emit_csv(args.out, ["time_yr", "T_out_C", "model"], rows)
-    return 0
+    return [(args.out, _csv(["time_yr", "T_out_C", "model"], rows))]
 
 
-def cmd_table2(args: argparse.Namespace) -> int:
-    """Write the thermal-radius / interference-time table as CSV."""
+def cmd_table2(args: argparse.Namespace) -> _Output:
+    """The thermal-radius / interference-time table as CSV."""
     spacings = _parse_spacings(args.spacings)
     sc = load_scenario(args.scenario or bundled_scenario_path("valles_caldera"))
     alpha = thermal_diffusivity(sc.rock)
@@ -199,12 +195,8 @@ def cmd_table2(args: argparse.Namespace) -> int:
         [row.radius_m, row.time_yr, row.interference_time_yr, row.interference_radius_m]
         for row in interference_table(spacings, alpha)
     ]
-    _emit_csv(
-        args.out,
-        ["radius_m", "time_yr", "interference_time_yr", "interference_radius_m"],
-        rows,
-    )
-    return 0
+    header = ["radius_m", "time_yr", "interference_time_yr", "interference_radius_m"]
+    return [(args.out, _csv(header, rows))]
 
 
 def _column_names(models: list[_Model]) -> list[str]:
@@ -235,7 +227,6 @@ def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -
         "informational anchors (reference values from an unpublished "
         "formulation; deviations are context only, never gates):"
     ]
-    matched = 0
 
     def model_matches(anchor: dict, model: _Model) -> bool:
         if model.base != anchor.get("model"):
@@ -253,50 +244,44 @@ def _anchor_lines(args: argparse.Namespace, runs: list[tuple[_Model, object]]) -
                 return False
         return True
 
-    for anchor in anchors.get("temperature_anchors", []):
+    # each anchor reports against the first run that matches it; a
+    # temperature anchor also needs a run that reaches its time
+    for anchor in anchors.get("temperature_anchors", []) + anchors.get("onset_anchors", []):
         if anchor.get("scenario") != stem:
             continue
         for model, ser in runs:
             if not model_matches(anchor, model):
                 continue
-            t_anchor = anchor["time_yr"] * SECONDS_PER_YEAR
-            if t_anchor > ser.times[-1]:
-                continue
-            engine = float(np.interp(t_anchor, ser.times, ser.outlet_temperatures))
-            dev = engine - anchor["reported_C"]
-            lines.append(
-                f"  {model.token} at {anchor['time_yr']:g} yr: engine {_fmt(engine)} C, "
-                f"reported {anchor['reported_C']:g} C, deviation {dev:+.4g} C [not gated]"
-            )
-            matched += 1
+            if "reported_C" in anchor:
+                t_anchor = anchor["time_yr"] * SECONDS_PER_YEAR
+                if t_anchor > ser.times[-1]:
+                    continue
+                engine = float(np.interp(t_anchor, ser.times, ser.outlet_temperatures))
+                dev = engine - anchor["reported_C"]
+                lines.append(
+                    f"  {model.token} at {anchor['time_yr']:g} yr: engine {_fmt(engine)} C, "
+                    f"reported {anchor['reported_C']:g} C, deviation {dev:+.4g} C [not gated]"
+                )
+            else:
+                onset = onset_of_decline(ser, anchor.get("onset_frac", args.onset_frac))
+                engine_txt = "none" if onset is None else f"{_fmt(onset / SECONDS_PER_YEAR)} yr"
+                dev_txt = (
+                    "n/a"
+                    if onset is None
+                    else f"{onset / SECONDS_PER_YEAR - anchor['reported_yr']:+.4g} yr"
+                )
+                lines.append(
+                    f"  onset {model.token}: engine {engine_txt}, reported "
+                    f"{anchor['reported_yr']:g} yr, deviation {dev_txt} [not gated]"
+                )
             break
 
-    for anchor in anchors.get("onset_anchors", []):
-        if anchor.get("scenario") != stem:
-            continue
-        for model, ser in runs:
-            if not model_matches(anchor, model):
-                continue
-            onset = onset_of_decline(ser, anchor.get("onset_frac", args.onset_frac))
-            engine_txt = "none" if onset is None else f"{_fmt(onset / SECONDS_PER_YEAR)} yr"
-            dev_txt = (
-                "n/a"
-                if onset is None
-                else f"{onset / SECONDS_PER_YEAR - anchor['reported_yr']:+.4g} yr"
-            )
-            lines.append(
-                f"  onset {model.token}: engine {engine_txt}, reported "
-                f"{anchor['reported_yr']:g} yr, deviation {dev_txt} [not gated]"
-            )
-            matched += 1
-            break
-
-    if matched == 0:
+    if len(lines) == 1:
         lines.append(f"  none applicable to scenario {stem!r} with these models")
     return lines
 
 
-def cmd_compare(args: argparse.Namespace) -> int:
+def cmd_compare(args: argparse.Namespace) -> _Output:
     """Run several models on one scenario: wide CSV plus a text report."""
     import numpy as np
 
@@ -314,8 +299,6 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = [
         [times[i] / SECONDS_PER_YEAR, *temp_matrix[:, i]] for i in range(times.size)
     ]
-    _emit_csv(args.out, ["time_yr", *_column_names(models)], rows)
-
     report = []
     for model, ser in runs:
         onset = onset_of_decline(ser, args.onset_frac)
@@ -332,11 +315,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
         f"{_fmt(times[worst] / SECONDS_PER_YEAR)} yr"
     )
     report.extend(_anchor_lines(args, runs))
-    print("\n".join(report))
-    return 0
+    return [
+        (args.out, _csv(["time_yr", *_column_names(models)], rows)),
+        (None, "\n".join(report) + "\n"),
+    ]
 
 
-def cmd_oracle(args: argparse.Namespace) -> int:
+def cmd_oracle(args: argparse.Namespace) -> _Output:
     """Finite-difference run with a per-probe deviation table vs the model."""
     import numpy as np
 
@@ -347,6 +332,10 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     (model,), stehfest = _resolve(args, [args.model])
     if args.probes < 0:
         raise ValueError(f"--probes must be >= 0, got {args.probes}")
+    # an output that cannot be written is refused before the run, not after it
+    for flag, path in (("--out", args.out), ("--snapshot-out", args.snapshot_out)):
+        if path is not None and not path.parent.is_dir():
+            raise ValueError(f"{flag} directory {str(path.parent)!r} does not exist")
     resolved = model.scenario
     horizon = args.horizon_yr * SECONDS_PER_YEAR
 
@@ -369,39 +358,38 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         resolved, grid, probe_times, snapshot_times=snapshot_times, return_details=True
     )
 
-    if probe_times.size:
-        ref = _series(model, probe_times, stehfest).outlet_temperatures
-        deviations = series.outlet_temperatures - ref
-        rows = [
-            [probe_times[i] / SECONDS_PER_YEAR, series.outlet_temperatures[i], ref[i], deviations[i]]
-            for i in range(probe_times.size)
-        ]
-    else:
-        rows = []
-    _emit_csv(args.out, ["time_yr", "T_oracle_C", "T_model_C", "deviation_C"], rows)
-
+    ref = _series(model, probe_times, stehfest).outlet_temperatures
+    deviations = series.outlet_temperatures - ref
+    rows = [
+        [probe_times[i] / SECONDS_PER_YEAR, series.outlet_temperatures[i], ref[i], deviations[i]]
+        for i in range(probe_times.size)
+    ]
     if rows:
         span = resolved.rock.initial_temperature - resolved.fluid.injection_temperature
         worst = int(np.argmax(np.abs(deviations)))
-        print(
+        summary = (
             f"max deviation vs {model.base}: {_fmt(abs(deviations[worst]))} C "
             f"({_fmt(100.0 * abs(deviations[worst]) / span)}% of span) at "
             f"t = {_fmt(probe_times[worst] / SECONDS_PER_YEAR)} yr"
         )
     else:
-        print("no probe times: header-only CSV written")
+        summary = "no probe times: header-only CSV written"
+    output = [
+        (args.out, _csv(["time_yr", "T_oracle_C", "T_model_C", "deviation_C"], rows)),
+        (None, summary + "\n"),
+    ]
 
-    if args.snapshot_out is not None:
-        for snap in details.snapshots:
-            label = _fmt(snap.time / SECONDS_PER_YEAR).replace(".", "p")
-            path = Path(f"{args.snapshot_out}_{label}yr.csv")
-            snap_rows = [
-                [snap.x[i], snap.y[j], snap.temperatures[j, i]]
-                for i in range(snap.x.size)
-                for j in range(snap.y.size)
-            ]
-            _emit_csv(path, ["x_m", "y_m", "T_C"], snap_rows)
-    return 0
+    # snapshots exist only when --snapshot-out is given
+    for snap in details.snapshots:
+        label = _fmt(snap.time / SECONDS_PER_YEAR).replace(".", "p")
+        snap_rows = [
+            [snap.x[i], snap.y[j], snap.temperatures[j, i]]
+            for i in range(snap.x.size)
+            for j in range(snap.y.size)
+        ]
+        path = Path(f"{args.snapshot_out}_{label}yr.csv")
+        output.append((path, _csv(["x_m", "y_m", "T_C"], snap_rows)))
+    return output
 
 
 # flags of the model-running subcommands; each subcommand names the ones it reads
@@ -455,14 +443,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_forecast.set_defaults(run=cmd_forecast)
 
     p_table2 = sub.add_parser("table2", help="thermal radius / interference table -> CSV")
-    p_table2.add_argument("--scenario", type=Path, default=None)
+    p_table2.add_argument("--scenario", **_RUN_FLAGS["--scenario"])
     p_table2.add_argument(
         "--spacings",
         type=str,
         default=_DEFAULT_SPACINGS,
         help=f"comma-separated spacings in m (default {_DEFAULT_SPACINGS}); empty for none",
     )
-    p_table2.add_argument("--out", type=Path, default=None)
+    p_table2.add_argument("--out", **_RUN_FLAGS["--out"])
     p_table2.set_defaults(run=cmd_table2)
 
     p_compare = sub.add_parser("compare", help="models side by side -> CSV + report")
@@ -499,19 +487,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_convert(args: argparse.Namespace) -> int:
-    """Print one unit conversion."""
-    print(_fmt(convert_value(args.value, args.src, args.dst)))
-    return 0
+def cmd_convert(args: argparse.Namespace) -> _Output:
+    """One unit conversion."""
+    return [(None, _fmt(convert_value(args.value, args.src, args.dst)) + "\n")]
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; only here is output written, once it has returned."""
     args = build_parser().parse_args(argv)
     try:
-        return args.run(args)
-    except (ScenarioError, ValueError, ArithmeticError, RuntimeError, OSError) as err:
+        # files first: one that cannot be written then leaves stdout empty
+        for dest, text in sorted(args.run(args), key=lambda pair: pair[0] is None):
+            if dest is None:
+                sys.stdout.write(text)
+            else:
+                with open(dest, "w", encoding="utf-8", newline="\n") as fh:
+                    fh.write(text)
+    except (ValueError, ArithmeticError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -275,9 +275,14 @@ SNAPSHOT_PAIR = "error: --snapshot-yr and --snapshot-out go together: give both 
          "error: snapshot times must be finite, got inf\n"),
         (["--nt", "60", "--probes", "1", "--snapshot-yr", "2"], SNAPSHOT_PAIR),
         (["--nt", "60", "--probes", "1", "--snapshot-out", "snap"], SNAPSHOT_PAIR),
+        # refused before the run, which would otherwise be lost to the write
+        (["--nt", "60", "--probes", "2", "--out", "no-such-dir/run.csv"],
+         "error: --out directory 'no-such-dir' does not exist\n"),
+        (["--nt", "60", "--probes", "2", "--snapshot-yr", "10", "--snapshot-out",
+          "no-such-dir/snap"], "error: --snapshot-out directory 'no-such-dir' does not exist\n"),
     ],
     ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
-         "snapshot-out-alone"],
+         "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)
@@ -329,6 +334,96 @@ def test_compare_checks_onset_fraction_before_writing(tmp_path, capsys):
     assert out == ""
     assert err == "error: onset fraction must lie in (0, 1), got 2.0\n"
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # the far-tail inversion guard trips at 200 yr
+        ["forecast", "--model", "multi_slab", "--steps", "3", "--horizon-yr", "200"],
+        ["compare", "--model", "single", "--model", "gringarten_ref", "--onset-frac", "2"],
+        ["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "2",
+         "--snapshot-yr", "10", "--snapshot-out", "missing/snap"],
+        ["convert", "1", "yr", "C"],
+    ],
+    ids=["forecast-clamp", "compare-onset", "oracle-snapshot-dir", "convert-units"],
+)
+def test_failed_command_writes_nothing(argv, tmp_path, monkeypatch, capsys):
+    # each command fails after its inputs parse; neither stdout nor a file
+    # may show any of the work done before the failure
+    monkeypatch.chdir(tmp_path)
+    out_flag = [] if argv[0] == "convert" else ["--out", "run.csv"]
+    rc, out, err = run(capsys, *argv, *out_flag)
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_file_write_leaves_stdout_empty(tmp_path, monkeypatch, capsys):
+    # files are written before stdout: a snapshot path the system refuses
+    # (here, a directory) ends the call before the CSV and summary print
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "snap_10yr.csv").mkdir()
+    rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", "--nt", "60",
+                       "--probes", "1", "--snapshot-yr", "10", "--snapshot-out", "snap")
+    assert rc == 1
+    assert out == ""
+    assert err.startswith("error:") and "snap_10yr.csv" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--model", "single", "--steps", "2"],
+        ["compare", "--model", "single", "--model", "gringarten_ref", "--steps", "2"],
+        ["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "0"],
+    ],
+    ids=["forecast", "compare", "oracle"],
+)
+def test_spacing_flag_no_model_reads_is_refused(argv, capsys):
+    rc, out, err = run(capsys, *argv, "--spacing-m", "5")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --spacing-m applies only to multi_slab models; drop --spacing-m\n"
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("bogus", "unknown model 'bogus'; expected one of single, gringarten_ref, multi_slab "
+                  "(multi_slab accepts a spacing qualifier, e.g. multi_slab:80)"),
+        ("single:80", "only multi_slab accepts a spacing qualifier, got 'single:80'"),
+        ("multi_slab:abc", "bad spacing qualifier in model token 'multi_slab:abc'"),
+        ("multi_slab:0", "spacing qualifier must be > 0, got 'multi_slab:0'"),
+    ],
+)
+def test_compare_refuses_bad_model_token(token, message, capsys):
+    rc, out, err = run(capsys, "compare", "--model", "single", "--model", token)
+    assert rc == 1
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_multi_slab_refuses_a_single_fracture_scenario(tmp_path, capsys):
+    doc = json.loads(bundled_scenario_path("valles_caldera").read_text())
+    doc["fractures"].update(count=1, spacing=None)
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run(capsys, "forecast", "--model", "multi_slab", "--scenario", str(path))
+    assert rc == 1
+    assert out == ""
+    assert err == "error: model multi_slab requires a scenario with count > 1\n"
+
+
+def test_compare_anchors_past_the_horizon_are_skipped(capsys):
+    # the 50 yr temperature anchors lie past a 10 yr horizon, and the array
+    # has not begun to decline by then
+    rc, out, _ = run(capsys, "compare", "--model", "single", "--model", "multi_slab",
+                     "--horizon-yr", "10")
+    assert rc == 0
+    anchors = out[out.index("informational anchors"):].splitlines()[1:]
+    assert anchors == ["  onset multi_slab: engine none, reported 2.6 yr, deviation n/a [not gated]"]
 
 
 # every option string each subcommand accepts; a flag that its command does

@@ -236,6 +236,30 @@ def test_metadata_passthrough():
     assert sc.metadata["label"] == "demo"
 
 
+def test_metadata_must_be_an_object():
+    d = _valid_dict()
+    d["metadata"] = ["demo"]
+    with pytest.raises(ScenarioError) as err:
+        scenario_from_dict(d)
+    assert str(err.value) == "invalid scenario: metadata must be a JSON object when present"
+
+
+def test_null_spacing_loads_as_none_for_one_fracture():
+    d = _valid_dict()
+    d["fractures"].update(count=1, spacing=None)
+    sc = scenario_from_dict(d)
+    assert sc.fractures.spacing is None
+    assert validate(sc) == []
+
+
+def test_unknown_bundled_scenario_is_refused():
+    with pytest.raises(ScenarioError) as err:
+        bundled_scenario_path("yellowstone")
+    assert str(err.value) == (
+        "unknown bundled scenario 'yellowstone'; available: valles_caldera, zeinali"
+    )
+
+
 @pytest.mark.parametrize("name", BUNDLED_SCENARIOS)
 def test_scenario_round_trips_through_asdict(name):
     # the JSON schema is the dataclasses' fields: every field written out
