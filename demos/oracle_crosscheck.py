@@ -26,8 +26,8 @@ def main():
     probes = np.geomspace(1.0, 50.0, 8) * YR
     grid = semi_infinite_grid(single, nx=80, ny=160, n_steps=800)
     t0 = time.perf_counter()
-    series = fd_simulate(single, grid, probes)
-    print(f"semi-infinite run ({grid.nx}x{grid.ny}, {800} steps, "
+    series, details = fd_simulate(single, grid, probes, return_details=True)
+    print(f"semi-infinite run ({grid.nx}x{grid.ny}, {details.n_steps} steps, "
           f"{time.perf_counter() - t0:.2f} s):")
     print(" t [yr]   FD [C]     closed [C]   diff [C]")
     closed_form = fluid_temp_single(single, x, probes)

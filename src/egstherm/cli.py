@@ -12,9 +12,12 @@ convert    single unit conversion, printed at 6 significant digits
 All CSV output is deterministic: fixed column order, 6-significant-digit
 values, LF line endings. Each cmd_* function returns its output as
 (destination, text) pairs and writes nothing itself; main writes them,
-files first and stdout last, only after the command has returned. So a
-command that fails leaves stdout empty and writes no file; it prints one
-"error:" line to stderr and exits 1.
+files first and stdout last, only after the command has returned. Before
+the command runs, main refuses an --out or --snapshot-out whose directory
+does not exist. Files are written to temporary siblings that replace
+their destinations only once all are written. So a command that fails
+leaves stdout empty and writes no file; it prints one "error:" line to
+stderr and exits 1.
 
 Each subcommand imports only what it runs: convert and table2 need the
 standard library alone, forecast and compare add NumPy and the Laplace
@@ -25,9 +28,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import importlib.resources
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,8 +147,15 @@ def _resolve(
         args.scenario = bundled_scenario_path("valles_caldera")
     sc = load_scenario(args.scenario)
     parsed = [(token, *_parse_model_token(token)) for token in tokens]
-    if args.spacing_m is not None and all(base != "multi_slab" for _, base, _ in parsed):
-        raise ValueError("--spacing-m applies only to multi_slab models; drop --spacing-m")
+    if args.spacing_m is not None:
+        slab_spacings = [spacing for _, base, spacing in parsed if base == "multi_slab"]
+        if not slab_spacings:
+            raise ValueError("--spacing-m applies only to multi_slab models; drop --spacing-m")
+        if None not in slab_spacings:
+            raise ValueError(
+                "--spacing-m is read by no model: each multi_slab token gives its own "
+                "spacing; drop --spacing-m"
+            )
     if args.horizon_yr is None:
         args.horizon_yr = sc.operating.horizon / SECONDS_PER_YEAR
     if not (args.horizon_yr > 0.0 and math.isfinite(args.horizon_yr * SECONDS_PER_YEAR)):
@@ -332,10 +344,6 @@ def cmd_oracle(args: argparse.Namespace) -> _Output:
     (model,), stehfest = _resolve(args, [args.model])
     if args.probes < 0:
         raise ValueError(f"--probes must be >= 0, got {args.probes}")
-    # an output that cannot be written is refused before the run, not after it
-    for flag, path in (("--out", args.out), ("--snapshot-out", args.snapshot_out)):
-        if path is not None and not path.parent.is_dir():
-            raise ValueError(f"{flag} directory {str(path.parent)!r} does not exist")
     resolved = model.scenario
     horizon = args.horizon_yr * SECONDS_PER_YEAR
 
@@ -463,7 +471,11 @@ def build_parser() -> argparse.ArgumentParser:
                    "--out")
     p_oracle.add_argument("--nx", type=int, default=200, help="along-fracture cells")
     p_oracle.add_argument("--ny", type=int, default=400, help="into-rock cells")
-    p_oracle.add_argument("--nt", type=int, default=2000, help="time steps over the horizon")
+    p_oracle.add_argument(
+        "--nt", type=int, default=2000,
+        help="sets the first time step, horizon/nt; later steps double up to 8x it "
+        "(2000 gives 386 steps)",
+    )
     p_oracle.add_argument("--y-max", type=float, default=None, help="rock depth, m (semi-infinite mode)")
     p_oracle.add_argument("--ratio", type=float, default=1.02, help="y-grid stretching ratio")
     p_oracle.add_argument("--probes", type=int, default=8, help="log-spaced probe count (0 for none)")
@@ -492,17 +504,43 @@ def cmd_convert(args: argparse.Namespace) -> _Output:
     return [(None, _fmt(convert_value(args.value, args.src, args.dst)) + "\n")]
 
 
+def _write_files(files: list[tuple[Path, str]]) -> None:
+    """Write every file or none: each goes to a temporary sibling, and the
+    siblings replace their destinations only once all are written."""
+    temps: list[Path] = []
+    try:
+        for dest, text in files:
+            # the one destination a rename in its own directory cannot replace
+            if dest.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
+            temp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
+            with open(temp, "x", encoding="utf-8", newline="\n") as fh:
+                temps.append(temp)
+                fh.write(text)
+        for (dest, _), temp in zip(files, temps):
+            os.replace(temp, dest)
+    except BaseException:
+        for temp in temps:
+            temp.unlink(missing_ok=True)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand; only here is output written, once it has returned."""
     args = build_parser().parse_args(argv)
     try:
+        # an output that cannot be written is refused before the run, not after it
+        destinations = (("--out", getattr(args, "out", None)),
+                        ("--snapshot-out", getattr(args, "snapshot_out", None)))
+        for flag, path in destinations:
+            if path is not None and not path.parent.is_dir():
+                raise ValueError(f"{flag} directory {str(path.parent)!r} does not exist")
+        output = args.run(args)
         # files first: one that cannot be written then leaves stdout empty
-        for dest, text in sorted(args.run(args), key=lambda pair: pair[0] is None):
+        _write_files([(dest, text) for dest, text in output if dest is not None])
+        for dest, text in output:
             if dest is None:
                 sys.stdout.write(text)
-            else:
-                with open(dest, "w", encoding="utf-8", newline="\n") as fh:
-                    fh.write(text)
     except (ValueError, ArithmeticError, RuntimeError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1

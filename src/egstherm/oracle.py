@@ -16,17 +16,26 @@ Numerical layout
   backward-Euler startup steps) taken in modal space. The symmetrized
   interior Laplacian is diagonalized once per run, so a step scales each
   mode by its amplification factor S and adds the face forcing, at every
-  x-station at once. Being linear with constant S, the steps run in blocks
-  (the two startup steps, then Crank-Nicolson blocks of _BLOCK steps): one
-  matrix product gives the face gradient of every step in the block from
-  its starting modes, the face values earned inside the block reach later
+  x-station at once.
+* step ladder: the outlet's error is a start-up transient, so only the
+  start needs the fine step. The first _RUNG steps take grid.dt; the step
+  then doubles every _RUNG steps up to _MAX_MULTIPLE grid.dt, which it
+  keeps to the end. Step end times are grid.dt times integers, the first
+  _RUNG of them exactly k grid.dt. A horizon of 2000 grid.dt takes 386
+  steps. A longer step only raises the fluid march gain (1+q)/(1-q), so a
+  grid whose first step passes the gain check passes it on every rung.
+* blocks: being linear with constant S, the steps of one theta and one
+  step size run in blocks (the two startup steps, then Crank-Nicolson
+  blocks of at most _BLOCK steps that end at the rung edges): one matrix
+  product gives the face gradient of every step in the block from its
+  starting modes, the face values earned inside the block reach later
   steps through precomputed scalars, and one more product advances the
   modes to the block's end. Node values are synthesized only where needed
-  (face gradient, far-boundary check, snapshots, ledger).
+  (face gradient, far-boundary check, snapshots).
 * coupling: within a step the rock update is affine in its face temperature,
   so the fluid march solves the coupled step exactly, once per step, as one
-  precomputed lower-triangular matrix (per theta) applied to the face
-  gradient of the explicit part.
+  precomputed lower-triangular matrix (per theta and step size) applied to
+  the face gradient of the explicit part.
 """
 
 from __future__ import annotations
@@ -65,6 +74,11 @@ _CONTAMINATION_LIMIT_C = 0.1
 # the default grid
 _BLOCK = 32
 
+# the time-step ladder: steps per rung, each rung's step twice the last one's,
+# up to this multiple of grid.dt
+_RUNG = 64
+_MAX_MULTIPLE = 8
+
 
 @dataclass(frozen=True)
 class OracleGrid:
@@ -76,7 +90,9 @@ class OracleGrid:
         Rock depth covered, m. Semi-infinite mode wants >= 6 sqrt(alpha *
         horizon); slab mode uses exactly half the fracture spacing.
     dt : float
-        Time step, s (horizon/2000 is the default choice).
+        First and smallest time step, s (horizon/2000 is the default
+        choice). Later steps are 2, 4 and then 8 times as long (see the
+        module's step ladder), so a run over 2000 dt takes 386 steps.
     nx, ny : int
         Along-fracture and into-rock cell counts, both >= 16.
     bc_far : str
@@ -132,7 +148,9 @@ def semi_infinite_grid(
 ) -> OracleGrid:
     """Truncated half-space grid over ``horizon`` (default: the scenario's).
 
-    The rock depth defaults to six diffusion lengths, 6 sqrt(alpha horizon).
+    The first time step is horizon/n_steps (later ones are longer, so a run
+    over the horizon takes 386 steps at the default 2000). The rock depth
+    defaults to six diffusion lengths, 6 sqrt(alpha horizon).
     """
     if horizon is None:
         horizon = sc.operating.horizon
@@ -152,7 +170,8 @@ def slab_grid(
     horizon: float | None = None,
 ) -> OracleGrid:
     """Slab-mode grid over ``horizon`` (default: the scenario's); the domain
-    ends at the zero-flux midplane, spacing/2."""
+    ends at the zero-flux midplane, spacing/2. The first time step is
+    horizon/n_steps, as in :func:`semi_infinite_grid`."""
     if sc.fractures.spacing is None or not sc.fractures.spacing > 0.0:
         raise ValueError("slab mode requires a scenario with a positive fracture spacing")
     if horizon is None:
@@ -233,15 +252,30 @@ def _gradient_stencil(y: np.ndarray) -> np.ndarray:
     )
 
 
-def _march_matrix(gain: float, nx: int) -> np.ndarray:
+def _march_matrix(gain_powers: np.ndarray) -> np.ndarray:
     """Lower-triangular M with (M p)[i] = sum over j < i of
-    gain**(i-1-j) * (p[j] + p[j+1]): the trapezoid march from a zero inlet."""
-    lag = np.subtract.outer(np.arange(nx + 1), np.arange(nx + 1))
-    powers = np.where(lag >= 0, gain ** np.maximum(lag, 0), 0.0)
-    march = np.zeros_like(powers)
-    march[1:] = powers[:-1] + powers[1:]
+    gain**(i-1-j) * (p[j] + p[j+1]): the trapezoid march from a zero inlet,
+    built from gain_powers = gain ** arange(nx + 1)."""
+    size = gain_powers.size
+    # row i of this Toeplitz view reads gain**(i-j) for j <= i, zeros above
+    padded = np.concatenate([np.zeros(size - 1), gain_powers])
+    powers = np.lib.stride_tricks.sliding_window_view(padded, size)[:, ::-1]
+    march = np.zeros((size, size))
+    np.add(powers[:-1], powers[1:], out=march[1:])
     march[1:, 0] -= powers[1:, 0]
     return march
+
+
+def _ladder(units: float) -> np.ndarray:
+    """End times, in multiples of grid.dt, of the steps a run needs to reach
+    units * grid.dt (less 1e-12), led by the start at 0: _RUNG steps of
+    grid.dt, _RUNG of 2 grid.dt and so on, then _MAX_MULTIPLE grid.dt to
+    the end. The last step may pass units."""
+    top = int(math.log2(_MAX_MULTIPLE))
+    count = top * _RUNG + max(0, math.ceil(units / _MAX_MULTIPLE))
+    multiples = 2 ** np.minimum(np.arange(count) // _RUNG, top)
+    ends = np.concatenate([[0], np.cumsum(multiples)])
+    return ends[: int(np.searchsorted(ends, units - 1e-12)) + 1]
 
 
 def _advance(powers, carry, coeffs, earned, n: int, out: np.ndarray, work: np.ndarray):
@@ -315,12 +349,15 @@ def fd_simulate(
 
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
-    alpha_dt = thermal_diffusivity(sc.rock) * grid.dt
+    alpha = thermal_diffusivity(sc.rock)
     fr = sc.fractures
     coupling = face_coupling(sc)
 
     t_end = float(max(probe_times.max(initial=0.0), snapshot_times.max(initial=0.0)))
-    n_steps = max(0, math.ceil(t_end / grid.dt - 1e-12))
+    # step end times in multiples of grid.dt; step k is multiples[k] long
+    ends = _ladder(t_end / grid.dt)
+    multiples = np.diff(ends)
+    n_steps = multiples.size
 
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
@@ -336,13 +373,14 @@ def fd_simulate(
         rows.append(vectors[-1] / root_w[-1])
     rows = np.array(rows)
 
-    def theta_block(theta: float, length: int):
-        # a block of `length` theta steps from modal state c0: step j scales
-        # by S and adds forcing * w_j, so the state after n steps is
-        # S^n c0 + sum over k < n of S^(n-1-k) forcing w_k; the node rows of
-        # every step come from c0 in one product, and the w_k already
-        # earned in the block reach them through the scalars
+    def theta_block(theta: float, multiple: int, length: int):
+        # a block of `length` theta steps of multiple * grid.dt from modal
+        # state c0: step j scales by S and adds forcing * w_j, so the state
+        # after n steps is S^n c0 + sum over k < n of S^(n-1-k) forcing w_k;
+        # the node rows of every step come from c0 in one product, and the
+        # w_k already earned in the block reach them through the scalars
         # h_d = rows . (S^d forcing)
+        alpha_dt = alpha * (grid.dt * multiple)
         denom = 1.0 - theta * alpha_dt * lam
         scale = (1.0 + (1.0 - theta) * alpha_dt * lam) / denom
         forcing = alpha_dt * face_load / denom
@@ -355,9 +393,14 @@ def fd_simulate(
                 f"(nx={grid.nx}, dx={dx:.4g} m): the grid is too coarse along x "
                 "and the outlet would oscillate along it; raise nx"
             )
-        march = _march_matrix(gain, grid.nx) * (dx * coupling / 2.0 / (1.0 - ratio_q))
-        inlet = (t_cold - t_hot) * gain ** np.arange(grid.nx + 1)
-        powers = scale ** np.arange(length + 1)[:, None]  # row n: S^n
+        gain_powers = gain ** np.arange(grid.nx + 1)
+        march = _march_matrix(gain_powers) * (dx * coupling / 2.0 / (1.0 - ratio_q))
+        inlet = (t_cold - t_hot) * gain_powers
+        # row n: S^n. Powers of |S| with the sign set by the exponent's
+        # parity: pow is far slower on a negative base, and Crank-Nicolson
+        # makes most S negative on the default grid
+        powers = np.abs(scale) ** np.arange(length + 1)[:, None]
+        powers[1::2] *= np.sign(scale)
         # row j * len(rows) + i: node row i seen after step j's scale
         lead_rows = (powers[1:, None, :] * rows).reshape(-1, lam.size)
         # column i: h_(length - i), so h_(j-k) for k <= j is at length - j + k.
@@ -375,8 +418,10 @@ def fd_simulate(
         return powers, lead_rows, echo, far_echo, carry, march, inlet
 
     # the damped startup is one block of two steps; Crank-Nicolson runs in
-    # blocks of _BLOCK, so block edges depend only on the step index
-    blocks = {1.0: theta_block(1.0, 2), 0.5: theta_block(0.5, _BLOCK)}
+    # blocks of at most _BLOCK that end at the rung edges, so block edges
+    # depend only on the step index. Each (theta, multiple) block is built
+    # when first needed.
+    blocks = {}
 
     # modal coefficients of the rock's deviation from T0 at every station,
     # and the fluid (face) deviation
@@ -385,27 +430,30 @@ def fd_simulate(
     work = np.empty_like(coeffs)
     earned = np.empty((_BLOCK, grid.nx + 1))  # w_j of each step in a block
 
-    def rock_field(state: np.ndarray) -> np.ndarray:
-        rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
-        rock[0] += fluid
-        rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
-        return rock
-
     outlet_history = np.empty(n_steps + 1)
     outlet_history[0] = t_hot
 
     snapshots: list[RockSnapshot] = []
-    snapshot_steps = {min(max(1, round(ts / grid.dt)), n_steps) for ts in snapshot_times}
+    # nearest step: the fractional step index at each time, rounded (on the
+    # first rung, where step k ends at k grid.dt, that index is the time
+    # over grid.dt itself)
+    at_step = np.interp(snapshot_times / grid.dt, ends, np.arange(n_steps + 1))
+    snapshot_steps = {min(max(1, round(s)), n_steps) for s in at_step}
 
     step = 0
     while step < n_steps:
         theta = 1.0 if step < 2 else 0.5  # damped startup, then Crank-Nicolson
-        powers, lead_rows, echo, far_echo, carry, march, inlet = blocks[theta]
+        multiple = int(multiples[step])
+        key = (theta, multiple)
+        if key not in blocks:
+            blocks[key] = theta_block(theta, multiple, 2 if theta == 1.0 else _BLOCK)
+        powers, lead_rows, echo, far_echo, carry, march, inlet = blocks[key]
         length = carry.shape[1]
         # every block computes all its rows, so a run cut short inside a
         # block reproduces the longer run's outlets bit for bit
         leads = (lead_rows @ coeffs).reshape(length, rows.shape[0], -1)
-        count = min(length, n_steps - step)
+        rung_end = (step // _RUNG + 1) * _RUNG if multiple < _MAX_MULTIPLE else n_steps
+        count = min(length, n_steps - step, rung_end - step)
         for j in range(count):
             step += 1
             # face gradient after the explicit part (new face value still
@@ -418,11 +466,11 @@ def fd_simulate(
 
             if step in snapshot_steps:
                 state = _advance(powers, carry, coeffs, earned, j + 1, np.empty_like(coeffs), work)
-                snapshots.append(
-                    RockSnapshot(
-                        time=step * grid.dt, x=x.copy(), y=y.copy(), temperatures=rock_field(state)
-                    )
-                )
+                rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
+                rock[0] += fluid
+                rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
+                time = float(ends[step] * grid.dt)
+                snapshots.append(RockSnapshot(time=time, x=x.copy(), y=y.copy(), temperatures=rock))
         if pinned:
             # the node beside y_max after each step of the block
             near = leads[:count, 1] + far_echo[:count, :count] @ earned[:count]
@@ -431,7 +479,7 @@ def fd_simulate(
                 first = int(np.argmax(disturbed > _CONTAMINATION_LIMIT_C))
                 raise RuntimeError(
                     "cooling front reached the truncated far boundary at "
-                    f"t={(step - count + 1 + first) * grid.dt:.6g} s (deviation "
+                    f"t={ends[step - count + 1 + first] * grid.dt:.6g} s (deviation "
                     f"{disturbed[first]:.3g} C beside y_max={grid.y_max:.6g} m); "
                     "enlarge y_max for this horizon"
                 )
@@ -440,23 +488,29 @@ def fd_simulate(
     series = ForecastSeries(
         model="oracle",
         times=probe_times,
-        outlet_temperatures=np.interp(probe_times, np.arange(n_steps + 1) * grid.dt, outlet_history),
+        outlet_temperatures=np.interp(probe_times, ends * grid.dt, outlet_history),
         injection_temperature=t_cold,
         initial_temperature=t_hot,
     )
     if not (return_details or snapshots):
         return series
 
-    # produced enthalpy, each step by its theta rule; the outlet history
-    # starts at T0, the quasi-steady outlet limit at t -> 0
+    # produced enthalpy, each step by its theta rule over its own length; the
+    # outlet history starts at T0, the quasi-steady outlet limit at t -> 0
     q_frac = sc.operating.total_rate / fr.count
     power = sc.fluid.density * sc.fluid.specific_heat * q_frac * (outlet_history - t_cold)
     weight = np.where(np.arange(1, n_steps + 1) <= 2, 1.0, 0.5)
-    fluid_energy = grid.dt * float(np.sum(weight * power[1:] + (1.0 - weight) * power[:-1]))
+    fluid_energy = grid.dt * float(
+        np.sum(multiples * (weight * power[1:] + (1.0 - weight) * power[:-1]))
+    )
     rock_loss = None
     if not pinned:
-        # finite inventory: every joule the slab loses crosses the face
-        deficit = _trapezoid_weights(y) @ (t_hot - rock_field(coeffs)) @ _trapezoid_weights(x)
+        # finite inventory: every joule the slab loses crosses the face. The
+        # unknown nodes are every node below the face, and their trapezoid
+        # weights over root_w are root_w itself
+        w_y = _trapezoid_weights(y)
+        deviation = w_y[0] * fluid + (root_w @ vectors) @ coeffs
+        deficit = -float(deviation @ _trapezoid_weights(x))
         rock_loss = fr.faces * sc.rock.density * sc.rock.specific_heat * fr.height * deficit
     details = OracleDetails(
         snapshots=tuple(snapshots),

@@ -372,6 +372,51 @@ def test_refused_file_write_leaves_stdout_empty(tmp_path, monkeypatch, capsys):
     assert err.startswith("error:") and "snap_10yr.csv" in err
 
 
+def test_multi_file_output_is_all_or_nothing(tmp_path, monkeypatch, capsys):
+    # the snapshot file cannot replace its directory, so the run CSV, written
+    # before it, must not appear either, nor any temporary file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "snap_10yr.csv").mkdir()
+    rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", "--nt", "60",
+                       "--probes", "1", "--snapshot-yr", "10", "--snapshot-out", "snap",
+                       "--out", "run.csv")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: [Errno 21] Is a directory: 'snap_10yr.csv'\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["snap_10yr.csv"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--model", "single", "--steps", "2"],
+        ["compare", "--model", "single", "--model", "gringarten_ref", "--steps", "2"],
+        ["table2"],
+    ],
+    ids=["forecast", "compare", "table2"],
+)
+def test_out_into_missing_directory_is_refused_before_the_run(argv, monkeypatch, capsys):
+    monkeypatch.setattr(egstherm.cli, "_series", lambda *args: pytest.fail("the forecast ran"))
+    rc, out, err = run(capsys, *argv, "--out", "no-such-dir/run.csv")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --out directory 'no-such-dir' does not exist\n"
+
+
+def test_spacing_flag_every_slab_token_overrides_is_refused(capsys):
+    rc, out, err = run(capsys, "compare", "--model", "multi_slab:40", "--model", "multi_slab:80",
+                       "--steps", "2", "--spacing-m", "5")
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: --spacing-m is read by no model: each multi_slab token gives its "
+                   "own spacing; drop --spacing-m\n")
+    # an unqualified multi_slab reads it
+    rc, out, err = run(capsys, "compare", "--model", "multi_slab", "--model", "multi_slab:80",
+                       "--steps", "2", "--spacing-m", "5")
+    assert rc == 0 and err == ""
+    assert out.startswith("time_yr,T_multi_slab_C,T_multi_slab_80m_C\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

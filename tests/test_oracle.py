@@ -30,6 +30,11 @@ SLAB_PROBES = np.array([10.0, 25.0, 50.0]) * YR
 # Independent high-accuracy inversion of the slab transform, frozen.
 SLAB_REFERENCE = np.array([299.90498, 289.58746, 206.14872])
 
+# the step ladder written out to its first step at the cap, in multiples of
+# grid.dt: 64 steps of 1, 64 of 2, 64 of 4, then 8
+MULTIPLES = np.array([1] * 64 + [2] * 64 + [4] * 64 + [8])
+ENDS = np.concatenate([[0], np.cumsum(MULTIPLES)])  # step end times over grid.dt
+
 
 @pytest.fixture(scope="module")
 def semi_run(valles_single):
@@ -167,7 +172,8 @@ def test_fd_outlet_monotone_and_bounded(semi_run):
 
 def test_fd_snapshot_layout(semi_run):
     grid, _, details = semi_run
-    assert details.n_steps == 300
+    # 300 dt: 64 steps of dt, 64 of 2 dt, then 27 of 4 dt
+    assert details.n_steps == 155
     assert len(details.snapshots) == 1
     snap = details.snapshots[0]
     assert snap.time == pytest.approx(10.0 * YR, rel=1e-12)
@@ -212,21 +218,21 @@ def test_fd_near_degenerate_span_is_stable(valles_single):
 
 def test_fd_detects_contaminated_far_boundary(valles_single):
     # 5 m of rock cannot impersonate a half-space for ten years; the front
-    # disturbs y_max at step 1 of the long step and at step 58, inside a
-    # block, of the short one
-    for dt in (50.0 * YR / 300.0, YR / 2000.0):
+    # disturbs y_max at step 1 of the long step, at step 58, inside a block,
+    # of the short one and at step 90, on the second rung, of the shortest
+    for dt in (50.0 * YR / 300.0, YR / 2000.0, YR / 4000.0):
         grid = OracleGrid(y_max=5.0, dt=dt, nx=16, ny=16)
         with pytest.raises(RuntimeError) as err:
             fd_simulate(valles_single, grid, [10.0 * YR])
         msg = str(err.value)
         assert "far boundary" in msg and "y_max" in msg
         # the refusal names the first step whose node beside y_max moved 0.1 C
-        fields = _direct_theta_scheme(valles_single, grid, 60)
+        fields = _direct_theta_scheme(valles_single, grid, MULTIPLES[:100] * grid.dt)
         t_hot = valles_single.rock.initial_temperature
         beside = np.max(np.abs(fields[:, grid.ny - 1] - t_hot), axis=1)
         first = int(np.argmax(beside > 0.1))
         assert first > 0
-        assert f"at t={first * grid.dt:.6g} s " in msg
+        assert f"at t={ENDS[first] * grid.dt:.6g} s " in msg
 
 
 def test_fd_slab_matches_reference_inversion(slab_run):
@@ -251,21 +257,21 @@ def test_fd_slab_energy_balance(slab_run):
     assert details.max_sweeps == 1
 
 
-def _direct_theta_scheme(sc, grid, n_steps):
+def _direct_theta_scheme(sc, grid, dts):
     """The oracle's discrete scheme solved as one dense system per step.
 
     Unknowns are every node of every x-station, the face node doubling as
     the fluid. Rows: the inlet temperature, the trapezoid fluid march driven
     by the one-sided face gradient, the pinned far node (Dirichlet mode) and
-    the theta-weighted 3-point conduction step everywhere else. Each theta
-    system is LU-factored once. Returns the field before the first step and
-    after each step, shape (n_steps + 1, ny + 1, nx + 1); the outlet is
-    [:, 0, nx].
+    the theta-weighted 3-point conduction step everywhere else. dts lists
+    each step's length; the system of each (theta, length) is LU-factored
+    once. Returns the field before the first step and after each step,
+    shape (len(dts) + 1, ny + 1, nx + 1); the outlet is [:, 0, nx].
     """
     y = grid.y_nodes()
     ny, nx = grid.ny, grid.nx
     t_hot = sc.rock.initial_temperature
-    a = thermal_diffusivity(sc.rock) * grid.dt
+    alpha = thermal_diffusivity(sc.rock)
     fr = sc.fractures
     half_march = (
         fr.flow_length / nx / 2.0 * fr.faces * sc.rock.conductivity
@@ -291,10 +297,10 @@ def _direct_theta_scheme(sc, grid, n_steps):
     size = (nx + 1) * (ny + 1)
     faces = np.arange(nx + 1) * (ny + 1)
 
-    def system(theta):
+    def system(theta, dt):
         blocks = np.kron(np.eye(nx + 1), lap)
-        lhs = np.eye(size) - theta * a * blocks
-        rhs = np.eye(size) + (1.0 - theta) * a * blocks
+        lhs = np.eye(size) - theta * alpha * dt * blocks
+        rhs = np.eye(size) + (1.0 - theta) * alpha * dt * blocks
         lhs[faces] = 0.0
         rhs[faces] = 0.0
         lhs[faces, faces] = 1.0
@@ -310,70 +316,105 @@ def _direct_theta_scheme(sc, grid, n_steps):
         return lhs, rhs
 
     systems = {}
-    for theta in (1.0, 0.5):
-        lhs, rhs = system(theta)
-        systems[theta] = lu_factor(lhs), rhs
     fields = [np.full(size, t_hot)]
-    for step in range(1, n_steps + 1):
-        lu, rhs = systems[1.0 if step <= 2 else 0.5]
+    for step, dt in enumerate(dts, start=1):
+        key = (1.0 if step <= 2 else 0.5, dt)
+        if key not in systems:
+            lhs, rhs = system(*key)
+            systems[key] = lu_factor(lhs), rhs
+        lu, rhs = systems[key]
         b = rhs @ fields[-1]
         b[0] = sc.fluid.injection_temperature
         if pinned:
             b[faces + ny] = t_hot
         fields.append(lu_solve(lu, b))
-    return np.array(fields).reshape(n_steps + 1, nx + 1, ny + 1).transpose(0, 2, 1)
+    return np.array(fields).reshape(len(dts) + 1, nx + 1, ny + 1).transpose(0, 2, 1)
 
 
+# first steps per grid: the slab's fluid march at nx = 16 needs the long
+# first step of 100 per horizon, and the half-space the short one of 512 so
+# that the front stays clear of y_max up to step 193
 MODES = pytest.mark.parametrize(
-    "scenario,factory",
-    [("valles_single", semi_infinite_grid), ("valles", slab_grid)],
+    "scenario,factory,per_horizon",
+    [("valles_single", semi_infinite_grid, 512), ("valles", slab_grid, 100)],
     ids=["dirichlet_T0", "neumann_zero"],
 )
 
 # step counts on either side of the block edges (after steps 2, 2 + B, ...)
-# and snapshot steps inside blocks
-EDGE_STEPS = (1, 2, 3, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3, 100)
-INNER_SNAPSHOTS = (3, 37, 61)
+# and the rung edges (after steps 64, 128, 192), and snapshot steps inside
+# blocks of every rung
+EDGE_STEPS = (1, 2, 3, _BLOCK + 1, _BLOCK + 2, _BLOCK + 3, 64, 65, 66, 100, 128, 129, 192, 193)
+INNER_SNAPSHOTS = (3, 37, 61, 65, 100, 129, 150, 193)
 
 
 @MODES
-def test_fd_matches_direct_theta_scheme(scenario, factory, request):
+def test_fd_matches_direct_theta_scheme(scenario, factory, per_horizon, request):
     sc = request.getfixturevalue(scenario)
-    grid = factory(sc, nx=16, ny=32, n_steps=100)
-    fields = _direct_theta_scheme(sc, grid, 100)
+    grid = factory(sc, nx=16, ny=32, n_steps=per_horizon)
+    fields = _direct_theta_scheme(sc, grid, MULTIPLES * grid.dt)
     for n_steps in EDGE_STEPS:
         steps = np.arange(1, n_steps + 1)
         snaps = [s for s in INNER_SNAPSHOTS if s < n_steps] + [n_steps]
         series, details = fd_simulate(
-            sc, grid, steps * grid.dt, snapshot_times=np.array(snaps) * grid.dt,
+            sc, grid, ENDS[steps] * grid.dt, snapshot_times=ENDS[snaps] * grid.dt,
             return_details=True,
         )
         assert details.n_steps == n_steps and details.max_sweeps == 1
         assert np.max(np.abs(series.outlet_temperatures - fields[steps, 0, -1])) < 1e-9
-        assert [snap.time for snap in details.snapshots] == [s * grid.dt for s in snaps]
+        assert [snap.time for snap in details.snapshots] == [ENDS[s] * grid.dt for s in snaps]
         for s, snap in zip(snaps, details.snapshots):
             assert np.max(np.abs(snap.temperatures - fields[s])) < 1e-9
 
 
 @MODES
-def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, request):
+def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, per_horizon, request):
     # block edges follow the step index alone: asking for snapshots or
     # details, or stopping early, leaves every outlet bit for bit
     sc = request.getfixturevalue(scenario)
-    grid = factory(sc, nx=16, ny=32, n_steps=100)
-    steps = np.arange(1, 101)
-    full = fd_simulate(sc, grid, steps * grid.dt).outlet_temperatures
+    grid = factory(sc, nx=16, ny=32, n_steps=per_horizon)
+    ends = ENDS[1:] * grid.dt
+    full = fd_simulate(sc, grid, ends).outlet_temperatures
     for n_steps in EDGE_STEPS:
-        probes = steps[:n_steps] * grid.dt
+        probes = ends[:n_steps]
         plain = fd_simulate(sc, grid, probes).outlet_temperatures
         assert np.array_equal(plain, full[:n_steps])
         detailed, _ = fd_simulate(
-            sc, grid, probes, snapshot_times=np.array(INNER_SNAPSHOTS) * grid.dt,
+            sc, grid, probes, snapshot_times=ENDS[list(INNER_SNAPSHOTS)] * grid.dt,
             return_details=True,
         )
         assert np.array_equal(detailed.outlet_temperatures, plain)
         assert np.array_equal(fd_simulate(sc, grid, probes, return_details=True)[0]
                               .outlet_temperatures, plain)
+
+
+def test_fd_snapshot_takes_the_nearest_step(valles_single):
+    # a snapshot time between step ends goes to the nearer one: t / dt
+    # rounded on the first rung, where step k ends at k dt, and likewise
+    # by the fractional step index on the later ones (steps 129 and 130
+    # are 4 dt long)
+    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=512)
+    units = np.array([10.4, 10.6, ENDS[129] + 1.5, ENDS[129] + 2.5])
+    _, details = fd_simulate(
+        valles_single, grid, [grid.dt], snapshot_times=units * grid.dt, return_details=True
+    )
+    assert [snap.time for snap in details.snapshots] == [
+        ENDS[s] * grid.dt for s in (10, 11, 129, 130)
+    ]
+
+
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+def test_fd_slab_at_nx_100_runs_every_rung(site, request):
+    # nx = 100 is accepted at the default first step (see the refusal test
+    # above); the ladder's longer steps only raise the march gain, so the
+    # run reaches the horizon through every rung
+    sc = request.getfixturevalue(site)
+    horizon = sc.operating.horizon
+    series, details = fd_simulate(
+        sc, slab_grid(sc, nx=100), [horizon / 100.0, horizon], return_details=True
+    )
+    assert details.n_steps == 64 * 3 + (2000 - 448) // 8
+    assert np.all(np.isfinite(series.outlet_temperatures))
+    assert details.energy_imbalance < 1e-6
 
 
 def test_convergence_study_rejects_single_level(valles_single):
