@@ -506,14 +506,15 @@ def cmd_convert(args: argparse.Namespace) -> _Output:
 
 def _write_files(files: list[tuple[Path, str]]) -> None:
     """Write every file or none: each goes to a temporary sibling, and the
-    siblings replace their destinations only once all are written."""
+    siblings replace their destinations only once all are written, in order,
+    so of two outputs with one destination the later one stays."""
     temps: list[Path] = []
     try:
-        for dest, text in files:
+        for index, (dest, text) in enumerate(files):
             # the one destination a rename in its own directory cannot replace
             if dest.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
-            temp = dest.with_name(f".{dest.name}.{os.getpid()}.tmp")
+            temp = dest.with_name(f".{dest.name}.{os.getpid()}.{index}.tmp")
             with open(temp, "x", encoding="utf-8", newline="\n") as fh:
                 temps.append(temp)
                 fh.write(text)

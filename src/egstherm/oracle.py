@@ -22,11 +22,16 @@ Numerical layout
   then doubles every _RUNG steps up to _MAX_MULTIPLE grid.dt, which it
   keeps to the end. Step end times are grid.dt times integers, the first
   _RUNG of them exactly k grid.dt. A horizon of 2000 grid.dt takes 386
-  steps. A longer step only raises the fluid march gain (1+q)/(1-q), so a
-  grid whose first step passes the gain check passes it on every rung.
+  steps. The first step of each longer rung is damped like the startup:
+  a change of step size excites modes that Crank-Nicolson barely damps,
+  and where the outlet has all but reached the injection temperature
+  their ringing would take it below. The march gain (1+q)/(1-q) rises
+  with theta times the step, so a grid whose startup passes the gain
+  check passes it on every rung.
 * blocks: being linear with constant S, the steps of one theta and one
-  step size run in blocks (the two startup steps, then Crank-Nicolson
-  blocks of at most _BLOCK steps that end at the rung edges): one matrix
+  step size run in blocks (damped steps in blocks of at most two,
+  Crank-Nicolson in blocks of at most _BLOCK; a block ends where the
+  theta or the step size changes): one matrix
   product gives the face gradient of every step in the block from its
   starting modes, the face values earned inside the block reach later
   steps through precomputed scalars, and one more product advances the
@@ -266,16 +271,21 @@ def _march_matrix(gain_powers: np.ndarray) -> np.ndarray:
     return march
 
 
-def _ladder(units: float) -> np.ndarray:
-    """End times, in multiples of grid.dt, of the steps a run needs to reach
-    units * grid.dt (less 1e-12), led by the start at 0: _RUNG steps of
-    grid.dt, _RUNG of 2 grid.dt and so on, then _MAX_MULTIPLE grid.dt to
-    the end. The last step may pass units."""
+def _ladder(units: float):
+    """The steps a run needs to reach units * grid.dt (less 1e-12): their end
+    times in multiples of grid.dt, led by the start at 0, and their thetas.
+    _RUNG steps take grid.dt, _RUNG take 2 grid.dt and so on, then
+    _MAX_MULTIPLE grid.dt to the end; the last step may pass units. The first
+    two steps and the first step of each longer rung are damped (theta 1),
+    the rest Crank-Nicolson (theta 1/2)."""
     top = int(math.log2(_MAX_MULTIPLE))
     count = top * _RUNG + max(0, math.ceil(units / _MAX_MULTIPLE))
     multiples = 2 ** np.minimum(np.arange(count) // _RUNG, top)
     ends = np.concatenate([[0], np.cumsum(multiples)])
-    return ends[: int(np.searchsorted(ends, units - 1e-12)) + 1]
+    ends = ends[: int(np.searchsorted(ends, units - 1e-12)) + 1]
+    damped = np.arange(count) < 2
+    damped[1:] |= np.diff(multiples) != 0
+    return ends, np.where(damped, 1.0, 0.5)[: ends.size - 1]
 
 
 def _advance(powers, carry, coeffs, earned, n: int, out: np.ndarray, work: np.ndarray):
@@ -329,8 +339,8 @@ def fd_simulate(
     ------
     ValueError
         If a probe or snapshot time is not a finite number > 0, or if the
-        fluid march gain of either theta step is not positive: the
-        grid is too coarse along x and the outlet would oscillate along it.
+        fluid march gain of a step is not positive: the grid is too coarse
+        along x and the outlet would oscillate along it.
     RuntimeError
         If semi-infinite mode detects the cooling front disturbing the
         truncated far boundary (more than 0.1 C), which means y_max is too
@@ -355,9 +365,13 @@ def fd_simulate(
 
     t_end = float(max(probe_times.max(initial=0.0), snapshot_times.max(initial=0.0)))
     # step end times in multiples of grid.dt; step k is multiples[k] long
-    ends = _ladder(t_end / grid.dt)
+    ends, thetas = _ladder(t_end / grid.dt)
     multiples = np.diff(ends)
     n_steps = multiples.size
+    # a block ends at its length or where the step's theta or size changes,
+    # so block edges depend only on the step index
+    changes = (np.diff(thetas) != 0) | (np.diff(multiples) != 0)
+    edges = np.append(np.flatnonzero(changes) + 1, n_steps)
 
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
@@ -396,11 +410,17 @@ def fd_simulate(
         gain_powers = gain ** np.arange(grid.nx + 1)
         march = _march_matrix(gain_powers) * (dx * coupling / 2.0 / (1.0 - ratio_q))
         inlet = (t_cold - t_hot) * gain_powers
-        # row n: S^n. Powers of |S| with the sign set by the exponent's
-        # parity: pow is far slower on a negative base, and Crank-Nicolson
-        # makes most S negative on the default grid
-        powers = np.abs(scale) ** np.arange(length + 1)[:, None]
-        powers[1::2] *= np.sign(scale)
+        # row n: S^n. The first rung keeps NumPy's power, so its outlets
+        # stay bit for bit those of the uniform-step scheme the oracle ran
+        # before the ladder; longer steps take powers of |S| with the sign
+        # set by the exponent's parity, within 1 ulp of it and ~20x faster
+        # on the negative S that Crank-Nicolson gives most modes
+        exponents = np.arange(length + 1)[:, None]
+        if multiple == 1:
+            powers = scale**exponents
+        else:
+            powers = np.abs(scale) ** exponents
+            powers[1::2] *= np.sign(scale)
         # row j * len(rows) + i: node row i seen after step j's scale
         lead_rows = (powers[1:, None, :] * rows).reshape(-1, lam.size)
         # column i: h_(length - i), so h_(j-k) for k <= j is at length - j + k.
@@ -417,10 +437,9 @@ def fd_simulate(
         carry = (powers[length - 1 :: -1] * forcing).T
         return powers, lead_rows, echo, far_echo, carry, march, inlet
 
-    # the damped startup is one block of two steps; Crank-Nicolson runs in
-    # blocks of at most _BLOCK that end at the rung edges, so block edges
-    # depend only on the step index. Each (theta, multiple) block is built
-    # when first needed.
+    # damped steps run in blocks of (at most) two, Crank-Nicolson in blocks
+    # of at most _BLOCK; each (theta, multiple) block is built when first
+    # needed
     blocks = {}
 
     # modal coefficients of the rock's deviation from T0 at every station,
@@ -442,7 +461,7 @@ def fd_simulate(
 
     step = 0
     while step < n_steps:
-        theta = 1.0 if step < 2 else 0.5  # damped startup, then Crank-Nicolson
+        theta = float(thetas[step])
         multiple = int(multiples[step])
         key = (theta, multiple)
         if key not in blocks:
@@ -452,8 +471,7 @@ def fd_simulate(
         # every block computes all its rows, so a run cut short inside a
         # block reproduces the longer run's outlets bit for bit
         leads = (lead_rows @ coeffs).reshape(length, rows.shape[0], -1)
-        rung_end = (step // _RUNG + 1) * _RUNG if multiple < _MAX_MULTIPLE else n_steps
-        count = min(length, n_steps - step, rung_end - step)
+        count = min(length, int(edges[np.searchsorted(edges, step, side="right")]) - step)
         for j in range(count):
             step += 1
             # face gradient after the explicit part (new face value still
@@ -499,9 +517,8 @@ def fd_simulate(
     # outlet history starts at T0, the quasi-steady outlet limit at t -> 0
     q_frac = sc.operating.total_rate / fr.count
     power = sc.fluid.density * sc.fluid.specific_heat * q_frac * (outlet_history - t_cold)
-    weight = np.where(np.arange(1, n_steps + 1) <= 2, 1.0, 0.5)
     fluid_energy = grid.dt * float(
-        np.sum(multiples * (weight * power[1:] + (1.0 - weight) * power[:-1]))
+        np.sum(multiples * (thetas * power[1:] + (1.0 - thetas) * power[:-1]))
     )
     rock_loss = None
     if not pinned:

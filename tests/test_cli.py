@@ -386,6 +386,18 @@ def test_multi_file_output_is_all_or_nothing(tmp_path, monkeypatch, capsys):
     assert [p.name for p in tmp_path.iterdir()] == ["snap_10yr.csv"]
 
 
+def test_outputs_sharing_a_destination_leave_the_later_one(tmp_path, monkeypatch, capsys):
+    # --out names the file the snapshot also writes: both are written, in
+    # order, and only the snapshot remains
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", "--nt", "60",
+                       "--probes", "1", "--snapshot-yr", "10", "--snapshot-out", "snap",
+                       "--out", "snap_10yr.csv")
+    assert rc == 0 and err == ""
+    assert [p.name for p in tmp_path.iterdir()] == ["snap_10yr.csv"]
+    assert (tmp_path / "snap_10yr.csv").read_text().startswith("x_m,y_m,T_C\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

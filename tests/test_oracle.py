@@ -31,8 +31,11 @@ SLAB_PROBES = np.array([10.0, 25.0, 50.0]) * YR
 SLAB_REFERENCE = np.array([299.90498, 289.58746, 206.14872])
 
 # the step ladder written out to its first step at the cap, in multiples of
-# grid.dt: 64 steps of 1, 64 of 2, 64 of 4, then 8
+# grid.dt: 64 steps of 1, 64 of 2, 64 of 4, then 8. The first two steps and
+# the first step of each longer rung are backward Euler, the rest
+# Crank-Nicolson.
 MULTIPLES = np.array([1] * 64 + [2] * 64 + [4] * 64 + [8])
+THETAS = np.array([1.0] * 2 + [0.5] * 62 + ([1.0] + [0.5] * 63) * 2 + [1.0])
 ENDS = np.concatenate([[0], np.cumsum(MULTIPLES)])  # step end times over grid.dt
 
 
@@ -227,7 +230,7 @@ def test_fd_detects_contaminated_far_boundary(valles_single):
         msg = str(err.value)
         assert "far boundary" in msg and "y_max" in msg
         # the refusal names the first step whose node beside y_max moved 0.1 C
-        fields = _direct_theta_scheme(valles_single, grid, MULTIPLES[:100] * grid.dt)
+        fields = _direct_theta_scheme(valles_single, grid, MULTIPLES[:100] * grid.dt, THETAS)
         t_hot = valles_single.rock.initial_temperature
         beside = np.max(np.abs(fields[:, grid.ny - 1] - t_hot), axis=1)
         first = int(np.argmax(beside > 0.1))
@@ -257,15 +260,15 @@ def test_fd_slab_energy_balance(slab_run):
     assert details.max_sweeps == 1
 
 
-def _direct_theta_scheme(sc, grid, dts):
+def _direct_theta_scheme(sc, grid, dts, thetas):
     """The oracle's discrete scheme solved as one dense system per step.
 
     Unknowns are every node of every x-station, the face node doubling as
     the fluid. Rows: the inlet temperature, the trapezoid fluid march driven
     by the one-sided face gradient, the pinned far node (Dirichlet mode) and
-    the theta-weighted 3-point conduction step everywhere else. dts lists
-    each step's length; the system of each (theta, length) is LU-factored
-    once. Returns the field before the first step and after each step,
+    the theta-weighted 3-point conduction step everywhere else. Step k
+    takes dts[k] with thetas[k]; the system of each (theta, length) is
+    LU-factored once. Returns the field before the first step and after each step,
     shape (len(dts) + 1, ny + 1, nx + 1); the outlet is [:, 0, nx].
     """
     y = grid.y_nodes()
@@ -317,8 +320,8 @@ def _direct_theta_scheme(sc, grid, dts):
 
     systems = {}
     fields = [np.full(size, t_hot)]
-    for step, dt in enumerate(dts, start=1):
-        key = (1.0 if step <= 2 else 0.5, dt)
+    for dt, theta in zip(dts, thetas):
+        key = (theta, dt)
         if key not in systems:
             lhs, rhs = system(*key)
             systems[key] = lu_factor(lhs), rhs
@@ -351,7 +354,7 @@ INNER_SNAPSHOTS = (3, 37, 61, 65, 100, 129, 150, 193)
 def test_fd_matches_direct_theta_scheme(scenario, factory, per_horizon, request):
     sc = request.getfixturevalue(scenario)
     grid = factory(sc, nx=16, ny=32, n_steps=per_horizon)
-    fields = _direct_theta_scheme(sc, grid, MULTIPLES * grid.dt)
+    fields = _direct_theta_scheme(sc, grid, MULTIPLES * grid.dt, THETAS)
     for n_steps in EDGE_STEPS:
         steps = np.arange(1, n_steps + 1)
         snaps = [s for s in INNER_SNAPSHOTS if s < n_steps] + [n_steps]
@@ -415,6 +418,21 @@ def test_fd_slab_at_nx_100_runs_every_rung(site, request):
     assert details.n_steps == 64 * 3 + (2000 - 448) // 8
     assert np.all(np.isfinite(series.outlet_temperatures))
     assert details.energy_imbalance < 1e-6
+
+
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+def test_fd_drained_slab_outlet_decays_smoothly(site, request):
+    # 5.12 horizons on a coarse slab: 8 steps into the cap the outlet is
+    # 1.6e-5 C above injection and still falling. A change of step size
+    # excites modes that Crank-Nicolson barely damps; without the damped
+    # first step of each rung their ringing outlives the outlet's decay and
+    # takes it below the injection temperature, which fd_simulate refuses
+    sc = request.getfixturevalue(site)
+    grid = slab_grid(sc, nx=16, ny=32, n_steps=100)
+    series = fd_simulate(sc, grid, np.arange(1, 513) * grid.dt)
+    outlets = series.outlet_temperatures
+    assert np.all(np.diff(outlets) <= 0.0)
+    assert outlets[-1] > sc.fluid.injection_temperature
 
 
 def test_convergence_study_rejects_single_level(valles_single):
