@@ -14,10 +14,10 @@ values, LF line endings. Each cmd_* function returns its output as
 (destination, text) pairs and writes nothing itself; main writes them,
 files first and stdout last, only after the command has returned. Before
 the command runs, main refuses an --out or --snapshot-out whose directory
-does not exist. Files are written to temporary siblings that replace
-their destinations only once all are written. So a command that fails
-leaves stdout empty and writes no file; it prints one "error:" line to
-stderr and exits 1.
+does not exist, and an --out that names a directory. Files are written
+to temporary siblings that replace their destinations only once all are
+written. So a command that fails leaves stdout empty and writes no file;
+it prints one "error:" line to stderr and exits 1.
 
 Each subcommand imports only what it runs: convert and table2 need the
 standard library alone, forecast and compare add NumPy and the Laplace
@@ -147,10 +147,12 @@ def _resolve(
         args.scenario = bundled_scenario_path("valles_caldera")
     sc = load_scenario(args.scenario)
     parsed = [(token, *_parse_model_token(token)) for token in tokens]
+    slab_spacings = [spacing for _, base, spacing in parsed if base == "multi_slab"]
+    if not slab_spacings:
+        for flag, value in (("--stehfest-n", args.stehfest_n), ("--spacing-m", args.spacing_m)):
+            if value is not None:
+                raise ValueError(f"{flag} applies only to multi_slab models; drop {flag}")
     if args.spacing_m is not None:
-        slab_spacings = [spacing for _, base, spacing in parsed if base == "multi_slab"]
-        if not slab_spacings:
-            raise ValueError("--spacing-m applies only to multi_slab models; drop --spacing-m")
         if None not in slab_spacings:
             raise ValueError(
                 "--spacing-m is read by no model: each multi_slab token gives its own "
@@ -164,7 +166,8 @@ def _resolve(
         _Model(token, base, spacing, _model_scenario(sc, base, spacing, args))
         for token, base, spacing in parsed
     ]
-    return models, StehfestConfig(args.stehfest_n)
+    stehfest = StehfestConfig() if args.stehfest_n is None else StehfestConfig(args.stehfest_n)
+    return models, stehfest
 
 
 def _forecast_times(args: argparse.Namespace, sc: Scenario) -> np.ndarray:
@@ -405,7 +408,7 @@ _RUN_FLAGS = {
     "--scenario": dict(type=Path, default=None, help="scenario JSON (default: bundled valles_caldera)"),
     "--horizon-yr": dict(type=float, default=None, help="forecast horizon, years"),
     "--steps": dict(type=int, default=None, help="number of time samples"),
-    "--stehfest-n": dict(type=int, default=12, help="Stehfest term count"),
+    "--stehfest-n": dict(type=int, default=None, help="Stehfest term count, multi_slab only (default 12)"),
     "--onset-frac": dict(type=float, default=0.01, help="decline-onset fraction of span"),
     "--faces": dict(type=int, choices=(1, 2), default=None, help="override exchange faces"),
     "--spacing-m": dict(type=float, default=None, help="override fracture spacing, m"),
@@ -511,7 +514,9 @@ def _write_files(files: list[tuple[Path, str]]) -> None:
     temps: list[Path] = []
     try:
         for index, (dest, text) in enumerate(files):
-            # the one destination a rename in its own directory cannot replace
+            # the one destination a rename in its own directory cannot replace;
+            # main refuses it for --out before the run, but snapshot paths
+            # are known only now
             if dest.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(dest))
             temp = dest.with_name(f".{dest.name}.{os.getpid()}.{index}.tmp")
@@ -531,11 +536,14 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         # an output that cannot be written is refused before the run, not after it
-        destinations = (("--out", getattr(args, "out", None)),
-                        ("--snapshot-out", getattr(args, "snapshot_out", None)))
+        out = getattr(args, "out", None)
+        destinations = (("--out", out), ("--snapshot-out", getattr(args, "snapshot_out", None)))
         for flag, path in destinations:
             if path is not None and not path.parent.is_dir():
                 raise ValueError(f"{flag} directory {str(path.parent)!r} does not exist")
+        # --snapshot-out is a prefix; its files are checked when written
+        if out is not None and out.is_dir():
+            raise ValueError(f"--out {str(out)!r} is a directory, not a file")
         output = args.run(args)
         # files first: one that cannot be written then leaves stdout empty
         _write_files([(dest, text) for dest, text in output if dest is not None])

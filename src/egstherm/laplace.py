@@ -137,11 +137,10 @@ def stehfest_invert(
         raise ArithmeticError(
             f"Laplace image evaluation failed on s={float(s.min())!r}..{float(s.max())!r}: {err}"
         ) from err
-    # one term at a time, in order: a pairwise np.sum would move the last bits
-    acc = np.zeros(t_arr.shape, dtype=np.longdouble)
-    for j in range(config.n_terms):
-        acc += weights[j] * values[..., j]
-    out = (log2_over_t * acc).astype(float)
+    # NumPy's longdouble product sums the terms in order, as the series is
+    # written; np.sum's pairwise order would move the last bits of a sum that
+    # cancels weights of up to ~10^9 against each other
+    out = (log2_over_t * (values @ weights)).astype(float)
     return float(out) if out.ndim == 0 else out
 
 

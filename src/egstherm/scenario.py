@@ -211,9 +211,9 @@ def face_coupling(sc: Scenario) -> float:
 def transfer_coefficient(sc: Scenario, x: float) -> float:
     """Convective-conductive transfer coefficient at distance x, s^(1/2).
 
-    a(x) = faces k x / (rho_f c_f v b sqrt(alpha)). The group controls the
-    outlet response: the produced temperature is a function of a/(2 sqrt(t))
-    alone. Linear in x and in the face count.
+    a(x) = face_coupling(sc) x / sqrt(alpha). The group controls the outlet
+    response: the produced temperature is a function of a/(2 sqrt(t)) alone.
+    Linear in x and in the face count.
 
     Parameters
     ----------
@@ -226,15 +226,7 @@ def transfer_coefficient(sc: Scenario, x: float) -> float:
         raise ValueError(
             f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}"
         )
-    alpha = thermal_diffusivity(sc.rock)
-    v = fracture_velocity(sc)
-    fl = sc.fluid
-    return (
-        sc.fractures.faces
-        * sc.rock.conductivity
-        * x
-        / (fl.density * fl.specific_heat * v * sc.fractures.aperture * math.sqrt(alpha))
-    )
+    return face_coupling(sc) * x / math.sqrt(thermal_diffusivity(sc.rock))
 
 
 def collapse_to_single(sc: Scenario, faces: int = 1) -> Scenario:

@@ -415,6 +415,28 @@ def test_out_into_missing_directory_is_refused_before_the_run(argv, monkeypatch,
     assert err == "error: --out directory 'no-such-dir' does not exist\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--model", "single", "--steps", "2"],
+        ["compare", "--model", "single", "--model", "gringarten_ref", "--steps", "2"],
+        ["oracle", "--model", "multi_slab", "--nx", "16", "--ny", "16", "--nt", "60",
+         "--probes", "1"],
+    ],
+    ids=["forecast", "compare", "oracle"],
+)
+def test_out_naming_a_directory_is_refused_before_the_run(argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "results").mkdir()
+    monkeypatch.setattr(egstherm.cli, "_resolve", lambda *args: pytest.fail("the command ran"))
+    rc, out, err = run(capsys, *argv, "--out", "results")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --out 'results' is a directory, not a file\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["results"]
+    assert list((tmp_path / "results").iterdir()) == []
+
+
 def test_spacing_flag_every_slab_token_overrides_is_refused(capsys):
     rc, out, err = run(capsys, "compare", "--model", "multi_slab:40", "--model", "multi_slab:80",
                        "--steps", "2", "--spacing-m", "5")
@@ -443,6 +465,42 @@ def test_spacing_flag_no_model_reads_is_refused(argv, capsys):
     assert rc == 1
     assert out == ""
     assert err == "error: --spacing-m applies only to multi_slab models; drop --spacing-m\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["forecast", "--model", "single", "--steps", "2"],
+        ["compare", "--model", "single", "--model", "gringarten_ref", "--steps", "2"],
+        ["oracle", "--model", "single", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "0"],
+    ],
+    ids=["forecast", "compare", "oracle"],
+)
+def test_stehfest_flag_no_model_reads_is_refused(argv, capsys):
+    rc, out, err = run(capsys, *argv, "--stehfest-n", "14")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: --stehfest-n applies only to multi_slab models; drop --stehfest-n\n"
+
+
+def test_forecast_stehfest_flag_sets_the_inversion_order(capsys):
+    argv = ["forecast", "--model", "multi_slab", "--steps", "20"]
+    rc, default, err = run(capsys, *argv)
+    assert rc == 0 and err == ""
+    # the default order is 12, and 14 moves the inverted outlets
+    assert run(capsys, *argv, "--stehfest-n", "12") == (0, default, "")
+    rc, order_14, err = run(capsys, *argv, "--stehfest-n", "14")
+    assert rc == 0 and err == ""
+    assert order_14.startswith("time_yr,T_out_C,model\n")
+    assert order_14 != default
+    assert len(order_14.splitlines()) == len(default.splitlines()) == 21
+
+
+def test_odd_stehfest_flag_is_refused(capsys):
+    rc, out, err = run(capsys, "forecast", "--model", "multi_slab", "--stehfest-n", "7")
+    assert rc == 1
+    assert out == ""
+    assert err == "error: Stehfest term count must be an even integer in [6, 20], got 7\n"
 
 
 @pytest.mark.parametrize(
