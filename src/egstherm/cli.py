@@ -433,8 +433,6 @@ def _add_run_flags(parser: argparse.ArgumentParser, model: dict, *flags: str) ->
 
 def _parse_spacings(text: str) -> list[float]:
     text = text.strip()
-    if not text:
-        return []
     try:
         return [float(tok) for tok in text.split(",") if tok.strip() != ""]
     except ValueError:

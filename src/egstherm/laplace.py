@@ -103,7 +103,7 @@ class StehfestConfig:
 
 
 def stehfest_invert(
-    image: LaplaceImage, t: float | np.ndarray, config: StehfestConfig | None = None
+    image: LaplaceImage, t: float | np.ndarray, config: StehfestConfig = StehfestConfig()
 ) -> float | np.ndarray:
     """Evaluate the inverse transform at time t > 0, or at an array of times.
 
@@ -122,8 +122,6 @@ def stehfest_invert(
         If the image raises; the sampled range of s is named and the
         original error chained.
     """
-    if config is None:
-        config = StehfestConfig()
     t_arr = np.asarray(t, dtype=float)
     if not np.all(t_arr > 0.0):
         bad = t_arr[~(t_arr > 0.0)].flat[0]
@@ -246,9 +244,7 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
     )
 
 
-def multi_fracture_forecast(
-    sc, times: Sequence[float], config: StehfestConfig | None = None
-):
+def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig = StehfestConfig()):
     """Produced-temperature forecast at the fracture outlet, any array size.
 
     A single fracture takes the exact closed-form path. An array takes the
@@ -265,8 +261,6 @@ def multi_fracture_forecast(
     violations = validate(sc)
     if violations:
         raise ValueError("invalid scenario: " + "; ".join(violations))
-    if config is None:
-        config = StehfestConfig()
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a one-dimensional sequence of seconds")

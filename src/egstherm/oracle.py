@@ -95,9 +95,7 @@ class OracleGrid:
         Rock depth covered, m. Semi-infinite mode wants >= 6 sqrt(alpha *
         horizon); slab mode uses exactly half the fracture spacing.
     dt : float
-        First and smallest time step, s (horizon/2000 is the default
-        choice). Later steps are 2, 4 and then 8 times as long (see the
-        module's step ladder), so a run over 2000 dt takes 386 steps.
+        The first time step, s; see the module's step ladder.
     nx, ny : int
         Along-fracture and into-rock cell counts, both >= 16.
     bc_far : str
@@ -120,10 +118,10 @@ class OracleGrid:
             raise ValueError(f"nx must be an integer >= 16, got {self.nx!r}")
         if not (isinstance(self.ny, int) and self.ny >= 16):
             raise ValueError(f"ny must be an integer >= 16, got {self.ny!r}")
-        if not self.y_max > 0.0:
-            raise ValueError(f"y_max must be > 0, got {self.y_max}")
-        if not self.dt > 0.0:
-            raise ValueError(f"dt must be > 0, got {self.dt}")
+        for name in ("y_max", "dt"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be a finite number > 0, got {value}")
         if self.bc_far not in _BC_TAGS:
             raise ValueError(f"bc_far must be one of {_BC_TAGS}, got {self.bc_far!r}")
         if not 1.0 < self.ratio <= 1.1:
@@ -134,12 +132,6 @@ class OracleGrid:
         beta = self.ny * math.log(self.ratio)
         xi = np.arange(self.ny + 1) / self.ny
         return self.y_max * np.expm1(beta * xi) / math.expm1(beta)
-
-
-def _step(horizon: float, n_steps: int) -> float:
-    if not (isinstance(n_steps, int) and n_steps >= 1):
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    return horizon / n_steps
 
 
 def semi_infinite_grid(
@@ -153,17 +145,16 @@ def semi_infinite_grid(
 ) -> OracleGrid:
     """Truncated half-space grid over ``horizon`` (default: the scenario's).
 
-    The first time step is horizon/n_steps (later ones are longer, so a run
-    over the horizon takes 386 steps at the default 2000). The rock depth
-    defaults to six diffusion lengths, 6 sqrt(alpha horizon).
+    The first time step is horizon/n_steps; see the module's step ladder.
+    The rock depth defaults to six diffusion lengths, 6 sqrt(alpha horizon).
     """
     if horizon is None:
         horizon = sc.operating.horizon
     if y_max is None:
         y_max = 6.0 * math.sqrt(thermal_diffusivity(sc.rock) * horizon)
-    return OracleGrid(
-        y_max=y_max, dt=_step(horizon, n_steps), nx=nx, ny=ny, bc_far="dirichlet_T0", ratio=ratio
-    )
+    if not (isinstance(n_steps, int) and n_steps >= 1):
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    return OracleGrid(y_max=y_max, dt=horizon / n_steps, nx=nx, ny=ny, ratio=ratio)
 
 
 def slab_grid(
@@ -174,21 +165,12 @@ def slab_grid(
     ratio: float = 1.02,
     horizon: float | None = None,
 ) -> OracleGrid:
-    """Slab-mode grid over ``horizon`` (default: the scenario's); the domain
-    ends at the zero-flux midplane, spacing/2. The first time step is
-    horizon/n_steps, as in :func:`semi_infinite_grid`."""
-    if sc.fractures.spacing is None or not sc.fractures.spacing > 0.0:
-        raise ValueError("slab mode requires a scenario with a positive fracture spacing")
-    if horizon is None:
-        horizon = sc.operating.horizon
-    return OracleGrid(
-        y_max=sc.fractures.spacing / 2.0,
-        dt=_step(horizon, n_steps),
-        nx=nx,
-        ny=ny,
-        bc_far="neumann_zero",
-        ratio=ratio,
-    )
+    """The semi-infinite grid ended at the zero-flux midplane, spacing/2."""
+    spacing = sc.fractures.spacing
+    if spacing is None or not 0.0 < spacing < math.inf:
+        raise ValueError("slab mode requires a scenario with a finite positive fracture spacing")
+    grid = semi_infinite_grid(sc, nx, ny, n_steps, ratio, horizon, y_max=spacing / 2)
+    return replace(grid, bc_far="neumann_zero")
 
 
 @dataclass(frozen=True)
@@ -261,10 +243,11 @@ def _march_matrix(gain_powers: np.ndarray) -> np.ndarray:
     """Lower-triangular M with (M p)[i] = sum over j < i of
     gain**(i-1-j) * (p[j] + p[j+1]): the trapezoid march from a zero inlet,
     built from gain_powers = gain ** arange(nx + 1)."""
+    from scipy.linalg import toeplitz
+
     size = gain_powers.size
-    # row i of this Toeplitz view reads gain**(i-j) for j <= i, zeros above
-    padded = np.concatenate([np.zeros(size - 1), gain_powers])
-    powers = np.lib.stride_tricks.sliding_window_view(padded, size)[:, ::-1]
+    # row i reads gain**(i-j) for j <= i, zeros above
+    powers = toeplitz(gain_powers, np.zeros(size))
     march = np.zeros((size, size))
     np.add(powers[:-1], powers[1:], out=march[1:])
     march[1:, 0] -= powers[1:, 0]
@@ -388,6 +371,8 @@ def fd_simulate(
     rows = np.array(rows)
 
     def theta_block(theta: float, multiple: int, length: int):
+        from scipy.linalg import toeplitz
+
         # a block of `length` theta steps of multiple * grid.dt from modal
         # state c0: step j scales by S and adds forcing * w_j, so the state
         # after n steps is S^n c0 + sum over k < n of S^(n-1-k) forcing w_k;
@@ -426,8 +411,7 @@ def fd_simulate(
         echo = (rows.astype(np.longdouble) @ weighted.T).astype(float)
         # row j, column k <= j: h_(j-k) of the last node row (beside y_max
         # when it is pinned), carrying w_k into that node after step j
-        lag = np.subtract.outer(np.arange(length), np.arange(length))
-        far_echo = np.where(lag >= 0, echo[-1, length - np.maximum(lag, 0)], 0.0)
+        far_echo = toeplitz(echo[-1, :0:-1], np.zeros(length))
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T

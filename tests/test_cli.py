@@ -280,9 +280,15 @@ SNAPSHOT_PAIR = "error: --snapshot-yr and --snapshot-out go together: give both 
          "error: --out directory 'no-such-dir' does not exist\n"),
         (["--nt", "60", "--probes", "2", "--snapshot-yr", "10", "--snapshot-out",
           "no-such-dir/snap"], "error: --snapshot-out directory 'no-such-dir' does not exist\n"),
+        # non-finite geometry is refused by name before NumPy or SciPy sees it
+        (["--nt", "60", "--probes", "2", "--y-max", "inf"],
+         "error: y_max must be a finite number > 0, got inf\n"),
+        (["--nt", "60", "--probes", "2", "--model", "multi_slab", "--spacing-m", "inf"],
+         "error: slab mode requires a scenario with a finite positive fracture spacing\n"),
     ],
     ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
-         "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing"],
+         "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing", "y-max-inf",
+         "slab-spacing-inf"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)

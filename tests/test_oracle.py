@@ -5,6 +5,7 @@ the acceptance suite exercises the default resolution.
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -22,6 +23,8 @@ from egstherm.oracle import (
 )
 from egstherm.scenario import fracture_velocity, thermal_diffusivity
 from egstherm.units import SECONDS_PER_YEAR as YR
+
+from conftest import fresh_python
 
 L = 999.744
 PROBES = np.array([10.0, 30.0, 50.0]) * YR
@@ -73,6 +76,11 @@ def test_grid_invariants():
         OracleGrid(y_max=10.0, dt=1.0, ratio=1.0)
     with pytest.raises(ValueError):
         OracleGrid(y_max=10.0, dt=1.0, ratio=1.2)
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match=rf"^y_max must be a finite number > 0, got {bad}$"):
+            OracleGrid(y_max=bad, dt=1.0)
+        with pytest.raises(ValueError, match=rf"^dt must be a finite number > 0, got {bad}$"):
+            OracleGrid(y_max=10.0, dt=bad)
 
 
 def test_grid_nodes_are_stretched():
@@ -110,6 +118,29 @@ def test_grid_factories(valles, valles_single):
             semi_infinite_grid(valles_single, n_steps=bad)
         with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 1, got"):
             slab_grid(valles, n_steps=bad)
+
+
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+def test_slab_grid_is_the_semi_infinite_grid_ended_at_the_midplane(site, request):
+    sc = request.getfixturevalue(site)
+    semi = semi_infinite_grid(sc, 40, 80, 400, 1.05, 12.5 * YR, y_max=sc.fractures.spacing / 2)
+    assert slab_grid(sc, 40, 80, 400, 1.05, 12.5 * YR) == dataclasses.replace(
+        semi, bc_far="neumann_zero"
+    )
+
+
+def test_oracle_import_and_default_grids_load_no_scipy():
+    # SciPy takes ~0.3 s to import; only a run needs it, not building a grid
+    out = fresh_python(
+        "import json, sys, egstherm\n"
+        "sc = egstherm.bundled_scenario('valles_caldera')\n"
+        "egstherm.slab_grid(sc)\n"
+        "egstherm.semi_infinite_grid(sc)\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    modules = json.loads(out)
+    assert "egstherm.oracle" in modules
+    assert [m for m in modules if m.split(".")[0] == "scipy"] == []
 
 
 def test_fd_rejects_bad_probes(valles_single):
