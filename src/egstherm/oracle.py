@@ -83,6 +83,9 @@ _BLOCK = 32
 # up to this multiple of grid.dt
 _RUNG = 64
 _MAX_MULTIPLE = 8
+# the most steps a run may take: a default run takes 386, and the ladder's
+# arrays grow with the count, so a far-off probe time is refused instead
+_MAX_STEPS = 10**6
 
 
 @dataclass(frozen=True)
@@ -254,6 +257,12 @@ def _march_matrix(gain_powers: np.ndarray) -> np.ndarray:
     return march
 
 
+def _ladder_size(units: float) -> float:
+    """How many steps _ladder sets out to reach units * grid.dt, before it
+    drops those past units; a float, so a huge or infinite count compares."""
+    return math.log2(_MAX_MULTIPLE) * _RUNG + max(0.0, np.ceil(units / _MAX_MULTIPLE))
+
+
 def _ladder(units: float):
     """The steps a run needs to reach units * grid.dt (less 1e-12): their end
     times in multiples of grid.dt, led by the start at 0, and their thetas.
@@ -262,7 +271,7 @@ def _ladder(units: float):
     two steps and the first step of each longer rung are damped (theta 1),
     the rest Crank-Nicolson (theta 1/2)."""
     top = int(math.log2(_MAX_MULTIPLE))
-    count = top * _RUNG + max(0, math.ceil(units / _MAX_MULTIPLE))
+    count = int(_ladder_size(units))
     multiples = 2 ** np.minimum(np.arange(count) // _RUNG, top)
     ends = np.concatenate([[0], np.cumsum(multiples)])
     ends = ends[: int(np.searchsorted(ends, units - 1e-12)) + 1]
@@ -321,9 +330,10 @@ def fd_simulate(
     Raises
     ------
     ValueError
-        If a probe or snapshot time is not a finite number > 0, or if the
-        fluid march gain of a step is not positive: the grid is too coarse
-        along x and the outlet would oscillate along it.
+        If a probe or snapshot time is not a finite number > 0, if reaching
+        the latest of them takes more than 10**6 steps, or if the fluid march
+        gain of a step is not positive: the grid is too coarse along x and
+        the outlet would oscillate along it.
     RuntimeError
         If semi-infinite mode detects the cooling front disturbing the
         truncated far boundary (more than 0.1 C), which means y_max is too
@@ -346,9 +356,19 @@ def fd_simulate(
     fr = sc.fractures
     coupling = face_coupling(sc)
 
-    t_end = float(max(probe_times.max(initial=0.0), snapshot_times.max(initial=0.0)))
+    latest = {"probe": probe_times.max(initial=0.0), "snapshot": snapshot_times.max(initial=0.0)}
+    name = max(latest, key=latest.get)
+    t_end = float(latest[name])
+    units = t_end / grid.dt
+    size = _ladder_size(units)
+    if size > _MAX_STEPS:
+        raise ValueError(
+            f"the latest {name} time, {t_end:.6g} s, takes {size:.3g} oracle steps from a "
+            f"first step of {grid.dt:.6g} s, beyond the cap of {_MAX_STEPS}; "
+            "shorten the run or lengthen the first step (fewer n_steps)"
+        )
     # step end times in multiples of grid.dt; step k is multiples[k] long
-    ends, thetas = _ladder(t_end / grid.dt)
+    ends, thetas = _ladder(units)
     multiples = np.diff(ends)
     n_steps = multiples.size
     # a block ends at its length or where the step's theta or size changes,

@@ -263,6 +263,9 @@ def test_oracle_slab_rejects_y_max(capsys):
 
 
 SNAPSHOT_PAIR = "error: --snapshot-yr and --snapshot-out go together: give both or neither\n"
+CAP_PREFIX = "error: the latest probe time, "
+CAP_SUFFIX = (" oracle steps from a first step of 2.628e+07 s, beyond the cap of 1000000; "
+              "shorten the run or lengthen the first step (fewer n_steps)\n")
 
 
 @pytest.mark.parametrize(
@@ -285,10 +288,15 @@ SNAPSHOT_PAIR = "error: --snapshot-yr and --snapshot-out go together: give both 
          "error: y_max must be a finite number > 0, got inf\n"),
         (["--nt", "60", "--probes", "2", "--model", "multi_slab", "--spacing-m", "inf"],
          "error: slab mode requires a scenario with a finite positive fracture spacing\n"),
+        # a finite but far-off probe would need more steps than the oracle can hold
+        (["--nt", "60", "--probe-yr", "1e300"], CAP_PREFIX + "3.1536e+307 s, takes 1.5e+299"
+         + CAP_SUFFIX),
+        (["--nt", "60", "--probe-yr", "1e12"], CAP_PREFIX + "3.1536e+19 s, takes 1.5e+11"
+         + CAP_SUFFIX),
     ],
     ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
          "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing", "y-max-inf",
-         "slab-spacing-inf"],
+         "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)

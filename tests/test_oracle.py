@@ -6,6 +6,7 @@ the acceptance suite exercises the default resolution.
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -154,6 +155,23 @@ def test_fd_rejects_bad_probes(valles_single):
             fd_simulate(valles_single, grid, [YR, bad])
         with pytest.raises(ValueError, match=rf"^snapshot times must be finite, got {bad}$"):
             fd_simulate(valles_single, grid, [YR], snapshot_times=[bad])
+
+
+def test_fd_refuses_more_steps_than_the_cap(valles_single):
+    # refused before the step ladder is allocated: at 1e12 yr it would take
+    # about a terabyte, at 1e300 yr NumPy could not size it at all
+    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
+    cap = "beyond the cap of 1000000; shorten the run or lengthen the first step"
+    for years in (1e12, 1e300):
+        latest = re.escape(f"the latest probe time, {years * YR:.6g} s, takes ")
+        with pytest.raises(ValueError, match=rf"^{latest}.*{cap}"):
+            fd_simulate(valles_single, grid, [YR, years * YR])
+    with pytest.raises(ValueError, match=rf"^the latest snapshot time, .*{cap}"):
+        fd_simulate(valles_single, grid, [YR], snapshot_times=[1e8 * YR])
+    # a first step so short that the count itself overflows
+    tiny = dataclasses.replace(grid, dt=5e-324)
+    with pytest.raises(ValueError, match=rf" takes inf oracle steps .*{cap}"):
+        fd_simulate(valles_single, tiny, [YR])
 
 
 def test_fd_probe_before_the_first_step_reads_t0(valles_single):
