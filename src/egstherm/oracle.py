@@ -36,7 +36,8 @@ Numerical layout
   starting modes, the face values earned inside the block reach later
   steps through precomputed scalars, and one more product advances the
   modes to the block's end. Node values are synthesized only where needed
-  (face gradient, far-boundary check, snapshots).
+  (face gradient, snapshots, and the node beside a pinned far boundary at
+  each block's end).
 * coupling: within a step the rock update is affine in its face temperature,
   so the fluid march solves the coupled step exactly, once per step, as one
   precomputed lower-triangular matrix (per theta and step size) applied to
@@ -71,8 +72,8 @@ __all__ = [
 
 _BC_TAGS = ("dirichlet_T0", "neumann_zero")
 
-# semi-infinite mode aborts when the truncated boundary is disturbed by
-# more than this many degrees
+# semi-infinite mode aborts at the first block end where the node beside the
+# truncated boundary is disturbed by more than this many degrees
 _CONTAMINATION_LIMIT_C = 0.1
 
 # Crank-Nicolson steps per block of the modal stepper; 16 to 64 run alike on
@@ -331,13 +332,14 @@ def fd_simulate(
     ------
     ValueError
         If a probe or snapshot time is not a finite number > 0, if reaching
-        the latest of them takes more than 10**6 steps, or if the fluid march
+        the latest of them takes more than 10**6 steps, if the first y-cell is
+        wider than 5 sqrt(alpha t) at the run's end, or if the fluid march
         gain of a step is not positive: the grid is too coarse along x and
         the outlet would oscillate along it.
     RuntimeError
-        If semi-infinite mode detects the cooling front disturbing the
-        truncated far boundary (more than 0.1 C), which means y_max is too
-        small for the horizon.
+        If semi-infinite mode finds the node beside the truncated far boundary
+        disturbed by more than 0.1 C at a block's end (named in the message):
+        y_max is too small for the horizon.
     """
     violations = validate(sc)
     if violations:
@@ -379,32 +381,34 @@ def fd_simulate(
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
     dx = x[1] - x[0]
+    # past 5 sqrt(alpha t) at the run's end the inlet's half-space cools the
+    # first node by under erfc(2.5) = 4e-4 of the span: the front is never seen
+    reach = 5.0 * math.sqrt(alpha * ends[-1] * grid.dt)
+    if n_steps and y[1] > reach:
+        raise ValueError(
+            f"the first rock cell, {y[1]:.6g} m, is wider than the cooling front "
+            f"reaches by t={ends[-1] * grid.dt:.6g} s ({reach:.6g} m, 5 sqrt(alpha t)); "
+            "shrink y_max or the fracture spacing, or raise ny"
+        )
     stencil = _gradient_stencil(y)
     lam, vectors, root_w, face_load = _modes(y, grid.bc_far)
 
     pinned = grid.bc_far == "dirichlet_T0"
-    # node rows in modal coordinates: the face gradient's interior part and,
-    # when the far boundary is pinned, the node beside it
-    rows = [stencil[1] * vectors[0] / root_w[0] + stencil[2] * vectors[1] / root_w[1]]
-    if pinned:
-        rows.append(vectors[-1] / root_w[-1])
-    rows = np.array(rows)
+    # the face gradient's interior part in modal coordinates
+    grad_row = stencil[1] * vectors[0] / root_w[0] + stencil[2] * vectors[1] / root_w[1]
 
     def theta_block(theta: float, multiple: int, length: int):
-        from scipy.linalg import toeplitz
-
         # a block of `length` theta steps of multiple * grid.dt from modal
         # state c0: step j scales by S and adds forcing * w_j, so the state
         # after n steps is S^n c0 + sum over k < n of S^(n-1-k) forcing w_k;
-        # the node rows of every step come from c0 in one product, and the
-        # w_k already earned in the block reach them through the scalars
-        # h_d = rows . (S^d forcing)
+        # the face gradient of every step comes from c0 in one product, and
+        # the w_k already earned in the block reach it through the scalars
+        # h_d = grad_row . (S^d forcing)
         alpha_dt = alpha * (grid.dt * multiple)
         denom = 1.0 - theta * alpha_dt * lam
         scale = (1.0 + (1.0 - theta) * alpha_dt * lam) / denom
         forcing = alpha_dt * face_load / denom
-        rows_forcing = rows @ forcing
-        ratio_q = dx * coupling * (stencil[0] + theta * rows_forcing[0]) / 2.0
+        ratio_q = dx * coupling * (stencil[0] + theta * (grad_row @ forcing)) / 2.0
         gain = (1.0 + ratio_q) / (1.0 - ratio_q)
         if not gain > 0.0:
             raise ValueError(
@@ -420,22 +424,19 @@ def fd_simulate(
         # negative S that Crank-Nicolson gives most modes
         powers = np.abs(scale) ** np.arange(length + 1)[:, None]
         powers[1::2] *= np.sign(scale)
-        # row j * len(rows) + i: node row i seen after step j's scale
-        lead_rows = (powers[1:, None, :] * rows).reshape(-1, lam.size)
+        # row j: the gradient row seen after step j's scale
+        lead_rows = powers[1:] * grad_row
         # row i: S^(length - i) forcing
         weighted = powers[::-1] * forcing
-        # column i: h_(length - i), so h_(j-k) for k <= j is at length - j + k.
+        # entry i: h_(length - i), so h_(j-k) for k <= j is at length - j + k.
         # These sums cancel heavily and every block reuses them, so they are
         # accumulated in extended precision: in float64 their rounding moved
         # the zeinali slab outlet by 1e-7 C
-        echo = (rows.astype(np.longdouble) @ weighted.T).astype(float)
-        # row j, column k <= j: h_(j-k) of the last node row (beside y_max
-        # when it is pinned), carrying w_k into that node after step j
-        far_echo = toeplitz(echo[-1, :0:-1], np.zeros(length))
+        echo = (grad_row.astype(np.longdouble) @ weighted.T).astype(float)
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T
-        return powers, lead_rows, echo, far_echo, carry, march, inlet
+        return powers, lead_rows, echo, carry, march, inlet
 
     # damped steps run in blocks of (at most) two, Crank-Nicolson in blocks
     # of at most _BLOCK; each (theta, multiple) block is built when first
@@ -466,11 +467,11 @@ def fd_simulate(
         key = (theta, multiple)
         if key not in blocks:
             blocks[key] = theta_block(theta, multiple, 2 if theta == 1.0 else _BLOCK)
-        powers, lead_rows, echo, far_echo, carry, march, inlet = blocks[key]
+        powers, lead_rows, echo, carry, march, inlet = blocks[key]
         length = carry.shape[1]
         # every block computes all its rows, so a run cut short inside a
         # block reproduces the longer run's outlets bit for bit
-        leads = (lead_rows @ coeffs).reshape(length, rows.shape[0], -1)
+        leads = lead_rows @ coeffs
         count = min(length, int(edges[np.searchsorted(edges, step, side="right")]) - step)
         for j in range(count):
             step += 1
@@ -478,7 +479,7 @@ def fd_simulate(
             # zero); the step is affine in the new face value, so one march
             # solves it
             earned[j] = (1.0 - theta) * fluid
-            fluid = inlet + march @ (leads[j, 0] + echo[0, length - j :] @ earned[: j + 1])
+            fluid = inlet + march @ (leads[j] + echo[length - j :] @ earned[: j + 1])
             earned[j] += theta * fluid
             outlet_history[step] = t_hot + fluid[-1]
 
@@ -489,19 +490,16 @@ def fd_simulate(
                 rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
                 time = float(ends[step] * grid.dt)
                 snapshots.append(RockSnapshot(time=time, x=x.copy(), y=y.copy(), temperatures=rock))
-        if pinned:
-            # the node beside y_max after each step of the block
-            near = leads[:count, 1] + far_echo[:count, :count] @ earned[:count]
-            disturbed = np.max(np.abs(near), axis=1)
-            if disturbed.max() > _CONTAMINATION_LIMIT_C:
-                first = int(np.argmax(disturbed > _CONTAMINATION_LIMIT_C))
-                raise RuntimeError(
-                    "cooling front reached the truncated far boundary at "
-                    f"t={ends[step - count + 1 + first] * grid.dt:.6g} s (deviation "
-                    f"{disturbed[first]:.3g} C beside y_max={grid.y_max:.6g} m); "
-                    "enlarge y_max for this horizon"
-                )
         _advance(powers, carry, coeffs, earned, count, coeffs, work)
+        if pinned:
+            # the node beside y_max at the block's end
+            disturbed = np.max(np.abs(vectors[-1] @ coeffs / root_w[-1]))
+            if disturbed > _CONTAMINATION_LIMIT_C:
+                raise RuntimeError(
+                    "cooling front reached the truncated far boundary by "
+                    f"t={ends[step] * grid.dt:.6g} s (deviation {disturbed:.3g} C "
+                    f"beside y_max={grid.y_max:.6g} m); enlarge y_max for this horizon"
+                )
 
     series = ForecastSeries(
         model="oracle",

@@ -266,6 +266,9 @@ SNAPSHOT_PAIR = "error: --snapshot-yr and --snapshot-out go together: give both 
 CAP_PREFIX = "error: the latest probe time, "
 CAP_SUFFIX = (" oracle steps from a first step of 2.628e+07 s, beyond the cap of 1000000; "
               "shorten the run or lengthen the first step (fewer n_steps)\n")
+FIRST_CELL_PREFIX = "error: the first rock cell, "
+FIRST_CELL_SUFFIX = (" m, is wider than the cooling front reaches by t=1.5768e+09 s (192.071 m, "
+                     "5 sqrt(alpha t)); shrink y_max or the fracture spacing, or raise ny\n")
 
 
 @pytest.mark.parametrize(
@@ -293,10 +296,20 @@ CAP_SUFFIX = (" oracle steps from a first step of 2.628e+07 s, beyond the cap of
          + CAP_SUFFIX),
         (["--nt", "60", "--probe-yr", "1e12"], CAP_PREFIX + "3.1536e+19 s, takes 1.5e+11"
          + CAP_SUFFIX),
+        # a first rock cell the cooling front never reaches by the run's end
+        (["--nt", "60", "--probes", "3", "--y-max", "1e300"],
+         FIRST_CELL_PREFIX + "5.36501e+298" + FIRST_CELL_SUFFIX),
+        (["--nt", "60", "--probes", "3", "--y-max", "1e4"],
+         FIRST_CELL_PREFIX + "536.501" + FIRST_CELL_SUFFIX),
+        (["--nt", "60", "--probes", "3", "--model", "multi_slab", "--spacing-m", "1e6"],
+         FIRST_CELL_PREFIX + "26825.1" + FIRST_CELL_SUFFIX),
+        (["--nt", "60", "--probes", "3", "--model", "multi_slab", "--spacing-m", "1e300"],
+         FIRST_CELL_PREFIX + "2.68251e+298" + FIRST_CELL_SUFFIX),
     ],
     ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
          "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing", "y-max-inf",
-         "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr"],
+         "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr", "y-max-1e300",
+         "y-max-1e4", "slab-spacing-1e6", "slab-spacing-1e300"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)

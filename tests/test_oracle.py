@@ -174,6 +174,37 @@ def test_fd_refuses_more_steps_than_the_cap(valles_single):
         fd_simulate(valles_single, tiny, [YR])
 
 
+def test_fd_refuses_a_first_cell_the_front_never_reaches(valles, valles_single, monkeypatch):
+    # a first y-cell wider than 5 sqrt(alpha t) at the run's last step end:
+    # the inlet's half-space would cool its node by less than erfc(2.5) of
+    # the span, so the face gradient never sees the front. Refused before
+    # the gradient stencil and the eigendecomposition see the grid
+    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=60)
+    horizon = valles_single.operating.horizon
+    reach = 5.0 * np.sqrt(thermal_diffusivity(valles_single.rock) * horizon)
+    edge = reach / dataclasses.replace(grid, y_max=1.0).y_nodes()[1]  # y_max with y[1] = reach
+    over = dataclasses.replace(grid, y_max=1.01 * edge)
+    spaced = dataclasses.replace(valles, fractures=dataclasses.replace(valles.fractures,
+                                                                       spacing=1e6))
+    wide = [
+        (valles_single, over),
+        (valles_single, dataclasses.replace(grid, y_max=1e300)),
+        (spaced, slab_grid(spaced, nx=16, ny=16, n_steps=60)),
+    ]
+    with monkeypatch.context() as patched:
+        for name in ("_gradient_stencil", "_modes"):
+            patched.setattr(f"egstherm.oracle.{name}", lambda *_, name=name: pytest.fail(name))
+        for sc, wide_grid in wide:
+            first = re.escape(f"the first rock cell, {wide_grid.y_nodes()[1]:.6g} m, is wider ")
+            with pytest.raises(ValueError, match=rf"^{first}.* \({reach:.6g} m, 5 sqrt"):
+                fd_simulate(sc, wide_grid, [horizon])
+    # just inside the rule the run goes ahead, and a run of no step is not checked
+    inside = dataclasses.replace(grid, y_max=0.99 * edge)
+    assert np.all(np.isfinite(fd_simulate(valles_single, inside, [horizon]).outlet_temperatures))
+    _, details = fd_simulate(valles_single, over, [1e-20 * YR], return_details=True)
+    assert details.n_steps == 0
+
+
 def test_fd_probe_before_the_first_step_reads_t0(valles_single):
     # a probe short of 1e-12 steps needs no step at all: the outlet is T0
     grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=60)
@@ -268,23 +299,89 @@ def test_fd_near_degenerate_span_is_stable(valles_single):
     assert np.all(temps <= 300.0 + 1e-9)
 
 
+def _block_end(step):
+    """The step that ends the oracle block holding `step` (1-based) on the
+    ladder: blocks end where theta or the step size changes, and after two
+    damped or _BLOCK Crank-Nicolson steps of one run."""
+    end = 0
+    while end < step:
+        start = end
+        end += 2 if THETAS[start] == 1.0 else _BLOCK
+        same = (THETAS[start:end] == THETAS[start]) & (MULTIPLES[start:end] == MULTIPLES[start])
+        end = start + int(np.argmin(np.append(same, False)))
+    return end
+
+
+def _beside_y_max(sc, grid, n_steps):
+    """The dense theta-scheme's largest deviation at the node beside y_max,
+    after each of the first n_steps steps."""
+    fields = _direct_theta_scheme(sc, grid, MULTIPLES[:n_steps] * grid.dt, THETAS)
+    t_hot = sc.rock.initial_temperature
+    return np.max(np.abs(fields[1:, grid.ny - 1] - t_hot), axis=1)
+
+
 def test_fd_detects_contaminated_far_boundary(valles_single):
     # 5 m of rock cannot impersonate a half-space for ten years; the front
     # disturbs y_max at step 1 of the long step, at step 58, inside a block,
-    # of the short one and at step 90, on the second rung, of the shortest
+    # of the short one and at step 90, on the second rung, of the shortest.
+    # The oracle reads the node beside y_max at each block's end and names
+    # the end of the block that holds the first step past 0.1 C
     for dt in (50.0 * YR / 300.0, YR / 2000.0, YR / 4000.0):
         grid = OracleGrid(y_max=5.0, dt=dt, nx=16, ny=16)
         with pytest.raises(RuntimeError) as err:
             fd_simulate(valles_single, grid, [10.0 * YR])
         msg = str(err.value)
         assert "far boundary" in msg and "y_max" in msg
-        # the refusal names the first step whose node beside y_max moved 0.1 C
-        fields = _direct_theta_scheme(valles_single, grid, MULTIPLES[:100] * grid.dt, THETAS)
-        t_hot = valles_single.rock.initial_temperature
-        beside = np.max(np.abs(fields[:, grid.ny - 1] - t_hot), axis=1)
-        first = int(np.argmax(beside > 0.1))
-        assert first > 0
-        assert f"at t={ENDS[first] * grid.dt:.6g} s " in msg
+        beside = _beside_y_max(valles_single, grid, 100)
+        first = int(np.argmax(beside > 0.1)) + 1
+        assert first in (1, 58, 90)
+        assert f" by t={ENDS[_block_end(first)] * grid.dt:.6g} s " in msg
+        if dt == 50.0 * YR / 300.0:
+            # the long first step rings: the node beside y_max is not
+            # monotone (it dips 0.16 C on a 17 C deviation), so a check at
+            # the end of the run alone could miss a crossing; each block
+            # end is checked
+            assert beside.max() > 17.0 and np.min(np.diff(beside)) < -0.15
+
+
+# (first steps per horizon, steps, y_max in m refused, y_max accepted): pairs
+# on either side of the 0.1 C limit; the run ends inside a damped block, on
+# a block edge or inside a Crank-Nicolson block, on every rung
+FAR_BOUNDARY_PAIRS = [
+    (10, 2, 110, 130), (30, 2, 66, 75), (30, 34, 200, 230), (100, 64, 160, 180),
+    (100, 150, 325, 360), (300, 64, 92, 104), (300, 150, 194, 215), (1000, 34, 37, 42),
+    (1000, 193, 130, 145), (3000, 34, 22, 24),
+]
+
+
+@pytest.mark.parametrize(
+    "per_horizon,n_steps,y_max,refused",
+    [
+        (per, n, y_max, refused)
+        for per, n, *sides in FAR_BOUNDARY_PAIRS
+        for y_max, refused in zip(sides, (True, False))
+    ],
+)
+def test_fd_far_boundary_refusal_follows_the_direct_scheme(
+    valles_single, per_horizon, n_steps, y_max, refused
+):
+    # refused exactly when the dense scheme's node beside y_max passes
+    # 0.1 C at some step of the run, by the end of that step's block (or
+    # the run's end, which cuts the last block short)
+    grid = OracleGrid(
+        y_max=float(y_max), dt=valles_single.operating.horizon / per_horizon, nx=16, ny=16
+    )
+    beside = _beside_y_max(valles_single, grid, n_steps)
+    assert (beside.max() > 0.1) == refused
+    assert not 0.09 < beside.max() < 0.11  # clear of the limit
+    probe = [ENDS[n_steps] * grid.dt]
+    if refused:
+        first = int(np.argmax(beside > 0.1)) + 1
+        end = min(_block_end(first), n_steps)
+        with pytest.raises(RuntimeError, match=re.escape(f" by t={ENDS[end] * grid.dt:.6g} s ")):
+            fd_simulate(valles_single, grid, probe)
+    else:
+        assert np.all(np.isfinite(fd_simulate(valles_single, grid, probe).outlet_temperatures))
 
 
 def test_fd_slab_matches_reference_inversion(slab_run):
