@@ -14,9 +14,12 @@ Numerical layout
   fracture spacing, the same geometry as the transform-domain slab model).
 * time: theta-weighted implicit step (Crank-Nicolson after two damped
   backward-Euler startup steps) taken in modal space. The symmetrized
-  interior Laplacian is diagonalized once per run, so a step scales each
-  mode by its amplification factor S and adds the face forcing, at every
-  x-station at once.
+  interior Laplacian is diagonalized once per grid shape (ny, ratio,
+  bc_far) in a process, at unit depth, and each run scales that basis by
+  its y_max; the last four shapes stay cached, (ny + 1)^2 * 8 bytes each
+  (1.3 MB at the default ny = 400). A step scales each mode by its
+  amplification factor S and adds the face forcing, at every x-station at
+  once.
 * step ladder: the outlet's error is a start-up transient, so only the
   start needs the fine step. The first _RUNG steps take grid.dt; the step
   then doubles every _RUNG steps up to _MAX_MULTIPLE grid.dt, which it
@@ -46,6 +49,7 @@ Numerical layout
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Sequence
@@ -205,17 +209,22 @@ class OracleDetails:
         return abs(self.fluid_enthalpy_J - self.rock_heat_loss_J) / self.rock_heat_loss_J
 
 
-def _modes(y: np.ndarray, bc_far: str):
-    """Eigenpairs of the interior 3-point Laplacian on the stretched grid.
+@functools.lru_cache(maxsize=4)
+def _modes(ny: int, ratio: float, bc_far: str):
+    """Eigenpairs of the interior 3-point Laplacian on the unit-depth grid.
 
     On the unknown nodes (1 .. ny-1 below a pinned far boundary, 1 .. ny
     with the mirrored zero-flux midplane) the operator is K = D^-1 S with S
     symmetric and D the trapezoid weights, so D^1/2 K D^-1/2 is symmetric
     tridiagonal. Returns its eigenvalues, orthonormal eigenvectors (one per
-    column), the square-rooted weights and each mode's face coupling.
+    column) and the square-rooted weights, all read-only. The nodes are
+    y_max times the unit-depth ones, so the eigenvectors serve every y_max
+    of this shape, the eigenvalues scale by 1/y_max^2 and the root-weights
+    by sqrt(y_max).
     """
     from scipy.linalg import eigh_tridiagonal
 
+    y = OracleGrid(y_max=1.0, dt=1.0, ny=ny, bc_far=bc_far, ratio=ratio).y_nodes()
     inv_h = 1.0 / np.diff(y)
     s_diag = -(inv_h[:-1] + inv_h[1:])
     if bc_far == "neumann_zero":
@@ -227,7 +236,9 @@ def _modes(y: np.ndarray, bc_far: str):
     lam, vectors = eigh_tridiagonal(
         s_diag / root_w**2, inv_h[1:m] / (root_w[:-1] * root_w[1:]), lapack_driver="stemr"
     )
-    return lam, vectors, root_w, vectors[0] * inv_h[0] / root_w[0]
+    for array in (lam, vectors, root_w):
+        array.flags.writeable = False
+    return lam, vectors, root_w
 
 
 def _gradient_stencil(y: np.ndarray) -> np.ndarray:
@@ -326,7 +337,8 @@ def fd_simulate(
         Outlet series tagged ``oracle``. Block edges follow the step index
         alone, so the outlets do not depend on the snapshots or details
         asked for, and a shorter run reproduces the first steps of a
-        longer one exactly.
+        longer one exactly. A run whose every time lies before the first
+        step's end takes no step: it reads T0 and never builds the y-grid.
 
     Raises
     ------
@@ -377,6 +389,26 @@ def fd_simulate(
     # so block edges depend only on the step index
     changes = (np.diff(thetas) != 0) | (np.diff(multiples) != 0)
     edges = np.append(np.flatnonzero(changes) + 1, n_steps)
+    pinned = grid.bc_far == "dirichlet_T0"
+
+    series = ForecastSeries(
+        model="oracle",
+        times=probe_times,
+        outlet_temperatures=np.full(probe_times.shape, t_hot),
+        injection_temperature=t_cold,
+        initial_temperature=t_hot,
+    )
+    if not n_steps:
+        # nothing to step, so nothing reads the y-grid (it may not be
+        # representable, y_max up to 1e300)
+        details = OracleDetails(
+            snapshots=(),
+            fluid_enthalpy_J=0.0,
+            rock_heat_loss_J=None if pinned else 0.0,
+            max_sweeps=0,
+            n_steps=0,
+        )
+        return (series, details) if return_details else series
 
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
@@ -384,16 +416,20 @@ def fd_simulate(
     # past 5 sqrt(alpha t) at the run's end the inlet's half-space cools the
     # first node by under erfc(2.5) = 4e-4 of the span: the front is never seen
     reach = 5.0 * math.sqrt(alpha * ends[-1] * grid.dt)
-    if n_steps and y[1] > reach:
+    if y[1] > reach:
         raise ValueError(
             f"the first rock cell, {y[1]:.6g} m, is wider than the cooling front "
             f"reaches by t={ends[-1] * grid.dt:.6g} s ({reach:.6g} m, 5 sqrt(alpha t)); "
             "shrink y_max or the fracture spacing, or raise ny"
         )
     stencil = _gradient_stencil(y)
-    lam, vectors, root_w, face_load = _modes(y, grid.bc_far)
+    # the unit-depth basis of this grid shape, scaled to y_max (lam / y_max**2
+    # could overflow in the square)
+    lam, vectors, root_w = _modes(grid.ny, grid.ratio, grid.bc_far)
+    lam = lam / grid.y_max / grid.y_max
+    root_w = root_w * math.sqrt(grid.y_max)
+    face_load = vectors[0] / (y[1] - y[0]) / root_w[0]
 
-    pinned = grid.bc_far == "dirichlet_T0"
     # the face gradient's interior part in modal coordinates
     grad_row = stencil[1] * vectors[0] / root_w[0] + stencil[2] * vectors[1] / root_w[1]
 
@@ -501,12 +537,8 @@ def fd_simulate(
                     f"beside y_max={grid.y_max:.6g} m); enlarge y_max for this horizon"
                 )
 
-    series = ForecastSeries(
-        model="oracle",
-        times=probe_times,
-        outlet_temperatures=np.interp(probe_times, ends * grid.dt, outlet_history),
-        injection_temperature=t_cold,
-        initial_temperature=t_hot,
+    series = replace(
+        series, outlet_temperatures=np.interp(probe_times, ends * grid.dt, outlet_history)
     )
     if not (return_details or snapshots):
         return series

@@ -318,6 +318,20 @@ def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     assert err == message
 
 
+def test_oracle_run_of_no_step_reads_t0_under_warnings_as_errors():
+    # a probe before the first step's end takes no step: the 1e300 m y-grid
+    # is never built, so nothing overflows and the table reads T0
+    out = fresh_python(
+        "import sys, warnings\n"
+        "warnings.simplefilter('error')\n"
+        "from egstherm.cli import main\n"
+        "sys.exit(main(['oracle', '--nx', '16', '--ny', '16', '--y-max', '1e300',\n"
+        "               '--probe-yr', '1e-20']))"
+    )
+    assert out == ("time_yr,T_oracle_C,T_model_C,deviation_C\n1e-20,300,300,0\n"
+                   "max deviation vs single: 0 C (0% of span) at t = 1e-20 yr\n")
+
+
 @pytest.mark.parametrize(
     "argv",
     [

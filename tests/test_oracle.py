@@ -7,22 +7,26 @@ the acceptance suite exercises the default resolution.
 import dataclasses
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import lu_factor, lu_solve
+import scipy.linalg
+from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 
 from egstherm.analytic import fluid_temp_single, rock_temp
 from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
     _BLOCK,
+    OracleDetails,
     OracleGrid,
+    _modes,
     convergence_study,
     fd_simulate,
     semi_infinite_grid,
     slab_grid,
 )
-from egstherm.scenario import fracture_velocity, thermal_diffusivity
+from egstherm.scenario import collapse_to_single, fracture_velocity, thermal_diffusivity
 from egstherm.units import SECONDS_PER_YEAR as YR
 
 from conftest import fresh_python
@@ -205,12 +209,34 @@ def test_fd_refuses_a_first_cell_the_front_never_reaches(valles, valles_single, 
     assert details.n_steps == 0
 
 
-def test_fd_probe_before_the_first_step_reads_t0(valles_single):
-    # a probe short of 1e-12 steps needs no step at all: the outlet is T0
+def test_fd_probe_before_the_first_step_reads_t0(valles, valles_single, monkeypatch):
+    # a probe short of 1e-12 steps needs no step at all: the outlet is T0, and
+    # the y-grid is never looked at, not even a 1e300 m one
+    t0 = valles_single.rock.initial_temperature
     grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=60)
-    series, details = fd_simulate(valles_single, grid, [1e-20 * YR], return_details=True)
-    assert details.n_steps == 0
-    assert series.outlet_temperatures.tolist() == [valles_single.rock.initial_temperature]
+    runs = [
+        (valles_single, grid, None),
+        (valles_single, dataclasses.replace(grid, y_max=1e300), None),
+        (valles, slab_grid(valles, nx=16, ny=16, n_steps=60), 0.0),
+    ]
+    with monkeypatch.context() as patched:
+        for name in ("_gradient_stencil", "_modes"):
+            patched.setattr(f"egstherm.oracle.{name}", lambda *_, name=name: pytest.fail(name))
+        for sc, run_grid, rock_loss in runs:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                series, details = fd_simulate(
+                    sc, run_grid, [1e-20 * YR, 2e-20 * YR], snapshot_times=[1e-20 * YR],
+                    return_details=True,
+                )
+                plain = fd_simulate(sc, run_grid, [1e-20 * YR])
+            assert series.model == "oracle" and series.outlet_temperatures.tolist() == [t0, t0]
+            assert plain.outlet_temperatures.tolist() == [t0]
+            assert details == OracleDetails(
+                snapshots=(), fluid_enthalpy_J=0.0, rock_heat_loss_J=rock_loss,
+                max_sweeps=0, n_steps=0,
+            )
+            assert details.energy_imbalance is None
 
 
 def test_fd_refuses_oscillating_fluid_march(valles):
@@ -534,6 +560,103 @@ def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, per_horizon,
         assert np.array_equal(detailed.outlet_temperatures, plain)
         assert np.array_equal(fd_simulate(sc, grid, probes, return_details=True)[0]
                               .outlet_temperatures, plain)
+
+
+def _direct_modes(y, pinned):
+    """Eigenpairs of the symmetrized interior 3-point Laplacian on the nodes
+    y themselves (MRRR, as the oracle solves it), with the square-rooted
+    trapezoid weights of the unknown nodes."""
+    h = np.diff(y)
+    s_diag = -(1.0 / h[:-1] + 1.0 / h[1:])
+    if not pinned:
+        s_diag = np.append(s_diag, -1.0 / h[-1])
+    m = s_diag.size
+    root_w = np.sqrt((np.append(h, 0.0) + np.append(0.0, h))[1 : m + 1] / 2.0)
+    lam, vectors = eigh_tridiagonal(
+        s_diag / root_w**2, 1.0 / h[1:m] / (root_w[:-1] * root_w[1:]), lapack_driver="stemr"
+    )
+    return lam, vectors, root_w
+
+
+@pytest.fixture
+def counted_eigensolves(monkeypatch):
+    """A cold basis cache whose eigensolves are counted."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].size)
+        return eigh_tridiagonal(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", counting)
+    _modes.cache_clear()
+    yield calls
+    _modes.cache_clear()
+
+
+def test_fd_one_eigensolve_serves_both_sites_slab_grids(valles, zeinali, counted_eigensolves):
+    # the two default slab grids differ only in y_max (20 m and 19.81 m): the
+    # unit-depth basis of their shape is solved once and scaled for each
+    for sc in (valles, zeinali):
+        grid = slab_grid(sc)
+        assert np.all(np.isfinite(fd_simulate(sc, grid, [10.0 * grid.dt]).outlet_temperatures))
+    assert counted_eigensolves == [grid.ny]
+    info = _modes.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+
+
+def test_fd_outlets_are_the_same_from_a_cold_or_warm_basis(valles, valles_single,
+                                                            counted_eigensolves):
+    # a cache miss and a hit give bit-identical runs, with other shapes
+    # interleaved and past the cache's size, so the first shape is evicted
+    def run(sc, grid):
+        series, details = fd_simulate(
+            sc, grid, [YR, 10.0 * YR, 30.0 * YR], snapshot_times=[10.0 * YR], return_details=True
+        )
+        return series.outlet_temperatures, details.snapshots[0].temperatures, details
+
+    slab = slab_grid(valles, nx=16, ny=32, n_steps=100)
+    semi = semi_infinite_grid(valles_single, nx=16, ny=32, n_steps=300)
+    cold_slab, cold_semi = run(valles, slab), run(valles_single, semi)
+    others = [dataclasses.replace(slab, ny=ny) for ny in (16, 20, 24, 28)]
+    for sc, grid, cold in [(valles, slab, cold_slab), (valles_single, semi, cold_semi)] * 2:
+        for other in others:
+            run(valles, other)
+        for _ in range(2):
+            outlets, snapshot, details = run(sc, grid)
+            assert np.array_equal(outlets, cold[0]) and np.array_equal(snapshot, cold[1])
+            assert (details.fluid_enthalpy_J, details.rock_heat_loss_J) == (
+                cold[2].fluid_enthalpy_J, cold[2].rock_heat_loss_J)
+    # each shape was solved on its first run and on each return after the
+    # others evicted it (32 unknowns in slab mode, 31 below the pinned node)
+    assert (counted_eigensolves.count(32), counted_eigensolves.count(31)) == (3, 3)
+
+
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+def test_fd_scaled_basis_matches_the_grids_own_decomposition(site, request):
+    # the nodes are y_max times the unit-depth ones: the eigenvectors agree to
+    # rounding, the eigenvalues scale by 1/y_max^2, the root-weights by sqrt(y_max)
+    sc = request.getfixturevalue(site)
+    for grid in (slab_grid(sc), semi_infinite_grid(collapse_to_single(sc, faces=1))):
+        lam, vectors, root_w = _direct_modes(grid.y_nodes(), grid.bc_far == "dirichlet_T0")
+        unit_lam, unit_vectors, unit_root_w = _modes(grid.ny, grid.ratio, grid.bc_far)
+        scaled_lam = unit_lam / grid.y_max / grid.y_max
+        assert np.max(np.abs(scaled_lam - lam) / np.abs(lam)) <= 3.2e-13
+        assert np.max(np.abs(unit_root_w * np.sqrt(grid.y_max) - root_w) / root_w) <= 4.5e-15
+        signs = np.sign(np.sum(vectors * unit_vectors, axis=0))
+        assert np.max(np.abs(unit_vectors * signs - vectors)) <= 3.3e-14
+
+
+def test_fd_cached_basis_is_read_only_and_bounded():
+    try:
+        for array in _modes(17, 1.05, "dirichlet_T0"):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = 0.0
+        for ny in range(16, 26):
+            _modes(ny, 1.05, "neumann_zero")
+            info = _modes.cache_info()
+            assert info.maxsize is not None and info.currsize <= info.maxsize
+    finally:
+        _modes.cache_clear()
 
 
 def test_fd_snapshot_takes_the_nearest_step(valles_single):
