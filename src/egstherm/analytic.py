@@ -62,13 +62,14 @@ class ForecastSeries:
             raise ValueError(f"model must be one of {MODEL_TAGS}, got {self.model!r}")
         if times.ndim != 1 or temps.shape != times.shape:
             raise ValueError("times and outlet_temperatures must be 1-D and equal length")
-        if times.size > 1 and not np.all(np.diff(times) > 0.0):
+        if not (times[1:] > times[:-1]).all():
             raise ValueError("times must be strictly increasing")
         span = self.initial_temperature - self.injection_temperature
         slack = 1e-9 * abs(span)
-        if temps.size and (
-            temps.min() < self.injection_temperature - slack
-            or temps.max() > self.initial_temperature + slack
+        # not (... <= ...), so that a NaN temperature, which compares False, is refused
+        if temps.size and not (
+            self.injection_temperature - slack <= temps.min()
+            and temps.max() <= self.initial_temperature + slack
         ):
             raise ValueError(
                 "outlet temperatures must lie between the injection and initial "

@@ -14,10 +14,11 @@ and the weighted inversion sum is always accumulated in extended precision
 naive double-precision assembly loses most of the mantissa to cancellation.
 The inversion takes an array of times and evaluates the image once on the
 whole (times x n_terms) grid of sample points, so a forecast costs one
-vectorised image evaluation. The forecast evaluates the slab image in float64
-up to n_terms = 16 and in long double at 18 and 20: the image's own rounding
-is amplified by the weights, and only from n_terms = 18 does the float64
-image move the inverted temperatures by more than the last printed digit.
+vectorised image evaluation. The forecast builds that grid, and evaluates the
+slab image, in float64 up to n_terms = 16 and in long double at 18 and 20: the
+image's own rounding is amplified by the weights, and only from n_terms = 18
+does the float64 image move the inverted temperatures by more than the last
+printed digit. The weighted sum is long double at every order.
 """
 
 from __future__ import annotations
@@ -47,15 +48,17 @@ __all__ = [
 ]
 
 # An evaluable transform: maps s > 0 to the image value. The inversion calls
-# it once, with a longdouble array of sample points (the forecast hands the
-# slab image a float64 copy up to n_terms = 16), so it must be a pure NumPy
-# elementwise expression returning an array of the same shape and computing
-# in the dtype it is given.
+# it once, with one array of sample points: long double by default, float64
+# where the caller asks for it (the forecast does up to n_terms = 16). So it
+# must be a pure NumPy elementwise expression returning an array of the same
+# shape and computing in the dtype it is given.
 LaplaceImage = Callable[[np.ndarray], np.ndarray]
 
 _LN2_LONG = np.log(np.longdouble(2.0))
+_SAMPLE_DTYPES = (np.dtype(np.float64), np.dtype(np.longdouble))
 
-# Highest order at which the forecast evaluates the slab image in float64.
+# Highest order at which the forecast samples and evaluates the slab image in
+# float64.
 # The weights amplify the image's rounding: the float64 image moves the
 # inverted temperatures by at most 5e-5 C at n = 16 on the bundled sites and
 # the design panel, but by 1e-3 C at 18 (changing printed CSV digits) and
@@ -103,14 +106,24 @@ def _weights_longdouble(n_terms: int) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _ln2_multiples_float64(n_terms: int) -> np.ndarray:
+    # k ln 2 for k = 1..n_terms, each rounded to float64; a float64 sample
+    # grid is these divided by t
+    out = (np.arange(1, n_terms + 1, dtype=np.longdouble) * _LN2_LONG).astype(float)
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class StehfestConfig:
     """Inversion order. Even n_terms in [6, 20]; 12 is the double-precision
     sweet spot for smooth monotone transforms.
 
-    The weighted sum runs in long double at every order. The forecast's slab
-    image runs in float64 up to n_terms = 16 and in long double at 18 and 20,
-    where the weights amplify float64 image rounding past the printed digits.
+    The weighted sum runs in long double at every order. The forecast builds
+    its sample grid and evaluates the slab image in float64 up to
+    n_terms = 16, and in long double at 18 and 20, where the weights amplify
+    float64 image rounding past the printed digits.
     """
 
     n_terms: int = 12
@@ -122,32 +135,46 @@ class StehfestConfig:
 
 
 def stehfest_invert(
-    image: LaplaceImage, t: float | np.ndarray, config: StehfestConfig = StehfestConfig()
+    image: LaplaceImage,
+    t: float | np.ndarray,
+    config: StehfestConfig = StehfestConfig(),
+    *,
+    sample_dtype: type = np.longdouble,
 ) -> float | np.ndarray:
     """Evaluate the inverse transform at time t > 0, or at an array of times.
 
     f(t) ~ (ln 2 / t) * sum_j V_j F(j ln 2 / t). The image is called once, on
-    the longdouble grid s[..., j-1] = j ln 2 / t of shape (*t.shape, n_terms),
-    and the weighted sum runs in extended precision term by term. A scalar t
-    returns a float; an array t returns a float64 array of t's shape.
+    the grid s[..., j-1] = j ln 2 / t of shape (*t.shape, n_terms), and the
+    weighted sum runs in extended precision term by term. The grid is long
+    double, s = j * (ln 2 / t), unless sample_dtype is float64: then it is
+    (j ln 2 rounded to float64) / t, built in float64, for an image that
+    computes in float64 anyway. A scalar t returns a float; an array t
+    returns a float64 array of t's shape.
     Exact for transforms of low-order polynomials; for smooth monotone
     transforms the systematic error floor is reached around n_terms 12-18.
 
     Raises
     ------
     ValueError
-        If any t is not > 0.
+        If any t is not > 0, or sample_dtype is neither float64 nor long
+        double.
     ArithmeticError
         If the image raises; the sampled range of s is named and the
         original error chained.
     """
+    # np.dtype(None) is float64, so None is refused before it is converted
+    if sample_dtype is None or (sample := np.dtype(sample_dtype)) not in _SAMPLE_DTYPES:
+        raise ValueError(f"sample_dtype must be float64 or longdouble, got {sample_dtype!r}")
     t_arr = np.asarray(t, dtype=float)
-    if not np.all(t_arr > 0.0):
+    if not (t_arr > 0.0).all():
         bad = t_arr[~(t_arr > 0.0)].flat[0]
         raise ValueError(f"inversion time must be > 0, got {float(bad)}")
     weights = _weights_longdouble(config.n_terms)
     log2_over_t = _LN2_LONG / t_arr.astype(np.longdouble)
-    s = np.arange(1, config.n_terms + 1, dtype=np.longdouble) * log2_over_t[..., None]
+    if sample == np.float64:
+        s = _ln2_multiples_float64(config.n_terms) / t_arr[..., None]
+    else:
+        s = np.arange(1, config.n_terms + 1, dtype=np.longdouble) * log2_over_t[..., None]
     try:
         values = np.asarray(image(s), dtype=np.longdouble)
     except Exception as err:
@@ -225,31 +252,42 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
     """Clamp and sanity-check inverted samples, then box them.
 
     Numerical inversion may leave harmless sub-0.1%-of-span excursions
-    outside [T_inj, T0]; those are clipped. Anything larger, or any
-    non-monotone wiggle above 0.5% of span, means the inversion has gone
-    unstable for this transform and is reported instead of smoothed over.
+    outside [T_inj, T0]; those are clipped. Anything larger, any non-finite
+    sample, or any non-monotone wiggle above 0.5% of span, means the
+    inversion has gone unstable for this transform and is reported instead
+    of smoothed over.
     """
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
     span = t_hot - t_cold
     raw = np.asarray(raw, dtype=float)
 
-    excess = np.maximum(raw - t_hot, t_cold - raw)
-    worst = float(excess.max(initial=0.0))
-    if worst > _CLAMP_BUDGET * span:
+    # the worst excursion is max(raw) - T0 or T_inj - min(raw); written as
+    # not (... <= budget) so that a NaN, which compares False, is refused too
+    budget = _CLAMP_BUDGET * span
+    above = raw.max(initial=t_hot) - t_hot
+    below = t_cold - raw.min(initial=t_cold)
+    if not (above <= budget and below <= budget):
+        bad = ~np.isfinite(raw)
+        if bad.any():
+            raise ArithmeticError(
+                f"inverted temperature is not finite at t={float(times[bad.argmax()]):.6g} s; "
+                "the transform inversion is unstable here"
+            )
+        excess = np.maximum(raw - t_hot, t_cold - raw)
         idx = int(excess.argmax())
         raise ArithmeticError(
-            f"inverted temperature leaves [{t_cold}, {t_hot}] by {worst:.3g} C "
+            f"inverted temperature leaves [{t_cold}, {t_hot}] by {float(excess[idx]):.3g} C "
             f"at t={float(times[idx]):.6g} s, beyond the {_CLAMP_BUDGET:.1%} "
             "clamping budget; the transform inversion is unstable here"
         )
-    clipped = np.clip(raw, t_cold, t_hot)
+    clipped = np.minimum(np.maximum(raw, t_cold), t_hot)
 
-    rises = np.diff(clipped)
-    if rises.size and float(rises.max(initial=0.0)) > _WIGGLE_BUDGET * span:
+    rises = clipped[1:] - clipped[:-1]
+    if rises.max(initial=0.0) > _WIGGLE_BUDGET * span:
         idx = int(rises.argmax())
         raise ArithmeticError(
-            f"non-monotone inversion wiggle of {float(rises.max()):.3g} C between "
+            f"non-monotone inversion wiggle of {float(rises[idx]):.3g} C between "
             f"t={float(times[idx]):.6g} s and t={float(times[idx + 1]):.6g} s; "
             f"try a different Stehfest term count (n_terms={config.n_terms} used; "
             "10-16 usually behaves best)"
@@ -283,7 +321,7 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a one-dimensional sequence of seconds")
-    if np.any(times < 0.0):
+    if (times < 0.0).any():
         raise ValueError("forecast times must be >= 0 s")
 
     length = sc.fractures.flow_length
@@ -296,9 +334,11 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
             initial_temperature=sc.rock.initial_temperature,
         )
 
+    # both bindings are looked up at call time and the closure is passed on
+    # as returned, so a wrapper installed on either sees every call
     slab = fluid_temp_laplace_slab(sc, length)
-    working = float if config.n_terms <= _FLOAT64_IMAGE_MAX_TERMS else np.longdouble
+    samples = np.float64 if config.n_terms <= _FLOAT64_IMAGE_MAX_TERMS else np.longdouble
     raw = np.full(times.shape, sc.rock.initial_temperature)
     later = times != 0.0  # keeps NaN, which the inversion refuses
-    raw[later] = stehfest_invert(lambda s: slab(s.astype(working, copy=False)), times[later], config)
+    raw[later] = stehfest_invert(slab, times[later], config, sample_dtype=samples)
     return _finish_series(raw, times, sc, config)

@@ -1,8 +1,8 @@
 """The complementary error function behind the closed-form solutions.
 
-erfc elementwise over arrays: the standard library's correctly rounded
-``math.erfc`` per element, behind a finiteness check so a NaN or infinity
-is refused by name instead of propagating.
+erfc elementwise over arrays: the standard library's ``math.erfc`` per
+element, bit for bit, behind a finiteness check so a NaN or infinity is
+refused by name instead of propagating.
 """
 
 from __future__ import annotations
@@ -12,8 +12,6 @@ import math
 import numpy as np
 
 __all__ = ["erfc"]
-
-_erfc_elementwise = np.frompyfunc(math.erfc, 1, 1)
 
 
 def erfc(x: float | np.ndarray) -> float | np.ndarray:
@@ -39,5 +37,5 @@ def erfc(x: float | np.ndarray) -> float | np.ndarray:
     finite = np.isfinite(x)
     if not finite.all():
         raise ValueError(f"x must be finite, got {float(x[~finite].flat[0])!r}")
-    out = np.asarray(_erfc_elementwise(x), dtype=float)
+    out = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return float(out) if out.ndim == 0 else out

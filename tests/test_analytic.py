@@ -319,6 +319,18 @@ def test_forecast_series_invariants():
     assert s.outlet_temperatures[0] >= 300.0
 
 
+@pytest.mark.parametrize("temps", [[math.nan, 100.0], [100.0, math.nan], [math.nan, math.nan]])
+def test_forecast_series_refuses_nan_temperature(temps):
+    # NaN compares False both ways, so it must fail the bounds check, not pass it
+    with pytest.raises(ValueError, match="outlet temperatures must lie between"):
+        ForecastSeries("single", [1.0, 2.0], temps, 65.0, 300.0)
+
+
+def test_forecast_series_refuses_nan_time():
+    with pytest.raises(ValueError, match="strictly increasing"):
+        _series([1.0, math.nan], [300.0, 300.0])
+
+
 def test_rock_temp_initial_identity(valles_single):
     # at the inlet a = 0, so the wall rock is the classical fixed-face
     # profile: the initial field relaxing toward T_inj as

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -152,6 +153,25 @@ def test_non_finite_horizon_names_the_flag(argv, horizon, capsys):
     assert rc == 1
     assert out == ""
     assert err.startswith("error: --horizon-yr must be a finite number > 0")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["forecast", "--model", "multi_slab"],
+     ["compare", "--model", "single", "--model", "multi_slab"]],
+    ids=["forecast", "compare"],
+)
+def test_non_finite_inversion_is_refused(argv, capsys):
+    # at 1e300 yr the slab image overflows and the inversion sum reads NaN.
+    # Outside this suite NumPy only warns about that, so the warnings are
+    # silenced here to reach the forecast's own guard, which names the time
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        rc, out, err = run(capsys, *argv, "--horizon-yr", "1e300", "--steps", "3")
+    assert rc == 1
+    assert out == ""
+    assert err == ("error: inverted temperature is not finite at t=3.1536e+307 s; "
+                   "the transform inversion is unstable here\n")
 
 
 def test_table2_default(capsys):

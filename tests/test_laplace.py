@@ -1,13 +1,17 @@
 """Numerical Laplace inversion: weights, known transforms, forecast engine."""
 
+import collections
 import dataclasses
 import math
+from types import FunctionType
 
 import numpy as np
 import pytest
 
 from egstherm.analytic import fluid_temp_single
+import egstherm.analytic
 import egstherm.laplace
+import egstherm.specfun
 from egstherm.laplace import (
     StehfestConfig,
     _finish_series,
@@ -173,9 +177,97 @@ def test_forecast_zero_time_skips_inversion(valles, slab_samples):
     "n, dtype", [(6, np.float64), (16, np.float64), (18, np.longdouble), (20, np.longdouble)]
 )
 def test_forecast_slab_image_dtype_follows_the_order(valles, slab_samples, n, dtype):
-    multi_fracture_forecast(valles, [YR], StehfestConfig(n))
+    times = np.array([0.0, 0.3, 1.0, 7.5]) * YR
+    multi_fracture_forecast(valles, times, StehfestConfig(n))
     assert [s.dtype for s in slab_samples] == [np.dtype(dtype)]
-    assert slab_samples[0].shape == (1, n)
+    # the grid itself: (k ln 2 rounded to float64) / t built in float64 up
+    # to n = 16, k (ln 2 / t) in long double above; t = 0 is never sampled
+    k = np.arange(1, n + 1, dtype=np.longdouble)
+    ln2 = np.log(np.longdouble(2.0))
+    later = times[1:, None]
+    if dtype is np.float64:
+        want = (k * ln2).astype(np.float64) / later
+    else:
+        want = k * (ln2 / later.astype(np.longdouble))
+    assert slab_samples[0].shape == (3, n)
+    assert np.array_equal(slab_samples[0], want)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, float, "float64", np.longdouble])
+def test_invert_builds_the_sample_grid_in_the_dtype_asked(dtype):
+    seen = []
+
+    def image(s):
+        seen.append(s)
+        return 1.0 / s
+
+    t = np.array([0.5, 2.0])
+    got = stehfest_invert(image, t, sample_dtype=dtype)
+    assert seen[0].dtype == np.dtype(dtype) and seen[0].shape == (2, 12)
+    # the weights amplify the float64 grid's rounding to ~1e-10 on 1/s,
+    # which is why long double stays the default
+    assert got.dtype == np.float64 and np.all(np.abs(got - 1.0) < 1e-9)
+    assert stehfest_invert(image, 2.0, sample_dtype=dtype) == got[1]
+    assert seen[-1].shape == (12,)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float16, np.int64, np.complex128, object, None])
+def test_invert_refuses_other_sample_dtypes(dtype):
+    with pytest.raises(ValueError, match=r"^sample_dtype must be float64 or longdouble, got "):
+        stehfest_invert(lambda s: 1.0 / s, 2.0, sample_dtype=dtype)
+
+
+def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
+    # one design operation of the benchmark's design_sweep: an array
+    # forecast, then its isolated comparator (one fracture at the same
+    # per-fracture rate). A profiler that wraps the module bindings, and
+    # the closures they return under their own names, must see each of
+    # these called once by every forecast that reaches it
+    calls = collections.Counter()
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            result = fn(*args, **kwargs)
+            if type(result) is FunctionType:
+                result = counted(result, f"{name.split('.')[0]}.{result.__name__}")
+            return result
+
+        return wrapper
+
+    for module, name in [
+        (egstherm.laplace, "validate"),
+        (egstherm.laplace, "stehfest_invert"),
+        (egstherm.laplace, "fluid_temp_laplace_slab"),
+        (egstherm.analytic, "fluid_temp_single"),
+        (egstherm.specfun, "erfc"),
+    ]:
+        layer = module.__name__.rsplit(".", 1)[-1]
+        monkeypatch.setattr(module, name, counted(getattr(module, name), f"{layer}.{name}"))
+
+    per_fracture = valles.operating.total_rate / valles.fractures.count
+    isolated = with_total_rate(
+        dataclasses.replace(valles, fractures=dataclasses.replace(
+            valles.fractures, count=1, spacing=None)),
+        per_fracture,
+    )
+    horizon = valles.operating.horizon
+    times = np.geomspace(horizon / 1e4, horizon, 200)
+
+    multi_fracture_forecast(valles, times)
+    assert calls == {
+        "laplace.validate": 1,
+        "laplace.fluid_temp_laplace_slab": 1,
+        "laplace.image": 1,
+        "laplace.stehfest_invert": 1,
+    }
+    calls.clear()
+    multi_fracture_forecast(isolated, times)
+    assert calls == {
+        "laplace.validate": 1,
+        "analytic.fluid_temp_single": 1,
+        "specfun.erfc": 1,
+    }
 
 
 # largest deviation of the forecast (float64 slab image up to n = 16) from
@@ -330,6 +422,22 @@ def test_forecast_rejects_bad_times(valles):
         multi_fracture_forecast(valles, np.array([np.nan]))
 
 
+@pytest.mark.parametrize("times", [[np.inf], [1e7, np.inf]], ids=["inf", "1e7-inf"])
+def test_forecast_refuses_a_non_finite_inversion(valles, times):
+    # at t = inf every sample is s = 0. With NumPy's floating-point errors
+    # ignored the image reads inf there, the weighted sum NaN, and the guard
+    # refuses it by time instead of returning it
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError) as err:
+        multi_fracture_forecast(valles, times)
+    assert str(err.value) == (
+        "inverted temperature is not finite at t=inf s; the transform inversion is unstable here"
+    )
+    # with warnings as errors, as in this suite, the image's division by
+    # zero is refused first, where it happens
+    with pytest.raises(ArithmeticError, match=r"^Laplace image evaluation failed on s=0\.0\.\."):
+        multi_fracture_forecast(valles, times)
+
+
 def test_forecast_far_tail_fails_loudly(valles):
     # the default-order inversion degrades in the deep depletion tail;
     # the guard refuses to return the bad samples
@@ -361,3 +469,11 @@ def test_finish_series_rejects_wiggles(valles):
         _finish_series(raw, times, valles, StehfestConfig())
     assert "non-monotone" in str(err.value)
     assert "n_terms=12" in str(err.value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_finish_series_rejects_non_finite_samples(valles, bad):
+    raw = np.array([250.0, bad, 200.0])
+    times = np.array([1.0, 2.0, 3.0]) * YR
+    with pytest.raises(ArithmeticError, match=r"^inverted temperature is not finite at t=6\.3072e\+07 s;"):
+        _finish_series(raw, times, valles, StehfestConfig())
