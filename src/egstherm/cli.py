@@ -470,15 +470,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="finite-difference check vs a model -> CSV")
     _add_run_flags(p_oracle, _ONE_MODEL, "--horizon-yr", "--stehfest-n", "--faces", "--spacing-m",
                    "--out")
+    # the grid defaults are the oracle's own (semi_infinite_grid, slab_grid),
+    # written out because building the parser must not load the oracle
     p_oracle.add_argument("--nx", type=int, default=200, help="along-fracture cells")
-    p_oracle.add_argument("--ny", type=int, default=400, help="into-rock cells")
+    p_oracle.add_argument("--ny", type=int, default=200, help="into-rock cells")
     p_oracle.add_argument(
-        "--nt", type=int, default=2000,
+        "--nt", type=int, default=2400,
         help="sets the first time step, horizon/nt; later steps double up to 8x it "
-        "(2000 gives 386 steps)",
+        "(2400 gives 436 steps)",
     )
     p_oracle.add_argument("--y-max", type=float, default=None, help="rock depth, m (semi-infinite mode)")
-    p_oracle.add_argument("--ratio", type=float, default=1.02, help="y-grid stretching ratio")
+    p_oracle.add_argument("--ratio", type=float, default=1.025, help="y-grid stretching ratio")
     p_oracle.add_argument("--probes", type=int, default=8, help="log-spaced probe count (0 for none)")
     p_oracle.add_argument(
         "--probe-yr", type=float, action="append", default=None, help="explicit probe time, years (repeatable)"

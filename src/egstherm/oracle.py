@@ -17,14 +17,14 @@ Numerical layout
   interior Laplacian is diagonalized once per grid shape (ny, ratio,
   bc_far) in a process, at unit depth, and each run scales that basis by
   its y_max; the last four shapes stay cached, (ny + 1)^2 * 8 bytes each
-  (1.3 MB at the default ny = 400). A step scales each mode by its
+  (0.32 MB at the default ny = 200). A step scales each mode by its
   amplification factor S and adds the face forcing, at every x-station at
   once.
 * step ladder: the outlet's error is a start-up transient, so only the
   start needs the fine step. The first _RUNG steps take grid.dt; the step
   then doubles every _RUNG steps up to _MAX_MULTIPLE grid.dt, which it
   keeps to the end. Step end times are grid.dt times integers, the first
-  _RUNG of them exactly k grid.dt. A horizon of 2000 grid.dt takes 386
+  _RUNG of them exactly k grid.dt. A horizon of 2400 grid.dt takes 436
   steps. The first step of each longer rung is damped like the startup:
   a change of step size excites modes that Crank-Nicolson barely damps,
   and where the outlet has all but reached the injection temperature
@@ -88,7 +88,7 @@ _BLOCK = 32
 # up to this multiple of grid.dt
 _RUNG = 64
 _MAX_MULTIPLE = 8
-# the most steps a run may take: a default run takes 386, and the ladder's
+# the most steps a run may take: a default run takes 436, and the ladder's
 # arrays grow with the count, so a far-off probe time is refused instead
 _MAX_STEPS = 10**6
 
@@ -117,9 +117,9 @@ class OracleGrid:
     y_max: float
     dt: float
     nx: int = 200
-    ny: int = 400
+    ny: int = 200
     bc_far: str = "dirichlet_T0"
-    ratio: float = 1.02
+    ratio: float = 1.025
 
     def __post_init__(self) -> None:
         if not (isinstance(self.nx, int) and self.nx >= 16):
@@ -144,10 +144,10 @@ class OracleGrid:
 
 def semi_infinite_grid(
     sc: Scenario,
-    nx: int = 200,
-    ny: int = 400,
-    n_steps: int = 2000,
-    ratio: float = 1.02,
+    nx: int = OracleGrid.nx,
+    ny: int = OracleGrid.ny,
+    n_steps: int = 2400,
+    ratio: float = OracleGrid.ratio,
     horizon: float | None = None,
     y_max: float | None = None,
 ) -> OracleGrid:
@@ -167,10 +167,10 @@ def semi_infinite_grid(
 
 def slab_grid(
     sc: Scenario,
-    nx: int = 200,
-    ny: int = 400,
-    n_steps: int = 2000,
-    ratio: float = 1.02,
+    nx: int = OracleGrid.nx,
+    ny: int = OracleGrid.ny,
+    n_steps: int = 2400,
+    ratio: float = OracleGrid.ratio,
     horizon: float | None = None,
 ) -> OracleGrid:
     """The semi-infinite grid ended at the zero-flux midplane, spacing/2."""
@@ -254,18 +254,21 @@ def _gradient_stencil(y: np.ndarray) -> np.ndarray:
     )
 
 
-def _march_matrix(gain_powers: np.ndarray) -> np.ndarray:
-    """Lower-triangular M with (M p)[i] = sum over j < i of
+def _march_matrix(gain_powers: np.ndarray, scale: float) -> np.ndarray:
+    """scale times the lower-triangular M with (M p)[i] = sum over j < i of
     gain**(i-1-j) * (p[j] + p[j+1]): the trapezoid march from a zero inlet,
     built from gain_powers = gain ** arange(nx + 1)."""
     from scipy.linalg import toeplitz
 
     size = gain_powers.size
-    # row i reads gain**(i-j) for j <= i, zeros above
-    powers = toeplitz(gain_powers, np.zeros(size))
-    march = np.zeros((size, size))
-    np.add(powers[:-1], powers[1:], out=march[1:])
-    march[1:, 0] -= powers[1:, 0]
+    # entry (i, j) of rows 1 on reads lag[i - j] for j <= i, zeros above
+    pairs = gain_powers[:-1] + gain_powers[1:]
+    lag = np.append(gain_powers[0], pairs) * scale
+    march = toeplitz(lag, np.zeros(size))
+    # the inlet's value p[0] enters row i only through gain**(i-1), taken as
+    # pairs - gain**i: the outlets carry that rounding
+    march[0, 0] = 0.0
+    march[1:, 0] = (pairs - gain_powers[1:]) * scale
     return march
 
 
@@ -432,6 +435,7 @@ def fd_simulate(
 
     # the face gradient's interior part in modal coordinates
     grad_row = stencil[1] * vectors[0] / root_w[0] + stencil[2] * vectors[1] / root_w[1]
+    grad_long = grad_row.astype(np.longdouble)
 
     def theta_block(theta: float, multiple: int, length: int):
         # a block of `length` theta steps of multiple * grid.dt from modal
@@ -444,7 +448,8 @@ def fd_simulate(
         denom = 1.0 - theta * alpha_dt * lam
         scale = (1.0 + (1.0 - theta) * alpha_dt * lam) / denom
         forcing = alpha_dt * face_load / denom
-        ratio_q = dx * coupling * (stencil[0] + theta * (grad_row @ forcing)) / 2.0
+        # the gain's sum cancels like echo's below, so it is accumulated alike
+        ratio_q = dx * coupling * (stencil[0] + theta * float(grad_long @ forcing)) / 2.0
         gain = (1.0 + ratio_q) / (1.0 - ratio_q)
         if not gain > 0.0:
             raise ValueError(
@@ -453,7 +458,7 @@ def fd_simulate(
                 "and the outlet would oscillate along it; raise nx"
             )
         gain_powers = gain ** np.arange(grid.nx + 1)
-        march = _march_matrix(gain_powers) * (dx * coupling / 2.0 / (1.0 - ratio_q))
+        march = _march_matrix(gain_powers, dx * coupling / 2.0 / (1.0 - ratio_q))
         inlet = (t_cold - t_hot) * gain_powers
         # row n: S^n, as powers of |S| with the sign set by the exponent's
         # parity: within 1 ulp of NumPy's power and ~20x faster on the
@@ -468,7 +473,7 @@ def fd_simulate(
         # These sums cancel heavily and every block reuses them, so they are
         # accumulated in extended precision: in float64 their rounding moved
         # the zeinali slab outlet by 1e-7 C
-        echo = (grad_row.astype(np.longdouble) @ weighted.T).astype(float)
+        echo = (grad_long @ weighted.T).astype(float)
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T

@@ -1,6 +1,7 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import argparse
+import inspect
 import json
 import warnings
 from pathlib import Path
@@ -9,6 +10,7 @@ import pytest
 
 import egstherm.cli
 from egstherm.cli import build_parser, main
+from egstherm.oracle import OracleGrid, semi_infinite_grid, slab_grid
 from egstherm.scenario import bundled_scenario_path
 
 from conftest import fresh_python
@@ -318,13 +320,13 @@ FIRST_CELL_SUFFIX = (" m, is wider than the cooling front reaches by t=1.5768e+0
          + CAP_SUFFIX),
         # a first rock cell the cooling front never reaches by the run's end
         (["--nt", "60", "--probes", "3", "--y-max", "1e300"],
-         FIRST_CELL_PREFIX + "5.36501e+298" + FIRST_CELL_SUFFIX),
+         FIRST_CELL_PREFIX + "5.1599e+298" + FIRST_CELL_SUFFIX),
         (["--nt", "60", "--probes", "3", "--y-max", "1e4"],
-         FIRST_CELL_PREFIX + "536.501" + FIRST_CELL_SUFFIX),
+         FIRST_CELL_PREFIX + "515.99" + FIRST_CELL_SUFFIX),
         (["--nt", "60", "--probes", "3", "--model", "multi_slab", "--spacing-m", "1e6"],
-         FIRST_CELL_PREFIX + "26825.1" + FIRST_CELL_SUFFIX),
+         FIRST_CELL_PREFIX + "25799.5" + FIRST_CELL_SUFFIX),
         (["--nt", "60", "--probes", "3", "--model", "multi_slab", "--spacing-m", "1e300"],
-         FIRST_CELL_PREFIX + "2.68251e+298" + FIRST_CELL_SUFFIX),
+         FIRST_CELL_PREFIX + "2.57995e+298" + FIRST_CELL_SUFFIX),
     ],
     ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
          "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing", "y-max-inf",
@@ -615,6 +617,18 @@ CLI_SURFACE = {
                "--snapshot-yr", "--snapshot-out"},
     "convert": set(),
 }
+
+
+def test_oracle_grid_defaults_are_the_oracles():
+    # the parser cannot import the oracle for its defaults (see the import
+    # test below), so it writes them out; they must stay the factories' own,
+    # and the factories' must stay OracleGrid's
+    args = build_parser().parse_args(["oracle"])
+    parsed = {"nx": args.nx, "ny": args.ny, "n_steps": args.nt, "ratio": args.ratio}
+    for factory in (semi_infinite_grid, slab_grid):
+        params = inspect.signature(factory).parameters
+        assert {name: params[name].default for name in parsed} == parsed
+    assert (OracleGrid.nx, OracleGrid.ny, OracleGrid.ratio) == (args.nx, args.ny, args.ratio)
 
 
 def test_cli_surface_is_pinned():
