@@ -350,14 +350,15 @@ def cmd_oracle(args: argparse.Namespace) -> _Output:
     resolved = model.scenario
     horizon = args.horizon_yr * SECONDS_PER_YEAR
 
+    # only the grid flags given reach the factories, which own the defaults
+    given = {"nx": args.nx, "ny": args.ny, "n_steps": args.nt, "ratio": args.ratio}
+    grid_args = {name: value for name, value in given.items() if value is not None}
     if model.base == "multi_slab":
         if args.y_max is not None:
             raise ValueError("slab mode fixes y_max at spacing/2; drop --y-max")
-        grid = slab_grid(resolved, args.nx, args.ny, args.nt, ratio=args.ratio, horizon=horizon)
+        grid = slab_grid(resolved, horizon=horizon, **grid_args)
     else:
-        grid = semi_infinite_grid(
-            resolved, args.nx, args.ny, args.nt, ratio=args.ratio, horizon=horizon, y_max=args.y_max
-        )
+        grid = semi_infinite_grid(resolved, horizon=horizon, y_max=args.y_max, **grid_args)
 
     if args.probe_yr:
         probe_times = np.array(sorted(set(args.probe_yr))) * SECONDS_PER_YEAR
@@ -470,17 +471,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="finite-difference check vs a model -> CSV")
     _add_run_flags(p_oracle, _ONE_MODEL, "--horizon-yr", "--stehfest-n", "--faces", "--spacing-m",
                    "--out")
-    # the grid defaults are the oracle's own (semi_infinite_grid, slab_grid),
-    # written out because building the parser must not load the oracle
-    p_oracle.add_argument("--nx", type=int, default=200, help="along-fracture cells")
-    p_oracle.add_argument("--ny", type=int, default=200, help="into-rock cells")
+    p_oracle.add_argument("--nx", type=int, default=None, help="along-fracture cells")
+    p_oracle.add_argument("--ny", type=int, default=None, help="into-rock cells")
     p_oracle.add_argument(
-        "--nt", type=int, default=2400,
-        help="sets the first time step, horizon/nt; later steps double up to 8x it "
-        "(2400 gives 436 steps)",
+        "--nt", type=int, default=None,
+        help="sets the first time step, horizon/nt; later steps double up to 8x it",
     )
     p_oracle.add_argument("--y-max", type=float, default=None, help="rock depth, m (semi-infinite mode)")
-    p_oracle.add_argument("--ratio", type=float, default=1.025, help="y-grid stretching ratio")
+    p_oracle.add_argument("--ratio", type=float, default=None, help="y-grid stretching ratio")
     p_oracle.add_argument("--probes", type=int, default=8, help="log-spaced probe count (0 for none)")
     p_oracle.add_argument(
         "--probe-yr", type=float, action="append", default=None, help="explicit probe time, years (repeatable)"

@@ -23,6 +23,7 @@ printed digit. The weighted sum is long double at every order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -36,7 +37,7 @@ import numpy as np
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
 from .analytic import ForecastSeries
-from .scenario import face_coupling, thermal_diffusivity, transfer_coefficient, validate
+from .scenario import face_coupling, thermal_diffusivity, validate
 
 __all__ = [
     "LaplaceImage",
@@ -65,6 +66,12 @@ _SAMPLE_DTYPES = (np.dtype(np.float64), np.dtype(np.longdouble))
 # 2e-2 C at 20 (a worse error against a 30-digit reference), so 18 and 20
 # keep the long-double image. The weighted sum is long double at every order.
 _FLOAT64_IMAGE_MAX_TERMS = 16
+
+# tanh(z) is exactly 1 from z ~ 22.9 on in long double, and a float time gives
+# samples s >= ln 2 / max_float: from a half-spacing of this times sqrt(alpha)
+# on, the image takes tanh = 1 without forming d sqrt(s/alpha), which may
+# overflow, or at d = inf make a complex sample's zero imaginary part NaN
+_HALF_SPACE_DEPTH = 23.0 * math.sqrt(np.finfo(float).max) / math.sqrt(math.log(2.0))
 
 # fraction of (T0 - T_inj) tolerated before clamping/monotonicity guards trip
 _CLAMP_BUDGET = 1e-3
@@ -192,19 +199,13 @@ def fluid_temp_laplace(sc, x: float) -> LaplaceImage:
     """Transform of the produced-fluid temperature, semi-infinite rock.
 
     s -> T0/s + (T_inj - T0)/s * exp(-a sqrt(s)), with a the scenario's
-    transfer coefficient at x. The decaying exponential branch is the
-    physical one (bounded temperatures). The time-domain inverse is the
-    closed form in :func:`egstherm.analytic.fluid_temp_single`, so the two
-    routes cross-validate each other.
+    transfer coefficient at x: the slab image at infinite spacing, tanh = 1.
+    The decaying exponential branch is the physical one (bounded
+    temperatures). The time-domain inverse is the closed form in
+    :func:`egstherm.analytic.fluid_temp_single`, so the two routes
+    cross-validate each other.
     """
-    a = transfer_coefficient(sc, x)
-    t_hot = sc.rock.initial_temperature
-    t_cold = sc.fluid.injection_temperature
-
-    def image(s):
-        return (t_hot + (t_cold - t_hot) * np.exp(-a * np.sqrt(s))) / s
-
-    return image
+    return _fluid_image(sc, x, math.inf)
 
 
 def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
@@ -230,19 +231,24 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
         raise ValueError("slab image requires a multi-fracture array (count > 1)")
     if fr.spacing is None or not fr.spacing > 0.0:
         raise ValueError("slab image requires a positive fracture spacing")
+    return _fluid_image(sc, x, fr.spacing / 2.0)
+
+
+def _fluid_image(sc, x: float, half_spacing: float) -> LaplaceImage:
+    """The slab image at half-spacing d; d = inf is the half-space."""
     x = float(x)
-    if not 0.0 <= x <= fr.flow_length:
-        raise ValueError(f"x must lie in [0, flow_length={fr.flow_length}], got {x}")
+    if not 0.0 <= x <= sc.fractures.flow_length:
+        raise ValueError(f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}")
 
     alpha = thermal_diffusivity(sc.rock)
     coupling = face_coupling(sc)
-    half_spacing = fr.spacing / 2.0
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
+    half_space = not half_spacing < _HALF_SPACE_DEPTH * math.sqrt(alpha)
 
     def image(s):
         root = np.sqrt(s / alpha)
-        gamma = coupling * root * np.tanh(half_spacing * root)
+        gamma = coupling * root * (1.0 if half_space else np.tanh(half_spacing * root))
         return (t_hot + (t_cold - t_hot) * np.exp(-x * gamma)) / s
 
     return image

@@ -1,7 +1,6 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import argparse
-import inspect
 import json
 import warnings
 from pathlib import Path
@@ -9,9 +8,11 @@ from pathlib import Path
 import pytest
 
 import egstherm.cli
+import egstherm.oracle
 from egstherm.cli import build_parser, main
-from egstherm.oracle import OracleGrid, semi_infinite_grid, slab_grid
-from egstherm.scenario import bundled_scenario_path
+from egstherm.oracle import semi_infinite_grid, slab_grid
+from egstherm.scenario import bundled_scenario, bundled_scenario_path
+from egstherm.units import SECONDS_PER_YEAR
 
 from conftest import fresh_python
 
@@ -174,6 +175,17 @@ def test_non_finite_inversion_is_refused(argv, capsys):
     assert out == ""
     assert err == ("error: inverted temperature is not finite at t=3.1536e+307 s; "
                    "the transform inversion is unstable here\n")
+
+
+def test_slab_at_a_deep_midplane_reads_the_half_space(capsys):
+    # at a 1e300 m spacing tanh(d sqrt(s/alpha)) is 1 for every sample a float
+    # time gives, so the image takes it as 1 and never forms the product,
+    # which overflows here (and this suite turns warnings into errors)
+    rc, out, err = run(capsys, "forecast", "--model", "multi_slab", "--horizon-yr", "1e-300",
+                       "--spacing-m", "1e300", "--stehfest-n", "6", "--steps", "3")
+    assert rc == 0 and err == ""
+    assert out == ("time_yr,T_out_C,model\n1e-304,300,multi_slab\n"
+                   "1e-302,300,multi_slab\n1e-300,300,multi_slab\n")
 
 
 def test_table2_default(capsys):
@@ -619,16 +631,27 @@ CLI_SURFACE = {
 }
 
 
-def test_oracle_grid_defaults_are_the_oracles():
-    # the parser cannot import the oracle for its defaults (see the import
-    # test below), so it writes them out; they must stay the factories' own,
-    # and the factories' must stay OracleGrid's
+class _GridSeen(Exception):
+    pass
+
+
+def test_oracle_grid_defaults_are_the_oracles(monkeypatch):
+    # the parser holds no grid default: a flag-less run hands fd_simulate the
+    # factory's own default grid, at the horizon the CLI computes
     args = build_parser().parse_args(["oracle"])
-    parsed = {"nx": args.nx, "ny": args.ny, "n_steps": args.nt, "ratio": args.ratio}
-    for factory in (semi_infinite_grid, slab_grid):
-        params = inspect.signature(factory).parameters
-        assert {name: params[name].default for name in parsed} == parsed
-    assert (OracleGrid.nx, OracleGrid.ny, OracleGrid.ratio) == (args.nx, args.ny, args.ratio)
+    assert (args.nx, args.ny, args.nt, args.ratio) == (None, None, None, None)
+
+    def seen(sc, grid, *rest, **kwargs):
+        raise _GridSeen(sc, grid)
+
+    monkeypatch.setattr(egstherm.oracle, "fd_simulate", seen)
+    horizon = bundled_scenario("valles_caldera").operating.horizon
+    horizon = horizon / SECONDS_PER_YEAR * SECONDS_PER_YEAR
+    for model, factory in (("single", semi_infinite_grid), ("multi_slab", slab_grid)):
+        with pytest.raises(_GridSeen) as caught:
+            main(["oracle", "--model", model])
+        sc, grid = caught.value.args
+        assert grid == factory(sc, horizon=horizon)
 
 
 def test_cli_surface_is_pinned():
