@@ -7,14 +7,8 @@ fall, and what does the adjacent rock look like along the way?
 
 import numpy as np
 
-from egstherm.analytic import (
-    ForecastSeries,
-    fluid_temp_single,
-    interfacial_flux,
-    onset_of_decline,
-    rock_temp,
-    thermal_power,
-)
+from egstherm.analytic import interfacial_flux, onset_of_decline, rock_temp, thermal_power
+from egstherm.laplace import multi_fracture_forecast
 from egstherm.scenario import bundled_scenario, collapse_to_single, transfer_coefficient
 from egstherm.units import SECONDS_PER_YEAR as YR
 
@@ -28,20 +22,14 @@ def main():
     print()
 
     times = np.geomspace(0.01, 50.0, 12) * YR
-    temps = fluid_temp_single(sc, x, times)
+    # one fracture: the forecast is the closed form at the outlet
+    series = multi_fracture_forecast(sc, times)
     print(" t [yr]   outlet [C]   face flux [W/m2]   power [MW]")
-    for t, temp in zip(times, temps):
+    for t, temp in zip(times, series.outlet_temperatures):
         flux = interfacial_flux(sc, x, float(t))
         power = thermal_power(sc, temp) / 1e6
         print(f"{t / YR:7.2f}   {temp:10.2f}   {flux:16.1f}   {power:10.1f}")
 
-    series = ForecastSeries(
-        model="single",
-        times=times,
-        outlet_temperatures=temps,
-        injection_temperature=sc.fluid.injection_temperature,
-        initial_temperature=sc.rock.initial_temperature,
-    )
     onset = onset_of_decline(series, frac=0.01)
     print()
     print(f"outlet first drops 1% of span at ~{onset / YR:.2f} yr")

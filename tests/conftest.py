@@ -17,17 +17,21 @@ def with_total_rate(sc, total_rate):
     return dataclasses.replace(sc, operating=op)
 
 
+def python_run(*args: str) -> subprocess.CompletedProcess:
+    """Run a new interpreter that imports this egstherm with these arguments."""
+    src = str(Path(egstherm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
 def fresh_python(code: str) -> str:
     """Run code in a new interpreter that imports this egstherm; return its stdout.
 
     What a new interpreter has in sys.modules shows what the code imported,
     which this test session's own imports would hide.
     """
-    src = str(Path(egstherm.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
-    )
+    proc = python_run("-c", code)
+    proc.check_returncode()
     return proc.stdout
 
 

@@ -2,7 +2,6 @@
 
 import argparse
 import json
-import warnings
 from pathlib import Path
 
 import pytest
@@ -14,9 +13,12 @@ from egstherm.oracle import semi_infinite_grid, slab_grid
 from egstherm.scenario import bundled_scenario, bundled_scenario_path
 from egstherm.units import SECONDS_PER_YEAR
 
-from conftest import fresh_python
+from conftest import fresh_python, python_run
 
 FORECAST_TWO_STEPS = "time_yr,T_out_C,model\n0.005,300,single\n50,79.8373,single\n"
+OVERFLOW_REFUSAL = ("error: Laplace image evaluation failed on "
+                    "s=2.1979552909688777e-308..2.6375463491626532e-303: "
+                    "overflow encountered in divide\n")
 
 
 def run(capsys, *argv):
@@ -158,23 +160,32 @@ def test_non_finite_horizon_names_the_flag(argv, horizon, capsys):
     assert err.startswith("error: --horizon-yr must be a finite number > 0")
 
 
-@pytest.mark.parametrize(
+SLAB_RUNS = pytest.mark.parametrize(
     "argv",
     [["forecast", "--model", "multi_slab"],
      ["compare", "--model", "single", "--model", "multi_slab"]],
     ids=["forecast", "compare"],
 )
+
+
+@SLAB_RUNS
 def test_non_finite_inversion_is_refused(argv, capsys):
-    # at 1e300 yr the slab image overflows and the inversion sum reads NaN.
-    # Outside this suite NumPy only warns about that, so the warnings are
-    # silenced here to reach the forecast's own guard, which names the time
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        rc, out, err = run(capsys, *argv, "--horizon-yr", "1e300", "--steps", "3")
+    # at 1e300 yr the slab image overflows dividing by its subnormal samples
+    rc, out, err = run(capsys, *argv, "--horizon-yr", "1e300", "--steps", "3")
     assert rc == 1
     assert out == ""
-    assert err == ("error: inverted temperature is not finite at t=3.1536e+307 s; "
-                   "the transform inversion is unstable here\n")
+    assert err == OVERFLOW_REFUSAL
+
+
+@pytest.mark.parametrize("flag", ["default", "error"])
+@SLAB_RUNS
+def test_non_finite_inversion_reads_alike_under_any_warnings_filter(argv, flag):
+    # as a user runs it: the interpreter's own -W filter prints no
+    # RuntimeWarning and picks no other refusal
+    proc = python_run("-W", flag, "-m", "egstherm", *argv, "--horizon-yr", "1e300", "--steps", "3")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == OVERFLOW_REFUSAL
 
 
 def test_slab_at_a_deep_midplane_reads_the_half_space(capsys):
