@@ -361,11 +361,12 @@ def cmd_oracle(args: argparse.Namespace) -> _Output:
         grid = semi_infinite_grid(resolved, horizon=horizon, y_max=args.y_max, **grid_args)
 
     if args.probe_yr:
-        probe_times = np.array(sorted(set(args.probe_yr))) * SECONDS_PER_YEAR
+        # sorted, NaNs last and as one: a set keeps every NaN, ordered by identity
+        probe_times = np.unique(args.probe_yr) * SECONDS_PER_YEAR
     else:
         probe_times = np.geomspace(horizon / 100.0, horizon, args.probes)
 
-    snapshot_times = np.array(sorted(set(args.snapshot_yr or []))) * SECONDS_PER_YEAR
+    snapshot_times = np.unique(args.snapshot_yr or []) * SECONDS_PER_YEAR
     series, details = fd_simulate(
         resolved, grid, probe_times, snapshot_times=snapshot_times, return_details=True
     )

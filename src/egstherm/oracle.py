@@ -41,6 +41,11 @@ Numerical layout
   modes to the block's end. Node values are synthesized only where needed
   (face gradient, snapshots, and the node beside a pinned far boundary at
   each block's end).
+* x (along the fracture): nx uniform cells. The fluid march costs nx^2 per
+  step and the block products modes * nx, so each mode's grid factory takes
+  the nx its x error needs: 200 in slab mode, where the x part is as large
+  as the total, and 100 in semi-infinite mode, where the time step makes
+  almost all of it (see OracleGrid and semi_infinite_grid).
 * coupling: within a step the rock update is affine in its face temperature,
   so the fluid march solves the coupled step exactly, once per step, as one
   precomputed lower-triangular matrix (per theta and step size) applied to
@@ -51,6 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -105,7 +111,10 @@ class OracleGrid:
     dt : float
         The first time step, s; see the module's step ladder.
     nx, ny : int
-        Along-fracture and into-rock cell counts, both >= 16.
+        Along-fracture and into-rock cell counts, both >= 16. The default
+        nx, 200, is slab mode's (:func:`slab_grid`), where the x part of the
+        outlet error, 0.0023-0.0028 C, is as large as the total;
+        :func:`semi_infinite_grid` takes 100.
     bc_far : str
         ``dirichlet_T0`` pins the far boundary at the initial temperature
         (truncated half-space); ``neumann_zero`` makes it a zero-flux
@@ -144,7 +153,7 @@ class OracleGrid:
 
 def semi_infinite_grid(
     sc: Scenario,
-    nx: int = OracleGrid.nx,
+    nx: int = 100,
     ny: int = OracleGrid.ny,
     n_steps: int = 2400,
     ratio: float = OracleGrid.ratio,
@@ -155,6 +164,14 @@ def semi_infinite_grid(
 
     The first time step is horizon/n_steps; see the module's step ladder.
     The rock depth defaults to six diffusion lengths, 6 sqrt(alpha horizon).
+    The default nx is 100, half the slab grid's. At nx = 200 the time step
+    makes 93% of the outlet error here and x 5e-5 C (0.097 C in all at 48
+    log probes from horizon/100), while nx sets the cost of the fluid march
+    (nx^2 per step) and of the block products (modes * nx). Halving it moves
+    the outlet by at most 1.6e-4 C with one face and 2.0e-3 C with two on
+    the bundled sites and takes about 40% off a run; the error against the
+    closed form at 256 log probes reads 0.1070/0.1027 C
+    (valles_caldera/zeinali), against 0.1071/0.1028 C at nx = 200.
     """
     if horizon is None:
         horizon = sc.operating.horizon
@@ -348,7 +365,8 @@ def fd_simulate(
     ValueError
         If a probe or snapshot time is not a finite number > 0, if reaching
         the latest of them takes more than 10**6 steps, if the first y-cell is
-        wider than 5 sqrt(alpha t) at the run's end, or if the fluid march
+        wider than 5 sqrt(alpha t) at the run's end or too thin for 1/h^2 and
+        alpha dt/h^2 to be finite floats, or if the fluid march
         gain of a step is not positive: the grid is too coarse along x and
         the outlet would oscillate along it.
     RuntimeError
@@ -424,6 +442,18 @@ def fd_simulate(
             f"the first rock cell, {y[1]:.6g} m, is wider than the cooling front "
             f"reaches by t={ends[-1] * grid.dt:.6g} s ({reach:.6g} m, 5 sqrt(alpha t)); "
             "shrink y_max or the fracture spacing, or raise ny"
+        )
+    # the face stencil grows like 1/h1^2 and every modal rate, alpha dt lam,
+    # is at most 4 alpha dt / h1^2 in size: below this width one overflows
+    alpha_dt_max = alpha * grid.dt * float(multiples.max())
+    thinnest = 2.0 * math.sqrt(max(1.0, alpha_dt_max) / sys.float_info.max)
+    if not y[1] >= thinnest:
+        half = "" if pinned else " (half the fracture spacing)"
+        raise ValueError(
+            f"the first rock cell, {y[1]:.6g} m, of y_max={grid.y_max:.6g} m{half} over "
+            f"ny={grid.ny} cells is thinner than {thinnest:.3g} m, where 1/h^2 or the longest "
+            "step's alpha dt/h^2 overflows; raise y_max or the fracture spacing, lower ny "
+            "or shorten the first step"
         )
     stencil = _gradient_stencil(y)
     # the unit-depth basis of this grid shape, scaled to y_max (lam / y_max**2

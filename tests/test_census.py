@@ -1,4 +1,4 @@
-"""Census of forecast/compare argv: each reads the same under any warnings filter.
+"""Census of forecast/compare/oracle argv: each reads the same under any warnings filter.
 
 Every call either succeeds with bounded temperatures and nothing on stderr,
 or exits 1 with one "error:" line and nothing on stdout. Which of the two,
@@ -10,7 +10,7 @@ import io
 import math
 import warnings
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egstherm.cli import main
@@ -56,6 +56,29 @@ def argvs(draw):
     return site, steps, argv
 
 
+@st.composite
+def oracle_argvs(draw):
+    """Small oracle grids (a few ms a run) at extreme horizons, depths, spacings
+    and probe times, in both modes."""
+    site = draw(st.sampled_from(SITES))
+    base, spacing = draw(MODELS)
+    argv = ["oracle", "--scenario", str(bundled_scenario_path(site)), "--model", base]
+    if spacing is not None:
+        argv += ["--spacing-m", spacing]
+    argv += ["--nx", str(draw(st.integers(16, 24))), "--ny", str(draw(st.integers(16, 24))),
+             "--nt", str(draw(st.integers(1, 200)))]
+    if draw(st.booleans()):
+        argv += ["--horizon-yr", draw(magnitudes("0", "-1", "nan", "inf", "1e300"))]
+    if base != "multi_slab" and draw(st.booleans()):
+        argv += ["--y-max", draw(magnitudes("inf", "nan", "0"))]
+    if draw(st.booleans()):
+        for probe in draw(st.lists(magnitudes("0", "nan", "inf"), min_size=1, max_size=3)):
+            argv += ["--probe-yr", probe]
+    else:
+        argv += ["--probes", str(draw(st.integers(0, 4)))]
+    return site, argv
+
+
 def run(argv: list[str], action: str) -> tuple[int, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings():
@@ -65,20 +88,21 @@ def run(argv: list[str], action: str) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
-@settings(max_examples=400, derandomize=True, database=None, deadline=None)
-@given(argvs())
-def test_forecast_and_compare_read_alike_under_any_warnings_filter(case):
-    site, steps, argv = case
+def check_alike(site: str, argv: list[str], rows: int | None) -> None:
+    """The same (exit code, stdout, stderr) under "error" and "ignore": a run
+    that succeeds prints only bounded, finite temperatures in the CSV rows
+    after the header (how many, or None for all but oracle's summary line)
+    and nothing on stderr, and any other exits 1 with one "error:" line and
+    no stdout."""
     rc, out, err = run(argv, "error")
     assert run(argv, "ignore") == (rc, out, err)
     if rc == 0:
         assert err == ""
         sc = bundled_scenario(site)
         t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
-        lines = out.splitlines()
-        header = lines[0].split(",")
-        columns = [i for i, name in enumerate(header) if name.startswith("T_")]
-        for line in lines[1:steps + 1]:
+        header, *lines = out.splitlines()
+        columns = [i for i, name in enumerate(header.split(",")) if name.startswith("T_")]
+        for line in lines[:-1] if rows is None else lines[:rows]:
             cells = line.split(",")
             for i in columns:
                 temp = float(cells[i])
@@ -87,3 +111,25 @@ def test_forecast_and_compare_read_alike_under_any_warnings_filter(case):
         assert rc == 1
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(argvs())
+def test_forecast_and_compare_read_alike_under_any_warnings_filter(case):
+    site, steps, argv = case
+    check_alike(site, argv, steps)
+
+
+VALLES = str(bundled_scenario_path("valles_caldera"))
+SMALL_GRID = ["--nx", "16", "--ny", "16", "--nt", "60", "--probes", "3"]
+
+
+# a first y-cell whose 1/h^2 overflows, in slab and semi-infinite mode
+@example(("valles_caldera", ["oracle", "--scenario", VALLES, "--model", "multi_slab",
+                             *SMALL_GRID, "--spacing-m", "1e-224"]))
+@example(("valles_caldera", ["oracle", "--scenario", VALLES, *SMALL_GRID, "--y-max", "1e-224"]))
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(oracle_argvs())
+def test_oracle_reads_alike_under_any_warnings_filter(case):
+    site, argv = case
+    check_alike(site, argv, None)

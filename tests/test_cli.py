@@ -314,6 +314,9 @@ CAP_SUFFIX = (" oracle steps from a first step of 2.628e+07 s, beyond the cap of
 FIRST_CELL_PREFIX = "error: the first rock cell, "
 FIRST_CELL_SUFFIX = (" m, is wider than the cooling front reaches by t=1.5768e+09 s (192.071 m, "
                      "5 sqrt(alpha t)); shrink y_max or the fracture spacing, or raise ny\n")
+THIN_CELL_SUFFIX = (" over ny=16 cells is thinner than 7.4e-154 m, where 1/h^2 or the longest "
+                    "step's alpha dt/h^2 overflows; raise y_max or the fracture spacing, lower ny "
+                    "or shorten the first step\n")
 
 
 @pytest.mark.parametrize(
@@ -322,6 +325,9 @@ FIRST_CELL_SUFFIX = (" m, is wider than the cooling front reaches by t=1.5768e+0
         (["--nt", "0"], "error: n_steps must be an integer >= 1, got 0\n"),
         (["--nt", "60", "--probes", "-3"], "error: --probes must be >= 0, got -3\n"),
         (["--nt", "60", "--probe-yr", "nan"], "error: probe times must be finite, got nan\n"),
+        # sorted with the NaNs last, whatever order they hash in
+        (["--nt", "60", "--probe-yr", "nan", "--probe-yr", "inf", "--probe-yr", "nan"],
+         "error: probe times must be finite, got inf\n"),
         (["--nt", "60", "--snapshot-yr", "inf", "--snapshot-out", "snap"],
          "error: snapshot times must be finite, got inf\n"),
         (["--nt", "60", "--probes", "1", "--snapshot-yr", "2"], SNAPSHOT_PAIR),
@@ -350,11 +356,18 @@ FIRST_CELL_SUFFIX = (" m, is wider than the cooling front reaches by t=1.5768e+0
          FIRST_CELL_PREFIX + "25799.5" + FIRST_CELL_SUFFIX),
         (["--nt", "60", "--probes", "3", "--model", "multi_slab", "--spacing-m", "1e300"],
          FIRST_CELL_PREFIX + "2.57995e+298" + FIRST_CELL_SUFFIX),
+        # a first rock cell too thin for its 1/h^2 to be a float
+        (["--nt", "60", "--probes", "3", "--y-max", "1e-224"],
+         FIRST_CELL_PREFIX + "5.1599e-226 m, of y_max=1e-224 m" + THIN_CELL_SUFFIX),
+        (["--nt", "60", "--probes", "3", "--model", "multi_slab", "--spacing-m", "1e-224"],
+         FIRST_CELL_PREFIX + "2.57995e-226 m, of y_max=5e-225 m (half the fracture spacing)"
+         + THIN_CELL_SUFFIX),
     ],
-    ids=["nt-zero", "probes-negative", "probe-nan", "snapshot-inf", "snapshot-yr-alone",
-         "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing", "y-max-inf",
-         "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr", "y-max-1e300",
-         "y-max-1e4", "slab-spacing-1e6", "slab-spacing-1e300"],
+    ids=["nt-zero", "probes-negative", "probe-nan", "probe-nan-and-inf", "snapshot-inf",
+         "snapshot-yr-alone", "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing",
+         "y-max-inf", "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr", "y-max-1e300",
+         "y-max-1e4", "slab-spacing-1e6", "slab-spacing-1e300", "y-max-1e-224",
+         "slab-spacing-1e-224"],
 )
 def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", *flags)
@@ -663,6 +676,9 @@ def test_oracle_grid_defaults_are_the_oracles(monkeypatch):
             main(["oracle", "--model", model])
         sc, grid = caught.value.args
         assert grid == factory(sc, horizon=horizon)
+        # at nx = 200 x carries 5e-5 C of the semi-infinite error and as
+        # much as the whole slab error, so the modes take different nx
+        assert grid.nx == {"single": 100, "multi_slab": 200}[model]
 
 
 def test_cli_surface_is_pinned():

@@ -428,15 +428,30 @@ def test_fd_slab_vs_forecast_engine(slab_run, valles):
 @pytest.mark.parametrize("site", ["valles", "zeinali"])
 def test_fd_default_semi_infinite_grid_error(site, request):
     # the default grid's largest error is the start-up transient near
-    # horizon/100: 0.107 C (valles_caldera) and 0.103 C (zeinali), down from
-    # 0.145 and 0.139 C on the former 400 y-cells, ratio 1.02, first step
-    # horizon/2000
+    # horizon/100: 0.1070 C (valles_caldera) and 0.1027 C (zeinali) at
+    # nx = 100, against 0.1071 and 0.1028 C at nx = 200, and 0.145 and
+    # 0.139 C on the former 400 y-cells, ratio 1.02, first step horizon/2000
     sc = collapse_to_single(request.getfixturevalue(site), faces=1)
     horizon = sc.operating.horizon
     probes = np.geomspace(horizon / 100.0, horizon, 256)
     series = fd_simulate(sc, semi_infinite_grid(sc), probes)
     reference = fluid_temp_single(sc, sc.fractures.flow_length, probes)
     assert np.max(np.abs(series.outlet_temperatures - reference)) < 0.11
+
+
+@pytest.mark.parametrize("faces", [1, 2], ids=["single", "gringarten_ref"])
+@pytest.mark.parametrize("site", ["valles", "zeinali"])
+def test_fd_default_semi_infinite_nx_holds_the_x_part(site, faces, request):
+    # the default grid against itself at nx = 200, at the probes above:
+    # 1.6e-4 and 1.5e-4 C one-faced (valles_caldera, zeinali), 2.0e-3 and
+    # 7.6e-4 C two-faced, against totals of 0.05-0.11 C
+    sc = collapse_to_single(request.getfixturevalue(site), faces=faces)
+    horizon = sc.operating.horizon
+    probes = np.geomspace(horizon / 100.0, horizon, 256)
+    grid = semi_infinite_grid(sc)
+    fine = fd_simulate(sc, dataclasses.replace(grid, nx=200), probes).outlet_temperatures
+    coarse = fd_simulate(sc, grid, probes).outlet_temperatures
+    assert np.max(np.abs(coarse - fine)) < 0.003
 
 
 def test_fd_default_slab_grid_error(valles):
