@@ -94,6 +94,7 @@ _BLOCK = 32
 # up to this multiple of grid.dt
 _RUNG = 64
 _MAX_MULTIPLE = 8
+_N_STEPS = 2400  # the grid factories' default first step is horizon / _N_STEPS
 # the most steps a run may take: a default run takes 436, and the ladder's
 # arrays grow with the count, so a far-off probe time is refused instead
 _MAX_STEPS = 10**6
@@ -155,7 +156,7 @@ def semi_infinite_grid(
     sc: Scenario,
     nx: int = 100,
     ny: int = OracleGrid.ny,
-    n_steps: int = 2400,
+    n_steps: int = _N_STEPS,
     ratio: float = OracleGrid.ratio,
     horizon: float | None = None,
     y_max: float | None = None,
@@ -186,7 +187,7 @@ def slab_grid(
     sc: Scenario,
     nx: int = OracleGrid.nx,
     ny: int = OracleGrid.ny,
-    n_steps: int = 2400,
+    n_steps: int = _N_STEPS,
     ratio: float = OracleGrid.ratio,
     horizon: float | None = None,
 ) -> OracleGrid:
@@ -215,7 +216,7 @@ class OracleDetails:
     snapshots: tuple[RockSnapshot, ...]
     fluid_enthalpy_J: float
     rock_heat_loss_J: float | None  # slab mode only; unbounded domain otherwise
-    max_sweeps: int  # fluid marches per step: 1 (exact coupled step), 0 if no step ran
+    max_sweeps: int  # fluid marches per step: always 1, the exact coupled step
     n_steps: int
 
     @property
@@ -347,7 +348,7 @@ def fd_simulate(
         Times (s, > 0) at which the outlet temperature is reported, by
         linear interpolation between completed steps.
     snapshot_times : sequence of float
-        Times at which the full rock field is captured (nearest step).
+        Times at which the full rock field is captured (nearest step, >= 1).
     return_details : bool
         Also return :class:`OracleDetails` (implied by snapshot_times).
 
@@ -357,8 +358,8 @@ def fd_simulate(
         Outlet series tagged ``oracle``. Block edges follow the step index
         alone, so the outlets do not depend on the snapshots or details
         asked for, and a shorter run reproduces the first steps of a
-        longer one exactly. A run whose every time lies before the first
-        step's end takes no step: it reads T0 and never builds the y-grid.
+        longer one exactly. Every run takes at least one step, so its grid
+        is checked whatever is asked (an early probe is interpolated from T0).
 
     Raises
     ------
@@ -394,7 +395,7 @@ def fd_simulate(
     latest = {"probe": probe_times.max(initial=0.0), "snapshot": snapshot_times.max(initial=0.0)}
     name = max(latest, key=latest.get)
     t_end = float(latest[name])
-    units = t_end / grid.dt
+    units = max(t_end / grid.dt, 1.0)
     size = _ladder_size(units)
     if size > _MAX_STEPS:
         raise ValueError(
@@ -419,18 +420,6 @@ def fd_simulate(
         injection_temperature=t_cold,
         initial_temperature=t_hot,
     )
-    if not n_steps:
-        # nothing to step, so nothing reads the y-grid (it may not be
-        # representable, y_max up to 1e300)
-        details = OracleDetails(
-            snapshots=(),
-            fluid_enthalpy_J=0.0,
-            rock_heat_loss_J=None if pinned else 0.0,
-            max_sweeps=0,
-            n_steps=0,
-        )
-        return (series, details) if return_details else series
-
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
     dx = x[1] - x[0]
@@ -598,7 +587,7 @@ def fd_simulate(
         snapshots=tuple(snapshots),
         fluid_enthalpy_J=fluid_energy,
         rock_heat_loss_J=rock_loss,
-        max_sweeps=min(n_steps, 1),
+        max_sweeps=1,
         n_steps=n_steps,
     )
     return series, details

@@ -331,6 +331,21 @@ def test_forecast_series_refuses_nan_time():
         _series([1.0, math.nan], [300.0, 300.0])
 
 
+def test_forecast_series_refuses_unknown_model_and_mismatched_shapes():
+    with pytest.raises(ValueError, match=r"^model must be one of \(.*\), got 'talbot'$"):
+        ForecastSeries("talbot", [1.0, 2.0], [300.0, 300.0], 65.0, 300.0)
+    shapes = "^times and outlet_temperatures must be 1-D and equal length$"
+    for times, temps in (([1.0, 2.0], [300.0]), ([[1.0, 2.0]], [[300.0, 300.0]])):
+        with pytest.raises(ValueError, match=shapes):
+            ForecastSeries("single", times, temps, 65.0, 300.0)
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan])
+def test_interfacial_flux_rejects_bad_time(valles_single, t):
+    with pytest.raises(ValueError, match=rf"^t must be > 0, got {t}$"):
+        interfacial_flux(valles_single, L, t)
+
+
 def test_rock_temp_initial_identity(valles_single):
     # at the inlet a = 0, so the wall rock is the classical fixed-face
     # profile: the initial field relaxing toward T_inj as

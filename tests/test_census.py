@@ -128,6 +128,12 @@ SMALL_GRID = ["--nx", "16", "--ny", "16", "--nt", "60", "--probes", "3"]
 @example(("valles_caldera", ["oracle", "--scenario", VALLES, "--model", "multi_slab",
                              *SMALL_GRID, "--spacing-m", "1e-224"]))
 @example(("valles_caldera", ["oracle", "--scenario", VALLES, *SMALL_GRID, "--y-max", "1e-224"]))
+# a first y-cell the front never reaches, asking for nothing or only for a
+# time before the first step's end: the grid is still checked at that step
+@example(("valles_caldera", ["oracle", "--scenario", VALLES, "--nx", "16", "--ny", "16", "--nt",
+                             "60", "--probes", "0", "--y-max", "1e300"]))
+@example(("valles_caldera", ["oracle", "--scenario", VALLES, "--nx", "16", "--ny", "16",
+                             "--y-max", "1e300", "--probe-yr", "1e-20"]))
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(oracle_argvs())
 def test_oracle_reads_alike_under_any_warnings_filter(case):

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -376,18 +377,42 @@ def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     assert err == message
 
 
-def test_oracle_run_of_no_step_reads_t0_under_warnings_as_errors():
-    # a probe before the first step's end takes no step: the 1e300 m y-grid
-    # is never built, so nothing overflows and the table reads T0
-    out = fresh_python(
-        "import sys, warnings\n"
-        "warnings.simplefilter('error')\n"
-        "from egstherm.cli import main\n"
-        "sys.exit(main(['oracle', '--nx', '16', '--ny', '16', '--y-max', '1e300',\n"
-        "               '--probe-yr', '1e-20']))"
-    )
-    assert out == ("time_yr,T_oracle_C,T_model_C,deviation_C\n1e-20,300,300,0\n"
-                   "max deviation vs single: 0 C (0% of span) at t = 1e-20 yr\n")
+def first_cell_refusal(width: str, t: str, reach: str) -> str:
+    return (f"error: the first rock cell, {width} m, is wider than the cooling front reaches "
+            f"by t={t} s ({reach} m, 5 sqrt(alpha t)); shrink y_max or the fracture spacing, "
+            "or raise ny\n")
+
+
+def test_oracle_takes_a_step_whatever_is_asked(tmp_path, capsys):
+    # a run that asks for nothing, or only for times before the first step's
+    # end, still takes that step, under any warnings filter: its grid is
+    # checked at that step's end, a probe reads T0 and a snapshot is written
+    small = ["oracle", "--nx", "16", "--ny", "16"]
+    cases = [
+        (small + ["--nt", "60", "--probes", "0", "--y-max", "1e300"],
+         (1, "", first_cell_refusal("5.1599e+298", "2.628e+07", "24.7962"))),
+        (small + ["--y-max", "1e300", "--probe-yr", "1e-20"],
+         (1, "", first_cell_refusal("5.1599e+298", "657000", "3.92063"))),
+        (small + ["--nt", "60", "--probe-yr", "1e-20"],
+         (0, "time_yr,T_oracle_C,T_model_C,deviation_C\n1e-20,300,300,0\n"
+             "max deviation vs single: 0 C (0% of span) at t = 1e-20 yr\n", "")),
+    ]
+    for action in ("error", "ignore"):
+        prefix = tmp_path / action / "P"
+        prefix.parent.mkdir()
+        with warnings.catch_warnings():
+            warnings.simplefilter(action)
+            for argv, expected in cases:
+                assert run(capsys, *argv) == expected
+            rc, out, err = run(capsys, *small, "--nt", "60", "--probes", "0",
+                               "--snapshot-yr", "1e-20", "--snapshot-out", str(prefix))
+        assert (rc, err) == (0, "")
+        assert out == ("time_yr,T_oracle_C,T_model_C,deviation_C\n"
+                       "no probe times: header-only CSV written\n")
+        # taken at the first step's end, horizon/60 = 0.833333 yr
+        (snapshot,) = prefix.parent.iterdir()
+        assert snapshot.name == "P_0p833333yr.csv"
+        assert len(snapshot.read_text().splitlines()) == 1 + 17 * 17
 
 
 @pytest.mark.parametrize(

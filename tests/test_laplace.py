@@ -336,6 +336,12 @@ def test_slab_image_requires_array(valles, valles_single):
     for bad in (-1.0, L + 1.0, math.nan):
         with pytest.raises(ValueError, match=r"^x must lie in \[0, flow_length="):
             fluid_temp_laplace_slab(valles, bad)
+    # the image takes an unvalidated scenario: an array with no spacing is refused
+    unspaced = dataclasses.replace(
+        valles, fractures=dataclasses.replace(valles.fractures, spacing=None)
+    )
+    with pytest.raises(ValueError, match="^slab image requires a positive fracture spacing$"):
+        fluid_temp_laplace_slab(unspaced, L)
 
 
 def test_slab_image_reduces_to_semi_infinite_at_huge_spacing(valles):

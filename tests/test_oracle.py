@@ -14,11 +14,10 @@ import pytest
 import scipy.linalg
 from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 
-from egstherm.analytic import fluid_temp_single, rock_temp
+from egstherm.analytic import ForecastSeries, fluid_temp_single, rock_temp
 from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
     _BLOCK,
-    OracleDetails,
     OracleGrid,
     _modes,
     convergence_study,
@@ -202,41 +201,48 @@ def test_fd_refuses_a_first_cell_the_front_never_reaches(valles, valles_single, 
             first = re.escape(f"the first rock cell, {wide_grid.y_nodes()[1]:.6g} m, is wider ")
             with pytest.raises(ValueError, match=rf"^{first}.* \({reach:.6g} m, 5 sqrt"):
                 fd_simulate(sc, wide_grid, [horizon])
-    # just inside the rule the run goes ahead, and a run of no step is not checked
+        # a run that asks only for a time before the first step's end, or
+        # for nothing, takes that step, and its grid is checked there
+        early = 5.0 * np.sqrt(thermal_diffusivity(valles_single.rock) * grid.dt)
+        first = re.escape(f"the first rock cell, {over.y_nodes()[1]:.6g} m, is wider ")
+        by = re.escape(f"by t={grid.dt:.6g} s ({early:.6g} m, 5 sqrt")
+        for probes, snapshots in (([1e-20 * YR], ()), ([], ()), ([], [1e-20 * YR])):
+            with pytest.raises(ValueError, match=rf"^{first}.*{by}"):
+                fd_simulate(valles_single, over, probes, snapshot_times=snapshots)
+    # just inside the rule the run goes ahead
     inside = dataclasses.replace(grid, y_max=0.99 * edge)
     assert np.all(np.isfinite(fd_simulate(valles_single, inside, [horizon]).outlet_temperatures))
-    _, details = fd_simulate(valles_single, over, [1e-20 * YR], return_details=True)
-    assert details.n_steps == 0
 
 
-def test_fd_probe_before_the_first_step_reads_t0(valles, valles_single, monkeypatch):
-    # a probe short of 1e-12 steps needs no step at all: the outlet is T0, and
-    # the y-grid is never looked at, not even a 1e300 m one
+def test_fd_probe_before_the_first_step_reads_t0(valles, valles_single):
+    # a time short of the first step's end still takes that step: a probe
+    # there is interpolated from T0 at t = 0 (exactly T0 at 1e-20 yr), and a
+    # snapshot there is taken at the step's end, with or without a later probe
     t0 = valles_single.rock.initial_temperature
-    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=60)
     runs = [
-        (valles_single, grid, None),
-        (valles_single, dataclasses.replace(grid, y_max=1e300), None),
-        (valles, slab_grid(valles, nx=16, ny=16, n_steps=60), 0.0),
+        (valles_single, semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=60)),
+        (valles, slab_grid(valles, nx=16, ny=16, n_steps=60)),
     ]
-    with monkeypatch.context() as patched:
-        for name in ("_gradient_stencil", "_modes"):
-            patched.setattr(f"egstherm.oracle.{name}", lambda *_, name=name: pytest.fail(name))
-        for sc, run_grid, rock_loss in runs:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                series, details = fd_simulate(
-                    sc, run_grid, [1e-20 * YR, 2e-20 * YR], snapshot_times=[1e-20 * YR],
-                    return_details=True,
-                )
-                plain = fd_simulate(sc, run_grid, [1e-20 * YR])
-            assert series.model == "oracle" and series.outlet_temperatures.tolist() == [t0, t0]
-            assert plain.outlet_temperatures.tolist() == [t0]
-            assert details == OracleDetails(
-                snapshots=(), fluid_enthalpy_J=0.0, rock_heat_loss_J=rock_loss,
-                max_sweeps=0, n_steps=0,
+    for sc, grid in runs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            series, details = fd_simulate(
+                sc, grid, [1e-20 * YR, 2e-20 * YR], snapshot_times=[1e-20 * YR],
+                return_details=True,
             )
-            assert details.energy_imbalance is None
+            plain = fd_simulate(sc, grid, [1e-20 * YR])
+            alone = fd_simulate(sc, grid, [], snapshot_times=[1e-20 * YR])
+            later = fd_simulate(sc, grid, [YR], snapshot_times=[1e-20 * YR])
+        assert series.model == "oracle" and series.outlet_temperatures.tolist() == [t0, t0]
+        assert plain.outlet_temperatures.tolist() == [t0]
+        assert (details.n_steps, details.max_sweeps) == (1, 1)
+        assert alone[0].times.size == 0 and alone[1].n_steps == 1
+        assert later[1].n_steps == 2
+        for _, run_details in (alone, later, (series, details)):
+            (snapshot,) = run_details.snapshots
+            assert snapshot.time == grid.dt
+            # a shorter run reproduces the first step of a longer one exactly
+            assert np.array_equal(snapshot.temperatures, later[1].snapshots[0].temperatures)
 
 
 def test_fd_refuses_oscillating_fluid_march(valles):
@@ -745,6 +751,24 @@ def test_convergence_study_rejects_single_level(valles_single):
     base = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
     with pytest.raises(ValueError):
         convergence_study(valles_single, base, levels=1)
+
+
+def test_convergence_study_refuses_errors_that_do_not_shrink(valles_single, monkeypatch):
+    # a stand-in oracle whose error grows with the refinement, 0.1 C per base nx
+    base = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
+
+    def drifting(sc, grid, probe_times):
+        reference = fluid_temp_single(sc, sc.fractures.flow_length, probe_times)
+        outlets = reference - 0.1 * grid.nx / base.nx
+        t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
+        return ForecastSeries("oracle", probe_times, outlets, t_cold, t_hot)
+
+    monkeypatch.setattr("egstherm.oracle.fd_simulate", drifting)
+    with pytest.raises(ArithmeticError) as err:
+        convergence_study(valles_single, base, levels=3)
+    assert str(err.value) == (
+        "refinement did not reduce the error monotonically: x1: 0.1 C, x2: 0.2 C, x4: 0.4 C"
+    )
 
 
 def test_convergence_study_is_second_order(valles_single):
