@@ -9,7 +9,7 @@ cases, then rebuilds a scenario from field-unit inputs.
 import json
 
 from egstherm.scenario import bundled_scenario, bundled_scenario_path, scenario_from_dict
-from egstherm.units import Quantity, convert, convert_value
+from egstherm.units import convert_value
 
 
 def main():
@@ -25,9 +25,9 @@ def main():
     ]
     print("granite benchmark case, SI <-> field:")
     for label, value, si, field in rows:
-        q = convert(Quantity(value, si), field)
-        back = convert_value(q.value, field, si)
-        print(f"  {label:20s} {value:14.6g} {si:14s} = {q.value:12.6g} {field}"
+        converted = convert_value(value, si, field)
+        back = convert_value(converted, field, si)
+        print(f"  {label:20s} {value:14.6g} {si:14s} = {converted:12.6g} {field}"
               f"   (back: {back:.6g})")
 
     print()

@@ -51,8 +51,6 @@ _SUBMODULE = {
     "transfer_coefficient": "scenario",
     "validate": "scenario",
     "SECONDS_PER_YEAR": "units",
-    "Quantity": "units",
-    "convert": "units",
     "convert_value": "units",
 }
 

@@ -37,7 +37,7 @@ import numpy as np
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
 from .analytic import ForecastSeries
-from .scenario import face_coupling, thermal_diffusivity, validate
+from .scenario import along_fracture, face_coupling, refuse_invalid, thermal_diffusivity
 
 __all__ = [
     "LaplaceImage",
@@ -239,10 +239,7 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
 
 def _fluid_image(sc, x: float, half_spacing: float) -> LaplaceImage:
     """The slab image at half-spacing d; d = inf is the half-space."""
-    x = float(x)
-    if not 0.0 <= x <= sc.fractures.flow_length:
-        raise ValueError(f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}")
-
+    x = along_fracture(sc, x)
     alpha = thermal_diffusivity(sc.rock)
     coupling = face_coupling(sc)
     t_hot = sc.rock.initial_temperature
@@ -311,16 +308,15 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     finite-slab transform, inverted numerically in one
     :func:`stehfest_invert` call over every requested time t > 0. Times are
     seconds, strictly increasing; t = 0 evaluates to the initial rock
-    temperature without touching the inversion.
+    temperature without touching the inversion. A scenario that breaks a
+    rule of validate is refused with the loader's ScenarioError.
 
     Returns
     -------
     ForecastSeries
         Model tag ``single`` (count = 1) or ``multi_slab``.
     """
-    violations = validate(sc)
-    if violations:
-        raise ValueError("invalid scenario: " + "; ".join(violations))
+    refuse_invalid(sc)
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a one-dimensional sequence of seconds")

@@ -67,7 +67,7 @@ import numpy as np
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
 from .analytic import ForecastSeries
-from .scenario import Scenario, face_coupling, thermal_diffusivity, validate
+from .scenario import Scenario, face_coupling, refuse_invalid, thermal_diffusivity
 
 __all__ = [
     "OracleGrid",
@@ -291,9 +291,15 @@ def _march_matrix(gain_powers: np.ndarray, scale: float) -> np.ndarray:
 
 
 def _ladder_size(units: float) -> float:
-    """How many steps _ladder sets out to reach units * grid.dt, before it
-    drops those past units; a float, so a huge or infinite count compares."""
-    return math.log2(_MAX_MULTIPLE) * _RUNG + max(0.0, np.ceil(units / _MAX_MULTIPLE))
+    """How many steps _ladder takes to reach units * grid.dt (less 1e-12); a
+    float, so a huge or infinite count compares."""
+    left, size, multiple = units - 1e-12, 0.0, 1
+    # each rung below the top one covers _RUNG * multiple units
+    while multiple < _MAX_MULTIPLE and left > _RUNG * multiple:
+        left -= _RUNG * multiple
+        size += _RUNG
+        multiple *= 2
+    return size + float(np.ceil(left / multiple))
 
 
 def _ladder(units: float):
@@ -303,14 +309,11 @@ def _ladder(units: float):
     _MAX_MULTIPLE grid.dt to the end; the last step may pass units. The first
     two steps and the first step of each longer rung are damped (theta 1),
     the rest Crank-Nicolson (theta 1/2)."""
-    top = int(math.log2(_MAX_MULTIPLE))
     count = int(_ladder_size(units))
-    multiples = 2 ** np.minimum(np.arange(count) // _RUNG, top)
-    ends = np.concatenate([[0], np.cumsum(multiples)])
-    ends = ends[: int(np.searchsorted(ends, units - 1e-12)) + 1]
+    multiples = 2 ** np.minimum(np.arange(count) // _RUNG, int(math.log2(_MAX_MULTIPLE)))
     damped = np.arange(count) < 2
     damped[1:] |= np.diff(multiples) != 0
-    return ends, np.where(damped, 1.0, 0.5)[: ends.size - 1]
+    return np.concatenate([[0], np.cumsum(multiples)]), np.where(damped, 1.0, 0.5)
 
 
 def _advance(powers, carry, coeffs, earned, n: int, out: np.ndarray, work: np.ndarray):
@@ -364,10 +367,11 @@ def fd_simulate(
     Raises
     ------
     ValueError
-        If a probe or snapshot time is not a finite number > 0, if reaching
-        the latest of them takes more than 10**6 steps, if the first y-cell is
-        wider than 5 sqrt(alpha t) at the run's end or too thin for 1/h^2 and
-        alpha dt/h^2 to be finite floats, or if the fluid march
+        If sc breaks a rule of validate (a ScenarioError, as the loader
+        raises), if a probe or snapshot time is not a finite number > 0, if
+        reaching the latest of them takes more than 10**6 steps, if the first
+        y-cell is wider than 5 sqrt(alpha t) at the run's end or too thin for
+        1/h^2 and alpha dt/h^2 to be finite floats, or if the fluid march
         gain of a step is not positive: the grid is too coarse along x and
         the outlet would oscillate along it.
     RuntimeError
@@ -375,9 +379,7 @@ def fd_simulate(
         disturbed by more than 0.1 C at a block's end (named in the message):
         y_max is too small for the horizon.
     """
-    violations = validate(sc)
-    if violations:
-        raise ValueError("invalid scenario: " + "; ".join(violations))
+    refuse_invalid(sc)
     probe_times = np.asarray(probe_times, dtype=float)
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     for name, times in (("probe", probe_times), ("snapshot", snapshot_times)):

@@ -41,9 +41,11 @@ __all__ = [
     "interference_table",
     "fracture_velocity",
     "face_coupling",
+    "along_fracture",
     "transfer_coefficient",
     "collapse_to_single",
     "validate",
+    "refuse_invalid",
     "scenario_from_dict",
     "load_scenario",
     "bundled_scenario_path",
@@ -208,6 +210,14 @@ def face_coupling(sc: Scenario) -> float:
     )
 
 
+def along_fracture(sc: Scenario, x: float) -> float:
+    """x as a float, refused with a ValueError unless 0 <= x <= flow_length."""
+    x = float(x)
+    if not 0.0 <= x <= sc.fractures.flow_length:
+        raise ValueError(f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}")
+    return x
+
+
 def transfer_coefficient(sc: Scenario, x: float) -> float:
     """Convective-conductive transfer coefficient at distance x, s^(1/2).
 
@@ -221,11 +231,7 @@ def transfer_coefficient(sc: Scenario, x: float) -> float:
     x : float
         Along-fracture distance from the inlet, 0 <= x <= flow_length, m.
     """
-    x = float(x)
-    if not 0.0 <= x <= sc.fractures.flow_length:
-        raise ValueError(
-            f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}"
-        )
+    x = along_fracture(sc, x)
     return face_coupling(sc) * x / math.sqrt(thermal_diffusivity(sc.rock))
 
 
@@ -284,6 +290,17 @@ def validate(sc: Scenario) -> list[str]:
     if not (isinstance(op.n_steps, int) and op.n_steps >= 2):
         out.append(f"operating.n_steps must be an integer >= 2, got {op.n_steps!r}")
     return out
+
+
+def refuse_invalid(sc: Scenario | None, problems: Sequence[str] = ()) -> None:
+    """Raise one ScenarioError that names each of problems and each rule
+    :func:`validate` finds sc breaking; return if there is none.
+
+    Pass sc None for problems found before a Scenario could be built.
+    """
+    problems = [*problems, *(validate(sc) if sc is not None else ())]
+    if problems:
+        raise ScenarioError("invalid scenario: " + "; ".join(problems))
 
 
 # JSON sections and the dataclasses they fill; each section's keys, defaults
@@ -346,17 +363,14 @@ def scenario_from_dict(data: dict[str, Any]) -> Scenario:
     if not isinstance(metadata, dict):
         problems.append("metadata must be a JSON object when present")
         metadata = {}
-    if problems:
-        raise ScenarioError("invalid scenario: " + "; ".join(problems))
+    refuse_invalid(None, problems)
 
     parts = {
         name: cls(**{f.name: _field_value(name, f, data[name]) for f in dataclasses.fields(cls)})
         for name, cls in _SECTIONS.items()
     }
     sc = Scenario(**parts, metadata=dict(metadata))
-    violations = validate(sc)
-    if violations:
-        raise ScenarioError("invalid scenario: " + "; ".join(violations))
+    refuse_invalid(sc)
     return sc
 
 

@@ -1,17 +1,18 @@
-"""Exact, table-driven conversion between SI and common field units.
+"""Exact, table-driven conversion of bare numbers between SI and common field units.
 
-Covers the dimensions that appear in the bundled benchmark cases (length,
+``convert_value(value, unit, target)`` is the whole conversion API, with
+``SECONDS_PER_YEAR``, the fixed 365-day reporting year. The unit tags cover
+the dimensions that appear in the bundled benchmark cases (length,
 volumetric flow, thermal conductivity, density, specific heat, time,
-temperature) plus the fixed 365-day reporting year. Factors are exact by
-definition, so round trips are clean to within float rounding.
+temperature). Factors are exact by definition, so round trips are clean to
+within float rounding.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-__all__ = ["Quantity", "convert", "convert_value", "SECONDS_PER_YEAR"]
+__all__ = ["convert_value", "SECONDS_PER_YEAR"]
 
 # Reporting year: 365 days exactly. The interference tables are computed
 # with this convention; 365.25 would shift them visibly in the third
@@ -43,62 +44,40 @@ _UNIT_TABLE: dict[str, tuple[str, float]] = {
 }
 
 
-@dataclass(frozen=True)
-class Quantity:
-    """A numeric value tagged with one of the supported unit tags."""
-
-    value: float
-    unit: str
-
-    def __post_init__(self) -> None:
-        if self.unit not in _UNIT_TABLE:
-            known = ", ".join(sorted(_UNIT_TABLE))
-            raise ValueError(f"unknown unit tag {self.unit!r}; known tags: {known}")
-        if not math.isfinite(self.value):
-            raise ValueError(f"quantity value must be finite, got {self.value}")
+def _table_entry(tag: str) -> tuple[str, float]:
+    try:
+        return _UNIT_TABLE[tag]
+    except KeyError:
+        known = ", ".join(sorted(_UNIT_TABLE))
+        raise ValueError(f"unknown unit tag {tag!r}; known tags: {known}") from None
 
 
-def convert(q: Quantity, target: str) -> Quantity:
-    """Convert a quantity to another unit of the same dimension.
-
-    Parameters
-    ----------
-    q : Quantity
-        Source value and unit tag.
-    target : str
-        Target unit tag.
-
-    Returns
-    -------
-    Quantity
-        The same physical quantity expressed in ``target`` units.
+def convert_value(value: float, unit: str, target: str) -> float:
+    """Convert a number from one unit tag to another of the same dimension.
 
     Raises
     ------
     ValueError
-        If either tag is unknown, the tags belong to different
-        dimensions (both tags are named in the message), or the converted
-        value overflows the float range (the value and both tags are named).
+        Checked in this order: the source tag is unknown, the value is not
+        finite, the target tag is unknown (an unknown tag's message lists the
+        known ones), the tags belong to different dimensions (both tags and
+        dimensions are named), or the converted value overflows the float
+        range (the value and both tags are named).
     """
-    if target not in _UNIT_TABLE:
-        known = ", ".join(sorted(_UNIT_TABLE))
-        raise ValueError(f"unknown unit tag {target!r}; known tags: {known}")
-    src_dim, src_factor = _UNIT_TABLE[q.unit]
-    dst_dim, dst_factor = _UNIT_TABLE[target]
+    value = float(value)
+    src_dim, src_factor = _table_entry(unit)
+    if not math.isfinite(value):
+        raise ValueError(f"quantity value must be finite, got {value}")
+    dst_dim, dst_factor = _table_entry(target)
     if src_dim != dst_dim:
         raise ValueError(
-            f"dimension mismatch: cannot convert {q.unit!r} ({src_dim}) "
+            f"dimension mismatch: cannot convert {unit!r} ({src_dim}) "
             f"to {target!r} ({dst_dim})"
         )
-    value = q.value * (src_factor / dst_factor)
-    if not math.isfinite(value):
+    converted = value * (src_factor / dst_factor)
+    if not math.isfinite(converted):
         raise ValueError(
-            f"converting {q.value} {q.unit!r} to {target!r} overflows: "
+            f"converting {value} {unit!r} to {target!r} overflows: "
             "the result is beyond the float range"
         )
-    return Quantity(value, target)
-
-
-def convert_value(value: float, unit: str, target: str) -> float:
-    """Bare-number form of :func:`convert`."""
-    return convert(Quantity(float(value), unit), target).value
+    return converted

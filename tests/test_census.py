@@ -1,4 +1,4 @@
-"""Census of forecast/compare/oracle argv: each reads the same under any warnings filter.
+"""Census of forecast/compare/oracle/convert argv: each reads the same under any warnings filter.
 
 Every call either succeeds with bounded temperatures and nothing on stderr,
 or exits 1 with one "error:" line and nothing on stdout. Which of the two,
@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from egstherm.cli import main
 from egstherm.scenario import bundled_scenario, bundled_scenario_path
+from egstherm.units import _UNIT_TABLE
 
 SITES = ("valles_caldera", "zeinali")
 
@@ -139,3 +140,37 @@ SMALL_GRID = ["--nx", "16", "--ny", "16", "--nt", "60", "--probes", "3"]
 def test_oracle_reads_alike_under_any_warnings_filter(case):
     site, argv = case
     check_alike(site, argv, None)
+
+
+UNIT_TAGS = st.sampled_from([*_UNIT_TABLE, "furlong"])
+
+
+@st.composite
+def convert_argvs(draw):
+    """A value of any magnitude between two tags of the unit table or an
+    unknown one; half the time the target shares the source's dimension."""
+    unit = draw(UNIT_TAGS)
+    dimension = _UNIT_TABLE.get(unit, ("",))[0]
+    same = [tag for tag, (dim, _) in _UNIT_TABLE.items() if dim == dimension]
+    target = draw(st.sampled_from(same) if same and draw(st.booleans()) else UNIT_TAGS)
+    return ["convert", draw(magnitudes("nan", "inf", "-0", "1e308")), unit, target]
+
+
+@example(["convert", "7829.4", "bpd", "m3_per_s"])
+@example(["convert", "1", "yr", "C"])
+@example(["convert", "1", "furlong", "m"])
+@example(["convert", "1", "m", "furlong"])
+@example(["convert", "nan", "m", "ft"])
+@example(["convert", "1e308", "ft", "in"])
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(convert_argvs())
+def test_convert_reads_alike_under_any_warnings_filter(argv):
+    # one finite number on stdout, or one "error:" line on stderr
+    rc, out, err = run(argv, "error")
+    assert run(argv, "ignore") == (rc, out, err)
+    if rc == 0:
+        assert err == "" and out.count("\n") == 1 and out.endswith("\n")
+        assert math.isfinite(float(out))
+    else:
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

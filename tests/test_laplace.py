@@ -11,6 +11,7 @@ import pytest
 from egstherm.analytic import fluid_temp_single
 import egstherm.analytic
 import egstherm.laplace
+import egstherm.scenario
 import egstherm.specfun
 from egstherm.laplace import (
     StehfestConfig,
@@ -22,6 +23,7 @@ from egstherm.laplace import (
     multi_fracture_forecast,
     stehfest_invert,
 )
+from egstherm.scenario import ScenarioError
 from egstherm.units import SECONDS_PER_YEAR
 
 from conftest import with_total_rate
@@ -236,7 +238,7 @@ def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
         return wrapper
 
     for module, name in [
-        (egstherm.laplace, "validate"),
+        (egstherm.scenario, "validate"),
         (egstherm.laplace, "stehfest_invert"),
         (egstherm.laplace, "fluid_temp_laplace_slab"),
         (egstherm.analytic, "fluid_temp_single"),
@@ -256,7 +258,7 @@ def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
 
     multi_fracture_forecast(valles, times)
     assert calls == {
-        "laplace.validate": 1,
+        "scenario.validate": 1,
         "laplace.fluid_temp_laplace_slab": 1,
         "laplace.image": 1,
         "laplace.stehfest_invert": 1,
@@ -264,7 +266,7 @@ def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
     calls.clear()
     multi_fracture_forecast(isolated, times)
     assert calls == {
-        "laplace.validate": 1,
+        "scenario.validate": 1,
         "analytic.fluid_temp_single": 1,
         "specfun.erfc": 1,
     }
@@ -409,9 +411,9 @@ def test_forecast_rejects_invalid_scenario(valles):
     bad = dataclasses.replace(
         valles, operating=dataclasses.replace(valles.operating, total_rate=0.0)
     )
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ScenarioError) as err:
         multi_fracture_forecast(bad, np.array([YR]))
-    assert "total_rate" in str(err.value)
+    assert str(err.value) == "invalid scenario: operating.total_rate must be > 0, got 0.0"
 
 
 def test_forecast_rejects_bad_times(valles):

@@ -19,13 +19,20 @@ from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
     _BLOCK,
     OracleGrid,
+    _ladder,
+    _ladder_size,
     _modes,
     convergence_study,
     fd_simulate,
     semi_infinite_grid,
     slab_grid,
 )
-from egstherm.scenario import collapse_to_single, fracture_velocity, thermal_diffusivity
+from egstherm.scenario import (
+    ScenarioError,
+    collapse_to_single,
+    fracture_velocity,
+    thermal_diffusivity,
+)
 from egstherm.units import SECONDS_PER_YEAR as YR
 
 from conftest import fresh_python
@@ -177,6 +184,42 @@ def test_fd_refuses_more_steps_than_the_cap(valles_single):
         fd_simulate(valles_single, tiny, [YR])
 
 
+def test_fd_step_count_is_the_ladders():
+    # the ladder written out step by step to one past the cap of 10**6 steps:
+    # 64 steps of grid.dt, 64 of 2 grid.dt, 64 of 4 grid.dt, then 8 grid.dt
+    multiples = np.repeat([1, 2, 4, 8], [64, 64, 64, 10**6 + 1 - 192])
+    reference = np.concatenate([[0], np.cumsum(multiples)])
+    # the steps whose latest end first reaches units less 1e-12: at every
+    # rung's end, one unit either side of it, a default run (2400 units, 436
+    # steps) and the cap, each also 1e-13 either side
+    cap_units = float(reference[10**6])
+    points = {1.0, 1.5, 2400.0, cap_units - 8, cap_units - 1, cap_units, cap_units + 1}
+    for end in reference[[64, 128, 192]]:
+        points |= {end - 1.0, end - 0.5, float(end), end + 1.0, end + 2.0}
+    for u in sorted(points):
+        for units in (u - 1e-13, u, u + 1e-13):
+            count = int(np.searchsorted(reference, units - 1e-12))
+            ends, thetas = _ladder(units)
+            assert _ladder_size(units) == count == ends.size - 1 == thetas.size, units
+            assert np.array_equal(ends, reference[: count + 1])
+    assert _ladder_size(2400.0) == 436
+    assert _ladder_size(cap_units) == 10**6 and _ladder_size(cap_units + 1) == 10**6 + 1
+    assert _ladder_size(np.inf) == np.inf
+
+
+def test_fd_cap_counts_the_steps_the_run_takes(valles_single, monkeypatch):
+    # a default-grid run over the horizon takes 436 steps: a cap of 436 lets
+    # it run, and one of 435 refuses it with that count
+    grid = semi_infinite_grid(valles_single)
+    horizon = valles_single.operating.horizon
+    monkeypatch.setattr("egstherm.oracle._MAX_STEPS", 436)
+    _, details = fd_simulate(valles_single, grid, [horizon], return_details=True)
+    assert details.n_steps == 436
+    monkeypatch.setattr("egstherm.oracle._MAX_STEPS", 435)
+    with pytest.raises(ValueError, match=" takes 436 oracle steps .* beyond the cap of 435; "):
+        fd_simulate(valles_single, grid, [horizon])
+
+
 def test_fd_refuses_a_first_cell_the_front_never_reaches(valles, valles_single, monkeypatch):
     # a first y-cell wider than 5 sqrt(alpha t) at the run's last step end:
     # the inlet's half-space would cool its node by less than erfc(2.5) of
@@ -263,9 +306,9 @@ def test_fd_rejects_invalid_scenario(valles_single):
         valles_single,
         operating=dataclasses.replace(valles_single.operating, total_rate=0.0),
     )
-    with pytest.raises(ValueError) as err:
+    with pytest.raises(ScenarioError) as err:
         fd_simulate(bad, grid, [YR])
-    assert "total_rate" in str(err.value)
+    assert str(err.value) == "invalid scenario: operating.total_rate must be > 0, got 0.0"
 
 
 def test_fd_matches_closed_form_on_coarse_grid(semi_run, valles_single):
