@@ -33,6 +33,7 @@ import importlib.resources
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -493,6 +494,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(run=cmd_oracle)
 
     p_convert = sub.add_parser("convert", help="convert a value between unit tags")
+    # -2e-310 and -inf are values, not options; argparse's own pattern misses them
+    p_convert._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
     p_convert.add_argument("value", type=float)
     p_convert.add_argument("src", help="source unit tag")
     p_convert.add_argument("dst", help="target unit tag")

@@ -34,13 +34,14 @@ Numerical layout
 * blocks: being linear with constant S, the steps of one theta and one
   step size run in blocks (damped steps in blocks of at most two,
   Crank-Nicolson in blocks of at most _BLOCK; a block ends where the
-  theta or the step size changes): one matrix
-  product gives the face gradient of every step in the block from its
-  starting modes, the face values earned inside the block reach later
-  steps through precomputed scalars, and one more product advances the
-  modes to the block's end. Node values are synthesized only where needed
-  (face gradient, snapshots, and the node beside a pinned far boundary at
-  each block's end).
+  theta or the step size changes): one matrix product gives the face
+  gradient of every step in the block from its starting modes, the fluid
+  of the block's earlier steps reaches each step through precomputed
+  scalars, and one more product advances the modes to the block's end.
+  Each (theta, step size) holds for one stretch of steps, so one block's
+  matrices are alive at a time. Node values are synthesized only where
+  needed (face gradient, snapshots, and the node beside a pinned far
+  boundary at each block's end).
 * x (along the fracture): nx uniform cells. The fluid march costs nx^2 per
   step and the block products modes * nx, so each mode's grid factory takes
   the nx its x error needs: 200 in slab mode, where the x part is as large
@@ -465,11 +466,13 @@ def fd_simulate(
         # the face gradient of every step comes from c0 in one product, and
         # the w_k already earned in the block reach it through the scalars
         # h_d = grad_row . (S^d forcing)
+        from scipy.linalg import toeplitz
+
         alpha_dt = alpha * (grid.dt * multiple)
         denom = 1.0 - theta * alpha_dt * lam
         scale = (1.0 + (1.0 - theta) * alpha_dt * lam) / denom
         forcing = alpha_dt * face_load / denom
-        # the gain's sum cancels like echo's below, so it is accumulated alike
+        # the gain's sum cancels like the h_d below, so it is accumulated alike
         ratio_q = dx * coupling * (stencil[0] + theta * float(grad_long @ forcing)) / 2.0
         gain = (1.0 + ratio_q) / (1.0 - ratio_q)
         if not gain > 0.0:
@@ -490,26 +493,25 @@ def fd_simulate(
         lead_rows = powers[1:] * grad_row
         # row i: S^(length - i) forcing
         weighted = powers[::-1] * forcing
-        # entry i: h_(length - i), so h_(j-k) for k <= j is at length - j + k.
-        # These sums cancel heavily and every block reuses them, so they are
-        # accumulated in extended precision: in float64 their rounding moved
-        # the zeinali slab outlet by 1e-7 C
-        echo = (grad_long @ weighted.T).astype(float)
+        # entry d: h_d. These sums cancel heavily and every block reuses
+        # them, so they are accumulated in extended precision: in float64
+        # their rounding moved the zeinali slab outlet by 1e-7 C
+        h = np.dot(weighted.astype(np.longdouble), grad_long).astype(float)[::-1]
+        # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta
+        # F_(k+1) from the fluid F after k steps, and h_0 (1 - theta) F_j;
+        # row j of mix weighs F_0 .. F_j with those sums' coefficients
+        mix = toeplitz((1.0 - theta) * h[:-1] + theta * h[1:], np.zeros(length + 1))
+        mix[:, 0] = (1.0 - theta) * h[:-1]
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T
-        return powers, lead_rows, echo, carry, march, inlet
+        return powers, lead_rows, mix, carry, march, inlet
 
-    # damped steps run in blocks of (at most) two, Crank-Nicolson in blocks
-    # of at most _BLOCK; each (theta, multiple) block is built when first
-    # needed
-    blocks = {}
-
-    # modal coefficients of the rock's deviation from T0 at every station,
-    # and the fluid (face) deviation
+    # modal coefficients of the rock's deviation from T0 at every station
     coeffs = np.zeros((lam.size, grid.nx + 1))
-    fluid = np.zeros(grid.nx + 1)
     work = np.empty_like(coeffs)
+    # the fluid (face) deviation after each step of a block, row 0 its start
+    history = np.zeros((_BLOCK + 1, grid.nx + 1))
     earned = np.empty((_BLOCK, grid.nx + 1))  # w_j of each step in a block
 
     outlet_history = np.empty(n_steps + 1)
@@ -520,38 +522,38 @@ def fd_simulate(
     # first rung, where step k ends at k grid.dt, that index is the time
     # over grid.dt itself)
     at_step = np.interp(snapshot_times / grid.dt, ends, np.arange(n_steps + 1))
-    snapshot_steps = {min(max(1, round(s)), n_steps) for s in at_step}
+    snapshot_steps = sorted({min(max(1, round(s)), n_steps) for s in at_step})
 
+    # damped steps run in blocks of (at most) two, Crank-Nicolson in blocks
+    # of at most _BLOCK; each (theta, multiple) holds for one stretch of
+    # steps, whose start builds its block in place of the last one
     step = 0
     while step < n_steps:
-        theta = float(thetas[step])
-        multiple = int(multiples[step])
-        key = (theta, multiple)
-        if key not in blocks:
-            blocks[key] = theta_block(theta, multiple, 2 if theta == 1.0 else _BLOCK)
-        powers, lead_rows, echo, carry, march, inlet = blocks[key]
-        length = carry.shape[1]
+        start, theta = step, float(thetas[step])
+        if step == 0 or changes[step - 1]:
+            powers, lead_rows, mix, carry, march, inlet = theta_block(
+                theta, int(multiples[step]), 2 if theta == 1.0 else _BLOCK
+            )
         # every block computes all its rows, so a run cut short inside a
         # block reproduces the longer run's outlets bit for bit
         leads = lead_rows @ coeffs
-        count = min(length, int(edges[np.searchsorted(edges, step, side="right")]) - step)
+        count = min(carry.shape[1], int(edges[np.searchsorted(edges, step, side="right")]) - step)
         for j in range(count):
-            step += 1
             # face gradient after the explicit part (new face value still
             # zero); the step is affine in the new face value, so one march
             # solves it
-            earned[j] = (1.0 - theta) * fluid
-            fluid = inlet + march @ (leads[j] + echo[length - j :] @ earned[: j + 1])
-            earned[j] += theta * fluid
-            outlet_history[step] = t_hot + fluid[-1]
-
-            if step in snapshot_steps:
-                state = _advance(powers, carry, coeffs, earned, j + 1, np.empty_like(coeffs), work)
-                rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
-                rock[0] += fluid
-                rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
-                time = float(ends[step] * grid.dt)
-                snapshots.append(RockSnapshot(time=time, x=x.copy(), y=y.copy(), temperatures=rock))
+            history[j + 1] = inlet + march @ (leads[j] + mix[j, : j + 1] @ history[: j + 1])
+        step += count
+        earned[:count] = (1.0 - theta) * history[:count] + theta * history[1 : count + 1]
+        outlet_history[start + 1 : step + 1] = t_hot + history[1 : count + 1, -1]
+        for n in (s - start for s in snapshot_steps if start < s <= step):
+            state = _advance(powers, carry, coeffs, earned, n, np.empty_like(coeffs), work)
+            rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
+            rock[0] += history[n]
+            rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
+            time = float(ends[start + n] * grid.dt)
+            snapshots.append(RockSnapshot(time=time, x=x.copy(), y=y.copy(), temperatures=rock))
+        history[0] = history[count]
         _advance(powers, carry, coeffs, earned, count, coeffs, work)
         if pinned:
             # the node beside y_max at the block's end
@@ -582,7 +584,7 @@ def fd_simulate(
         # unknown nodes are every node below the face, and their trapezoid
         # weights over root_w are root_w itself
         w_y = _trapezoid_weights(y)
-        deviation = w_y[0] * fluid + (root_w @ vectors) @ coeffs
+        deviation = w_y[0] * history[0] + (root_w @ vectors) @ coeffs
         deficit = -float(deviation @ _trapezoid_weights(x))
         rock_loss = fr.faces * sc.rock.density * sc.rock.specific_heat * fr.height * deficit
     details = OracleDetails(

@@ -11,6 +11,7 @@ within float rounding.
 from __future__ import annotations
 
 import math
+import sys
 
 __all__ = ["convert_value", "SECONDS_PER_YEAR"]
 
@@ -61,8 +62,8 @@ def convert_value(value: float, unit: str, target: str) -> float:
         Checked in this order: the source tag is unknown, the value is not
         finite, the target tag is unknown (an unknown tag's message lists the
         known ones), the tags belong to different dimensions (both tags and
-        dimensions are named), or the converted value overflows the float
-        range (the value and both tags are named).
+        dimensions are named), the result overflows, or a nonzero value or
+        its result is subnormal or 0 (these two name the value and both tags).
     """
     value = float(value)
     src_dim, src_factor = _table_entry(unit)
@@ -79,5 +80,9 @@ def convert_value(value: float, unit: str, target: str) -> float:
         raise ValueError(
             f"converting {value} {unit!r} to {target!r} overflows: "
             "the result is beyond the float range"
+        )
+    if value and min(abs(value), abs(converted)) < sys.float_info.min:
+        raise ValueError(
+            f"converting {value} {unit!r} to {target!r} underflows: below the normal float range"
         )
     return converted

@@ -153,7 +153,8 @@ def convert_argvs(draw):
     dimension = _UNIT_TABLE.get(unit, ("",))[0]
     same = [tag for tag, (dim, _) in _UNIT_TABLE.items() if dim == dimension]
     target = draw(st.sampled_from(same) if same and draw(st.booleans()) else UNIT_TAGS)
-    return ["convert", draw(magnitudes("nan", "inf", "-0", "1e308")), unit, target]
+    value = draw(magnitudes("nan", "inf", "-0", "1e308", "5e-324", "1e-320", "-2e-310"))
+    return ["convert", value, unit, target]
 
 
 @example(["convert", "7829.4", "bpd", "m3_per_s"])
@@ -162,6 +163,7 @@ def convert_argvs(draw):
 @example(["convert", "1", "m", "furlong"])
 @example(["convert", "nan", "m", "ft"])
 @example(["convert", "1e308", "ft", "in"])
+@example(["convert", "5e-324", "ft", "m"])
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(convert_argvs())
 def test_convert_reads_alike_under_any_warnings_filter(argv):

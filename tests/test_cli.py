@@ -40,6 +40,15 @@ def test_convert_length(capsys):
     assert out == "91.44\n"
 
 
+def test_convert_takes_a_negative_value_in_exponent_form(capsys):
+    # argparse alone takes -1e-3 or -inf for an option and exits 2 with its usage
+    assert run(capsys, "convert", "-1e-3", "ft", "in") == (0, "-0.012\n", "")
+    assert run(capsys, "convert", "-Inf", "m", "ft") == (
+        1, "", "error: quantity value must be finite, got -inf\n")
+    assert run(capsys, "convert", "-2e-310", "m", "ft") == (
+        1, "", "error: converting -2e-310 'm' to 'ft' underflows: below the normal float range\n")
+
+
 def test_convert_dimension_mismatch(capsys):
     rc, out, err = run(capsys, "convert", "1", "yr", "C")
     assert rc == 1

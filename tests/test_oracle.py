@@ -7,6 +7,7 @@ the acceptance suite exercises the default resolution.
 import dataclasses
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -509,6 +510,22 @@ def test_fd_default_slab_grid_error(valles):
     # 0.0017 to 0.00093 C
     series = fd_simulate(valles, slab_grid(valles), SLAB_PROBES)
     assert np.max(np.abs(series.outlet_temperatures - SLAB_REFERENCE)) < 0.002
+
+
+def test_fd_default_runs_keep_one_block_alive(valles, valles_single):
+    # traced peak of a run over the horizon, basis warm: 1.64 MiB (slab) and
+    # 0.82 MiB (semi-infinite) with one (theta, step size) block alive at a
+    # time, 3.94 and 1.75 MiB when all eight were kept to the run's end
+    for sc, grid, limit in ((valles, slab_grid(valles), 2.5),
+                            (valles_single, semi_infinite_grid(valles_single), 1.25)):
+        fd_simulate(sc, grid, [grid.dt])
+        tracemalloc.start()
+        try:
+            fd_simulate(sc, grid, [sc.operating.horizon])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit * 2**20, (grid.bc_far, peak)
 
 
 def test_fd_slab_energy_balance(slab_run):

@@ -67,8 +67,8 @@ def test_spacing_130_ft_round_trip():
 
 
 # the refusals are checked in this order: source tag, finite value, target
-# tag, dimension, overflow; a call that breaks two rules gets the earlier one's
-# message
+# tag, dimension, overflow, underflow; a call that breaks two rules gets the
+# earlier one's message
 def refusal(value, unit, target):
     with pytest.raises(ValueError) as err:
         convert_value(value, unit, target)
@@ -120,3 +120,18 @@ def test_non_finite_value_rejected():
     assert refusal(-1e308, "yr", "s") == (
         "converting -1e+308 'yr' to 's' overflows: the result is beyond the float range"
     )
+
+
+def test_subnormal_value_or_result_refused():
+    # a nonzero value below the normal range, or one whose result falls there
+    # or to 0, would be printed with the digits it has left
+    assert refusal(5e-324, "ft", "m") == (
+        "converting 5e-324 'ft' to 'm' underflows: below the normal float range"
+    )
+    assert refusal(1e-307, "in", "m") == (
+        "converting 1e-307 'in' to 'm' underflows: below the normal float range"
+    )
+    smallest = 2.2250738585072014e-308
+    assert convert_value(smallest, "m", "m") == smallest
+    for zero in (0.0, -0.0):
+        assert convert_value(zero, "ft", "m") == 0.0
