@@ -494,13 +494,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.set_defaults(run=cmd_oracle)
 
     p_convert = sub.add_parser("convert", help="convert a value between unit tags")
-    # -2e-310 and -inf are values, not options; argparse's own pattern misses them
-    p_convert._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
     p_convert.add_argument("value", type=float)
     p_convert.add_argument("src", help="source unit tag")
     p_convert.add_argument("dst", help="target unit tag")
     p_convert.set_defaults(run=cmd_convert)
 
+    # -1e3, -2e-310 and -inf are values, not options; argparse's own pattern misses them
+    for subparser in sub.choices.values():
+        subparser._negative_number_matcher = re.compile(r"(?i)-(\.?\d|inf|nan)")
     return parser
 
 

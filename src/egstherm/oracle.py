@@ -24,24 +24,26 @@ Numerical layout
   start needs the fine step. The first _RUNG steps take grid.dt; the step
   then doubles every _RUNG steps up to _MAX_MULTIPLE grid.dt, which it
   keeps to the end. Step end times are grid.dt times integers, the first
-  _RUNG of them exactly k grid.dt. A horizon of 2400 grid.dt takes 436
-  steps. The first step of each longer rung is damped like the startup:
-  a change of step size excites modes that Crank-Nicolson barely damps,
-  and where the outlet has all but reached the injection temperature
-  their ringing would take it below. The march gain (1+q)/(1-q) rises
-  with theta times the step, so a grid whose startup passes the gain
-  check passes it on every rung.
-* blocks: being linear with constant S, the steps of one theta and one
-  step size run in blocks (damped steps in blocks of at most two,
-  Crank-Nicolson in blocks of at most _BLOCK; a block ends where the
-  theta or the step size changes): one matrix product gives the face
-  gradient of every step in the block from its starting modes, the fluid
-  of the block's earlier steps reaches each step through precomputed
-  scalars, and one more product advances the modes to the block's end.
-  Each (theta, step size) holds for one stretch of steps, so one block's
-  matrices are alive at a time. Node values are synthesized only where
-  needed (face gradient, snapshots, and the node beside a pinned far
-  boundary at each block's end).
+  _RUNG of them exactly k grid.dt. _plan alone writes the ladder down, as
+  a run's few stretches (theta, multiple of grid.dt, step count); a
+  horizon of 2400 grid.dt takes 436 steps in eight stretches. The first
+  step of each longer rung is damped like the startup: a change of step
+  size excites modes that Crank-Nicolson barely damps, and where the
+  outlet has all but reached the injection temperature their ringing
+  would take it below. The march gain (1+q)/(1-q) rises with theta times
+  the step, so a grid whose startup passes the gain check passes it on
+  every rung.
+* blocks: being linear with constant S, the steps of one stretch of the
+  plan run in blocks (damped steps in blocks of at most two,
+  Crank-Nicolson in blocks of at most _BLOCK, the last one ending with
+  the stretch): one matrix product gives the face gradient of every step
+  in the block from its starting modes, the fluid of the block's earlier
+  steps reaches each step through precomputed scalars, and one more
+  product advances the modes to the block's end. Each stretch builds its
+  block's matrices in place of the last one's, so one block's matrices
+  are alive at a time. Node values are synthesized only where needed
+  (face gradient, snapshots, and the node beside a pinned far boundary at
+  each block's end).
 * x (along the fracture): nx uniform cells. The fluid march costs nx^2 per
   step and the block products modes * nx, so each mode's grid factory takes
   the nx its x error needs: 200 in slab mode, where the x part is as large
@@ -291,30 +293,27 @@ def _march_matrix(gain_powers: np.ndarray, scale: float) -> np.ndarray:
     return march
 
 
-def _ladder_size(units: float) -> float:
-    """How many steps _ladder takes to reach units * grid.dt (less 1e-12); a
-    float, so a huge or infinite count compares."""
-    left, size, multiple = units - 1e-12, 0.0, 1
-    # each rung below the top one covers _RUNG * multiple units
-    while multiple < _MAX_MULTIPLE and left > _RUNG * multiple:
-        left -= _RUNG * multiple
-        size += _RUNG
-        multiple *= 2
-    return size + float(np.ceil(left / multiple))
-
-
-def _ladder(units: float):
-    """The steps a run needs to reach units * grid.dt (less 1e-12): their end
-    times in multiples of grid.dt, led by the start at 0, and their thetas.
+def _plan(units: float) -> list[tuple[float, int, float]]:
+    """The steps a run takes to reach units * grid.dt (less 1e-12), as its
+    stretches (theta, multiple, count) of count steps of multiple * grid.dt.
     _RUNG steps take grid.dt, _RUNG take 2 grid.dt and so on, then
     _MAX_MULTIPLE grid.dt to the end; the last step may pass units. The first
     two steps and the first step of each longer rung are damped (theta 1),
-    the rest Crank-Nicolson (theta 1/2)."""
-    count = int(_ladder_size(units))
-    multiples = 2 ** np.minimum(np.arange(count) // _RUNG, int(math.log2(_MAX_MULTIPLE)))
-    damped = np.arange(count) < 2
-    damped[1:] |= np.diff(multiples) != 0
-    return np.concatenate([[0], np.cumsum(multiples)]), np.where(damped, 1.0, 0.5)
+    the rest Crank-Nicolson (theta 1/2). Counts are floats, so a huge or
+    infinite total compares."""
+    left, multiple, plan = units - 1e-12, 1, []
+    while True:
+        # each rung below the top one covers _RUNG * multiple units
+        last = multiple == _MAX_MULTIPLE or left <= _RUNG * multiple
+        count = float(np.ceil(left / multiple)) if last else float(_RUNG)
+        damped = min(count, 2.0 if multiple == 1 else 1.0)
+        plan.append((1.0, multiple, damped))
+        if count > damped:
+            plan.append((0.5, multiple, count - damped))
+        if last:
+            return plan
+        left -= _RUNG * multiple
+        multiple *= 2
 
 
 def _advance(powers, carry, coeffs, earned, n: int, out: np.ndarray, work: np.ndarray):
@@ -398,22 +397,20 @@ def fd_simulate(
     latest = {"probe": probe_times.max(initial=0.0), "snapshot": snapshot_times.max(initial=0.0)}
     name = max(latest, key=latest.get)
     t_end = float(latest[name])
-    units = max(t_end / grid.dt, 1.0)
-    size = _ladder_size(units)
+    plan = _plan(max(t_end / grid.dt, 1.0))
+    size = sum(count for _, _, count in plan)
     if size > _MAX_STEPS:
         raise ValueError(
             f"the latest {name} time, {t_end:.6g} s, takes {size:.3g} oracle steps from a "
             f"first step of {grid.dt:.6g} s, beyond the cap of {_MAX_STEPS}; "
             "shorten the run or lengthen the first step (fewer n_steps)"
         )
-    # step end times in multiples of grid.dt; step k is multiples[k] long
-    ends, thetas = _ladder(units)
-    multiples = np.diff(ends)
+    # each step's theta and length, and the step end times from the start at
+    # 0, in multiples of grid.dt
+    thetas, multiples, counts = map(np.array, zip(*plan))
+    thetas, multiples = (np.repeat(column, counts.astype(int)) for column in (thetas, multiples))
+    ends = np.append(0, np.cumsum(multiples))
     n_steps = multiples.size
-    # a block ends at its length or where the step's theta or size changes,
-    # so block edges depend only on the step index
-    changes = (np.diff(thetas) != 0) | (np.diff(multiples) != 0)
-    edges = np.append(np.flatnonzero(changes) + 1, n_steps)
     pinned = grid.bc_far == "dirichlet_T0"
 
     series = ForecastSeries(
@@ -524,46 +521,45 @@ def fd_simulate(
     at_step = np.interp(snapshot_times / grid.dt, ends, np.arange(n_steps + 1))
     snapshot_steps = sorted({min(max(1, round(s)), n_steps) for s in at_step})
 
-    # damped steps run in blocks of (at most) two, Crank-Nicolson in blocks
-    # of at most _BLOCK; each (theta, multiple) holds for one stretch of
-    # steps, whose start builds its block in place of the last one
+    # each stretch builds its block in place of the last one's and runs in
+    # blocks of at most two damped or _BLOCK Crank-Nicolson steps, so block
+    # edges depend only on the step index
     step = 0
-    while step < n_steps:
-        start, theta = step, float(thetas[step])
-        if step == 0 or changes[step - 1]:
-            powers, lead_rows, mix, carry, march, inlet = theta_block(
-                theta, int(multiples[step]), 2 if theta == 1.0 else _BLOCK
-            )
-        # every block computes all its rows, so a run cut short inside a
-        # block reproduces the longer run's outlets bit for bit
-        leads = lead_rows @ coeffs
-        count = min(carry.shape[1], int(edges[np.searchsorted(edges, step, side="right")]) - step)
-        for j in range(count):
-            # face gradient after the explicit part (new face value still
-            # zero); the step is affine in the new face value, so one march
-            # solves it
-            history[j + 1] = inlet + march @ (leads[j] + mix[j, : j + 1] @ history[: j + 1])
-        step += count
-        earned[:count] = (1.0 - theta) * history[:count] + theta * history[1 : count + 1]
-        outlet_history[start + 1 : step + 1] = t_hot + history[1 : count + 1, -1]
-        for n in (s - start for s in snapshot_steps if start < s <= step):
-            state = _advance(powers, carry, coeffs, earned, n, np.empty_like(coeffs), work)
-            rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
-            rock[0] += history[n]
-            rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
-            time = float(ends[start + n] * grid.dt)
-            snapshots.append(RockSnapshot(time=time, x=x.copy(), y=y.copy(), temperatures=rock))
-        history[0] = history[count]
-        _advance(powers, carry, coeffs, earned, count, coeffs, work)
-        if pinned:
-            # the node beside y_max at the block's end
-            disturbed = np.max(np.abs(vectors[-1] @ coeffs / root_w[-1]))
-            if disturbed > _CONTAMINATION_LIMIT_C:
-                raise RuntimeError(
-                    "cooling front reached the truncated far boundary by "
-                    f"t={ends[step] * grid.dt:.6g} s (deviation {disturbed:.3g} C "
-                    f"beside y_max={grid.y_max:.6g} m); enlarge y_max for this horizon"
-                )
+    for theta, multiple, stretch in plan:
+        length = 2 if theta == 1.0 else _BLOCK
+        powers, lead_rows, mix, carry, march, inlet = theta_block(theta, multiple, length)
+        stretch_end = step + int(stretch)
+        for start in range(step, stretch_end, length):
+            # every block computes all its rows, so a run cut short inside a
+            # block reproduces the longer run's outlets bit for bit
+            leads = lead_rows @ coeffs
+            step = min(start + length, stretch_end)
+            count = step - start
+            for j in range(count):
+                # face gradient after the explicit part (new face value still
+                # zero); the step is affine in the new face value, so one
+                # march solves it
+                history[j + 1] = inlet + march @ (leads[j] + mix[j, : j + 1] @ history[: j + 1])
+            earned[:count] = (1.0 - theta) * history[:count] + theta * history[1 : count + 1]
+            outlet_history[start + 1 : step + 1] = t_hot + history[1 : count + 1, -1]
+            for n in (s - start for s in snapshot_steps if start < s <= step):
+                state = _advance(powers, carry, coeffs, earned, n, np.empty_like(coeffs), work)
+                rock = np.full((grid.ny + 1, grid.nx + 1), t_hot)
+                rock[0] += history[n]
+                rock[1 : lam.size + 1] += (vectors @ state) / root_w[:, None]
+                time = float(ends[start + n] * grid.dt)
+                snapshots.append(RockSnapshot(time=time, x=x.copy(), y=y.copy(), temperatures=rock))
+            history[0] = history[count]
+            _advance(powers, carry, coeffs, earned, count, coeffs, work)
+            if pinned:
+                # the node beside y_max at the block's end
+                disturbed = np.max(np.abs(vectors[-1] @ coeffs / root_w[-1]))
+                if disturbed > _CONTAMINATION_LIMIT_C:
+                    raise RuntimeError(
+                        "cooling front reached the truncated far boundary by "
+                        f"t={ends[step] * grid.dt:.6g} s (deviation {disturbed:.3g} C "
+                        f"beside y_max={grid.y_max:.6g} m); enlarge y_max for this horizon"
+                    )
 
     series = replace(
         series, outlet_temperatures=np.interp(probe_times, ends * grid.dt, outlet_history)

@@ -47,7 +47,7 @@ def argvs(draw):
     else:
         for base, spacing in draw(st.lists(MODELS, min_size=2, max_size=3)):
             argv += ["--model", base if spacing is None else f"{base}:{spacing}"]
-    argv += ["--horizon-yr", draw(magnitudes("0", "-1", "nan", "inf", "1e300")),
+    argv += ["--horizon-yr", draw(magnitudes("0", "-1", "-1e3", "-inf", "nan", "inf", "1e300")),
              "--steps", str(steps)]
     stehfest_n = draw(st.none() | st.integers(6, 20))
     if stehfest_n is not None:
@@ -135,6 +135,8 @@ SMALL_GRID = ["--nx", "16", "--ny", "16", "--nt", "60", "--probes", "3"]
                              "60", "--probes", "0", "--y-max", "1e300"]))
 @example(("valles_caldera", ["oracle", "--scenario", VALLES, "--nx", "16", "--ny", "16",
                              "--y-max", "1e300", "--probe-yr", "1e-20"]))
+# a negative probe time in exponent form is a value, refused by the oracle
+@example(("valles_caldera", ["oracle", "--scenario", VALLES, *SMALL_GRID, "--probe-yr", "-1e-5"]))
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(oracle_argvs())
 def test_oracle_reads_alike_under_any_warnings_filter(case):

@@ -49,6 +49,24 @@ def test_convert_takes_a_negative_value_in_exponent_form(capsys):
         1, "", "error: converting -2e-310 'm' to 'ft' underflows: below the normal float range\n")
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["forecast", "--horizon-yr", "-1e3"],
+         "--horizon-yr must be a finite number > 0, got -1000.0"),
+        (["oracle", "--probe-yr", "-1e-5"], "probe times must be > 0 s"),
+        (["oracle", "--y-max", "-1e3"], "y_max must be a finite number > 0, got -1000.0"),
+        (["forecast", "--model", "multi_slab", "--spacing-m", "-1e3"],
+         "invalid scenario: fractures.spacing must be > 0 when count > 1, got -1000.0"),
+    ],
+    ids=["horizon", "probe", "y-max", "spacing"],
+)
+def test_every_subcommand_takes_a_negative_value_in_exponent_form(argv, message, capsys):
+    # as for convert: argparse alone takes -1e3 or -1e-5 for an option, so
+    # the program's own refusal never ran
+    assert run(capsys, *argv) == (1, "", f"error: {message}\n")
+
+
 def test_convert_dimension_mismatch(capsys):
     rc, out, err = run(capsys, "convert", "1", "yr", "C")
     assert rc == 1

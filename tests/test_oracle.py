@@ -20,9 +20,8 @@ from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
     _BLOCK,
     OracleGrid,
-    _ladder,
-    _ladder_size,
     _modes,
+    _plan,
     convergence_study,
     fd_simulate,
     semi_infinite_grid,
@@ -187,25 +186,41 @@ def test_fd_refuses_more_steps_than_the_cap(valles_single):
 
 def test_fd_step_count_is_the_ladders():
     # the ladder written out step by step to one past the cap of 10**6 steps:
-    # 64 steps of grid.dt, 64 of 2 grid.dt, 64 of 4 grid.dt, then 8 grid.dt
+    # 64 steps of grid.dt, 64 of 2 grid.dt, 64 of 4 grid.dt, then 8 grid.dt,
+    # damped where THETAS says and Crank-Nicolson after it
     multiples = np.repeat([1, 2, 4, 8], [64, 64, 64, 10**6 + 1 - 192])
-    reference = np.concatenate([[0], np.cumsum(multiples)])
+    thetas = np.append(THETAS, np.full(multiples.size - THETAS.size, 0.5))
+    # step end times as floats, so a search with a float key copies nothing
+    reference = np.concatenate([[0.0], np.cumsum(multiples, dtype=float)])
     # the steps whose latest end first reaches units less 1e-12: at every
-    # rung's end, one unit either side of it, a default run (2400 units, 436
-    # steps) and the cap, each also 1e-13 either side
+    # half unit up to past the last rung's start (so every stretch length of
+    # the first rungs), a default run (2400 units, 436 steps) and the cap,
+    # each also 1e-13 either side
     cap_units = float(reference[10**6])
-    points = {1.0, 1.5, 2400.0, cap_units - 8, cap_units - 1, cap_units, cap_units + 1}
-    for end in reference[[64, 128, 192]]:
-        points |= {end - 1.0, end - 0.5, float(end), end + 1.0, end + 2.0}
+    points = {*np.arange(1.0, 460.0, 0.5), 2400.0, cap_units - 8, cap_units - 1, cap_units,
+              cap_units + 1}
     for u in sorted(points):
         for units in (u - 1e-13, u, u + 1e-13):
             count = int(np.searchsorted(reference, units - 1e-12))
-            ends, thetas = _ladder(units)
-            assert _ladder_size(units) == count == ends.size - 1 == thetas.size, units
-            assert np.array_equal(ends, reference[: count + 1])
-    assert _ladder_size(2400.0) == 436
-    assert _ladder_size(cap_units) == 10**6 and _ladder_size(cap_units + 1) == 10**6 + 1
-    assert _ladder_size(np.inf) == np.inf
+            plan = _plan(units)
+            plan_thetas, plan_multiples, counts = map(np.array, zip(*plan))
+            assert sum(counts) == count, units
+            assert np.array_equal(np.repeat(plan_multiples, counts.astype(int)), multiples[:count])
+            assert np.array_equal(np.repeat(plan_thetas, counts.astype(int)), thetas[:count])
+            # the oracle builds one block per stretch and runs damped steps in
+            # blocks of two: neighbouring stretches differ in (theta,
+            # multiple), and no damped stretch is longer than two steps
+            assert all(a[:2] != b[:2] for a, b in zip(plan, plan[1:])), units
+            assert all(n <= 2 for theta, _, n in plan if theta == 1.0), units
+
+    def total(units):
+        return sum(count for _, _, count in _plan(units))
+
+    assert _plan(2400.0) == [(1.0, 1, 2.0), (0.5, 1, 62.0), (1.0, 2, 1.0), (0.5, 2, 63.0),
+                             (1.0, 4, 1.0), (0.5, 4, 63.0), (1.0, 8, 1.0), (0.5, 8, 243.0)]
+    assert total(2400.0) == 436
+    assert total(cap_units) == 10**6 and total(cap_units + 1) == 10**6 + 1
+    assert total(np.inf) == np.inf
 
 
 def test_fd_cap_counts_the_steps_the_run_takes(valles_single, monkeypatch):
