@@ -345,9 +345,12 @@ def cmd_oracle(args: argparse.Namespace) -> _Output:
 
     if (args.snapshot_yr is None) != (args.snapshot_out is None):
         raise ValueError("--snapshot-yr and --snapshot-out go together: give both or neither")
+    if args.probe_yr and args.probes is not None:
+        raise ValueError("--probe-yr sets the probe times, so nothing reads --probes; drop it")
     (model,), stehfest = _resolve(args, [args.model])
-    if args.probes < 0:
-        raise ValueError(f"--probes must be >= 0, got {args.probes}")
+    probes = 8 if args.probes is None else args.probes
+    if probes < 0:
+        raise ValueError(f"--probes must be >= 0, got {probes}")
     resolved = model.scenario
     horizon = args.horizon_yr * SECONDS_PER_YEAR
 
@@ -365,7 +368,7 @@ def cmd_oracle(args: argparse.Namespace) -> _Output:
         # sorted, NaNs last and as one: a set keeps every NaN, ordered by identity
         probe_times = np.unique(args.probe_yr) * SECONDS_PER_YEAR
     else:
-        probe_times = np.geomspace(horizon / 100.0, horizon, args.probes)
+        probe_times = np.geomspace(horizon / 100.0, horizon, probes)
 
     snapshot_times = np.unique(args.snapshot_yr or []) * SECONDS_PER_YEAR
     series, details = fd_simulate(
@@ -481,7 +484,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_oracle.add_argument("--y-max", type=float, default=None, help="rock depth, m (semi-infinite mode)")
     p_oracle.add_argument("--ratio", type=float, default=None, help="y-grid stretching ratio")
-    p_oracle.add_argument("--probes", type=int, default=8, help="log-spaced probe count (0 for none)")
+    p_oracle.add_argument(
+        "--probes", type=int, default=None, help="log-spaced probe count (default 8; 0 for none)"
+    )
     p_oracle.add_argument(
         "--probe-yr", type=float, action="append", default=None, help="explicit probe time, years (repeatable)"
     )

@@ -38,12 +38,12 @@ Numerical layout
   Crank-Nicolson in blocks of at most _BLOCK, the last one ending with
   the stretch): one matrix product gives the face gradient of every step
   in the block from its starting modes, the fluid of the block's earlier
-  steps reaches each step through precomputed scalars, and one more
-  product advances the modes to the block's end. Each stretch builds its
-  block's matrices in place of the last one's, so one block's matrices
-  are alive at a time. Node values are synthesized only where needed
-  (face gradient, snapshots, and the node beside a pinned far boundary at
-  each block's end).
+  steps reaches each step through precomputed scalars h_d, weighed by
+  _theta_convolution, and one more product advances the modes to the
+  block's end. Each stretch builds its block's matrices in place of the
+  last one's, so one block's matrices are alive at a time. Node values
+  are synthesized only where needed (face gradient, snapshots, and the
+  node beside a pinned far boundary at each block's end).
 * x (along the fracture): nx uniform cells. The fluid march costs nx^2 per
   step and the block products modes * nx, so each mode's grid factory takes
   the nx its x error needs: 200 in slab mode, where the x part is as large
@@ -51,8 +51,9 @@ Numerical layout
   almost all of it (see OracleGrid and semi_infinite_grid).
 * coupling: within a step the rock update is affine in its face temperature,
   so the fluid march solves the coupled step exactly, once per step, as one
-  precomputed lower-triangular matrix (per theta and step size) applied to
-  the face gradient of the explicit part.
+  lower-triangular matrix (per theta and step size, from _theta_convolution,
+  the builder of the step mix too) applied to the face gradient of the
+  explicit part; its gain reads the block's own h_0.
 """
 
 from __future__ import annotations
@@ -61,7 +62,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import ClassVar, Sequence
 
 import numpy as np
 
@@ -219,8 +220,8 @@ class OracleDetails:
     snapshots: tuple[RockSnapshot, ...]
     fluid_enthalpy_J: float
     rock_heat_loss_J: float | None  # slab mode only; unbounded domain otherwise
-    max_sweeps: int  # fluid marches per step: always 1, the exact coupled step
     n_steps: int
+    max_sweeps: ClassVar[int] = 1  # fluid marches per step: the exact coupled step
 
     @property
     def energy_imbalance(self) -> float | None:
@@ -275,22 +276,17 @@ def _gradient_stencil(y: np.ndarray) -> np.ndarray:
     )
 
 
-def _march_matrix(gain_powers: np.ndarray, scale: float) -> np.ndarray:
-    """scale times the lower-triangular M with (M p)[i] = sum over j < i of
-    gain**(i-1-j) * (p[j] + p[j+1]): the trapezoid march from a zero inlet,
-    built from gain_powers = gain ** arange(nx + 1)."""
+def _theta_convolution(kernel: np.ndarray, theta: float) -> np.ndarray:
+    """The lower-triangular M, of kernel K's size squared, with (M v)[i] = sum
+    over k <= i of (1 - theta) K[i-k] v[k] + sum over 1 <= k <= i of theta
+    K[i-k+1] v[k]: K's response to a history v of theta-weighted steps."""
     from scipy.linalg import toeplitz
 
-    size = gain_powers.size
-    # entry (i, j) of rows 1 on reads lag[i - j] for j <= i, zeros above
-    pairs = gain_powers[:-1] + gain_powers[1:]
-    lag = np.append(gain_powers[0], pairs) * scale
-    march = toeplitz(lag, np.zeros(size))
-    # the inlet's value p[0] enters row i only through gain**(i-1), taken as
-    # pairs - gain**i: the outlets carry that rounding
-    march[0, 0] = 0.0
-    march[1:, 0] = (pairs - gain_powers[1:]) * scale
-    return march
+    lag = (1.0 - theta) * kernel
+    lag[:-1] += theta * kernel[1:]
+    out = toeplitz(lag, np.zeros(kernel.size))
+    out[:, 0] = (1.0 - theta) * kernel
+    return out
 
 
 def _plan(units: float) -> list[tuple[float, int, float]]:
@@ -463,24 +459,10 @@ def fd_simulate(
         # the face gradient of every step comes from c0 in one product, and
         # the w_k already earned in the block reach it through the scalars
         # h_d = grad_row . (S^d forcing)
-        from scipy.linalg import toeplitz
-
         alpha_dt = alpha * (grid.dt * multiple)
         denom = 1.0 - theta * alpha_dt * lam
         scale = (1.0 + (1.0 - theta) * alpha_dt * lam) / denom
         forcing = alpha_dt * face_load / denom
-        # the gain's sum cancels like the h_d below, so it is accumulated alike
-        ratio_q = dx * coupling * (stencil[0] + theta * float(grad_long @ forcing)) / 2.0
-        gain = (1.0 + ratio_q) / (1.0 - ratio_q)
-        if not gain > 0.0:
-            raise ValueError(
-                f"fluid march gain {gain:.3g} at theta={theta} is not positive "
-                f"(nx={grid.nx}, dx={dx:.4g} m): the grid is too coarse along x "
-                "and the outlet would oscillate along it; raise nx"
-            )
-        gain_powers = gain ** np.arange(grid.nx + 1)
-        march = _march_matrix(gain_powers, dx * coupling / 2.0 / (1.0 - ratio_q))
-        inlet = (t_cold - t_hot) * gain_powers
         # row n: S^n, as powers of |S| with the sign set by the exponent's
         # parity: within 1 ulp of NumPy's power and ~20x faster on the
         # negative S that Crank-Nicolson gives most modes
@@ -494,11 +476,24 @@ def fd_simulate(
         # them, so they are accumulated in extended precision: in float64
         # their rounding moved the zeinali slab outlet by 1e-7 C
         h = np.dot(weighted.astype(np.longdouble), grad_long).astype(float)[::-1]
-        # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta
-        # F_(k+1) from the fluid F after k steps, and h_0 (1 - theta) F_j;
-        # row j of mix weighs F_0 .. F_j with those sums' coefficients
-        mix = toeplitz((1.0 - theta) * h[:-1] + theta * h[1:], np.zeros(length + 1))
-        mix[:, 0] = (1.0 - theta) * h[:-1]
+        # the fluid march gain takes the step's own face response, h_0
+        ratio_q = dx * coupling * (stencil[0] + theta * h[0]) / 2.0
+        gain = (1.0 + ratio_q) / (1.0 - ratio_q)
+        if not gain > 0.0:
+            raise ValueError(
+                f"fluid march gain {gain:.3g} at theta={theta} is not positive "
+                f"(nx={grid.nx}, dx={dx:.4g} m): the grid is too coarse along x "
+                "and the outlet would oscillate along it; raise nx"
+            )
+        gain_powers = gain ** np.arange(grid.nx + 1)
+        # the trapezoid march from a zero inlet, T_i = sum over j < i of gain^(i-1-j)
+        # s (p_j + p_(j+1)), s = dx coupling / 2 / (1 - ratio_q), on [0, 2s, 2s gain, ..]
+        kernel = np.append(0.0, gain_powers[:-1]) * (dx * coupling / (1.0 - ratio_q))
+        march = _theta_convolution(kernel, 0.5)
+        inlet = (t_cold - t_hot) * gain_powers
+        # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta F_(k+1)
+        # from the fluid F after k steps, and h_0 (1 - theta) F_j; row j of mix weighs them
+        mix = _theta_convolution(h, theta)
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T
@@ -587,7 +582,6 @@ def fd_simulate(
         snapshots=tuple(snapshots),
         fluid_enthalpy_J=fluid_energy,
         rock_heat_loss_J=rock_loss,
-        max_sweeps=1,
         n_steps=n_steps,
     )
     return series, details

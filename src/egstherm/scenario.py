@@ -22,6 +22,7 @@ import dataclasses
 import importlib.resources
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Sequence
@@ -165,8 +166,9 @@ def interference_table(spacings: Sequence[float], alpha: float) -> list[Interfer
     interference time t_i = t(s)/2 (fronts advance from both neighbours),
     and the interference radius s/2. Times reported in 365-day years. A
     spacing that is not > 0, or whose traversal time is not finite (an
-    infinite spacing, or one so large that s^2 / (4 alpha) overflows), is
-    refused with a ValueError that names it.
+    infinite spacing, or one so large that s^2 / (4 alpha) overflows), or
+    whose interference time is below the normal float range (subnormal or
+    0), is refused with a ValueError that names it.
     """
     rows = []
     for spacing in spacings:
@@ -177,6 +179,11 @@ def interference_table(spacings: Sequence[float], alpha: float) -> list[Interfer
         if not math.isfinite(t_yr):
             rule = "finite" if math.isinf(spacing) else "small enough for a finite traversal time"
             raise ValueError(f"spacings must be {rule}, got {spacing}")
+        if t_yr / 2.0 < sys.float_info.min:
+            raise ValueError(
+                "spacings must be large enough for traversal and interference times in the "
+                f"normal float range, got {spacing}"
+            )
         rows.append(
             InterferenceRow(
                 radius_m=spacing,

@@ -246,6 +246,9 @@ def test_interference_table_empty():
         (math.inf, "finite"),
         # finite, but s^2 / (4 alpha) overflows
         (1e200, "small enough for a finite traversal time"),
+        # s^2 / (4 alpha) underflows: to a subnormal interference time, or to 0
+        (1e-160, "large enough for traversal and interference times in the normal float range"),
+        (1e-200, "large enough for traversal and interference times in the normal float range"),
     ],
 )
 def test_interference_table_rejects_bad_spacing(bad, rule):

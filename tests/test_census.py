@@ -1,4 +1,4 @@
-"""Census of forecast/compare/oracle/convert argv: each reads the same under any warnings filter.
+"""Census of the subcommands' argv: each reads the same under any warnings filter.
 
 Every call either succeeds with bounded temperatures and nothing on stderr,
 or exits 1 with one "error:" line and nothing on stdout. Which of the two,
@@ -8,6 +8,7 @@ and every byte of it, must not depend on whether warnings are errors.
 import contextlib
 import io
 import math
+import sys
 import warnings
 
 from hypothesis import example, given, settings
@@ -137,6 +138,8 @@ SMALL_GRID = ["--nx", "16", "--ny", "16", "--nt", "60", "--probes", "3"]
                              "--y-max", "1e300", "--probe-yr", "1e-20"]))
 # a negative probe time in exponent form is a value, refused by the oracle
 @example(("valles_caldera", ["oracle", "--scenario", VALLES, *SMALL_GRID, "--probe-yr", "-1e-5"]))
+# a probe count beside explicit probe times, which nothing would read
+@example(("valles_caldera", ["oracle", "--scenario", VALLES, *SMALL_GRID, "--probe-yr", "10"]))
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
 @given(oracle_argvs())
 def test_oracle_reads_alike_under_any_warnings_filter(case):
@@ -175,6 +178,37 @@ def test_convert_reads_alike_under_any_warnings_filter(argv):
     if rc == 0:
         assert err == "" and out.count("\n") == 1 and out.endswith("\n")
         assert math.isfinite(float(out))
+    else:
+        assert rc == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+@st.composite
+def table2_argvs(draw):
+    """A --spacings list of any magnitudes, with spacings whose times
+    overflow or underflow, non-finite, non-positive and non-number tokens."""
+    site = draw(st.sampled_from(SITES))
+    spacings = draw(st.lists(magnitudes("1e-200", "1e-160", "1e-150", "1e200", "inf", "nan", "0",
+                                        "-1", "abc"), max_size=4))
+    return ["table2", "--scenario", str(bundled_scenario_path(site)), "--spacings",
+            ",".join(spacings)]
+
+
+@example(["table2", "--spacings", "1e-200"])
+@example(["table2", "--spacings", "1e-160"])
+@example(["table2", "--spacings", "1e-150"])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(table2_argvs())
+def test_table2_reads_alike_under_any_warnings_filter(argv):
+    # a table of finite numbers in the normal float range, or one "error:" line
+    rc, out, err = run(argv, "error")
+    assert run(argv, "ignore") == (rc, out, err)
+    if rc == 0:
+        header, *lines = out.splitlines()
+        assert err == "" and header == "radius_m,time_yr,interference_time_yr,interference_radius_m"
+        for line in lines:
+            for cell in line.split(","):
+                assert sys.float_info.min <= float(cell) < math.inf, line
     else:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")

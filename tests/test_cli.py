@@ -258,6 +258,18 @@ def test_table2_refuses_infinite_spacing(capsys):
         assert err == f"error: spacings must be {rule}, got {float(spacing)}\n"
 
 
+def test_table2_refuses_underflowed_times(capsys):
+    # at 1e-160 m the interference time is subnormal, at 1e-200 m it is 0
+    rule = "large enough for traversal and interference times in the normal float range"
+    for spacing in ("1e-160", "1e-200"):
+        rc, out, err = run(capsys, "table2", "--spacings", f"40,{spacing}")
+        assert (rc, out) == (1, "")
+        assert err == f"error: spacings must be {rule}, got {spacing}\n"
+    rc, out, _ = run(capsys, "table2", "--spacings", "1e-150")
+    assert rc == 0
+    assert out.splitlines()[1] == "1e-150,8.47086e-303,4.23543e-303,5e-151"
+
+
 def test_compare_reference_gap(capsys):
     rc, out, _ = run(capsys, "compare", "--model", "single", "--model",
                      "gringarten_ref", "--steps", "50")
@@ -352,6 +364,9 @@ THIN_CELL_SUFFIX = (" over ny=16 cells is thinner than 7.4e-154 m, where 1/h^2 o
     [
         (["--nt", "0"], "error: n_steps must be an integer >= 1, got 0\n"),
         (["--nt", "60", "--probes", "-3"], "error: --probes must be >= 0, got -3\n"),
+        # --probe-yr gives the probe times: a --probes count beside it is read by nothing
+        (["--nt", "60", "--probe-yr", "10", "--probes", "3"],
+         "error: --probe-yr sets the probe times, so nothing reads --probes; drop it\n"),
         (["--nt", "60", "--probe-yr", "nan"], "error: probe times must be finite, got nan\n"),
         # sorted with the NaNs last, whatever order they hash in
         (["--nt", "60", "--probe-yr", "nan", "--probe-yr", "inf", "--probe-yr", "nan"],
@@ -391,8 +406,8 @@ THIN_CELL_SUFFIX = (" over ny=16 cells is thinner than 7.4e-154 m, where 1/h^2 o
          FIRST_CELL_PREFIX + "2.57995e-226 m, of y_max=5e-225 m (half the fracture spacing)"
          + THIN_CELL_SUFFIX),
     ],
-    ids=["nt-zero", "probes-negative", "probe-nan", "probe-nan-and-inf", "snapshot-inf",
-         "snapshot-yr-alone", "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing",
+    ids=["nt-zero", "probes-negative", "probes-with-probe-yr", "probe-nan", "probe-nan-and-inf",
+         "snapshot-inf", "snapshot-yr-alone", "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing",
          "y-max-inf", "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr", "y-max-1e300",
          "y-max-1e4", "slab-spacing-1e6", "slab-spacing-1e300", "y-max-1e-224",
          "slab-spacing-1e-224"],

@@ -22,6 +22,7 @@ from egstherm.oracle import (
     OracleGrid,
     _modes,
     _plan,
+    _theta_convolution,
     convergence_study,
     fd_simulate,
     semi_infinite_grid,
@@ -678,6 +679,30 @@ def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, per_horizon,
         assert np.array_equal(detailed.outlet_temperatures, plain)
         assert np.array_equal(fd_simulate(sc, grid, probes, return_details=True)[0]
                               .outlet_temperatures, plain)
+
+
+def test_theta_convolution_is_the_written_out_sums():
+    # the one builder of the fluid march and of a block's step mix, against
+    # both sums written out term by term (positive terms: nothing cancels)
+    rng = np.random.default_rng(33)
+    nx, gain, s = 16, 0.8, 0.37
+    p = rng.uniform(0.5, 1.5, nx + 1)
+    # the trapezoid march from a zero inlet, on [0, 2s, 2s gain, ...]
+    march = _theta_convolution(np.append(0.0, 2.0 * s * gain ** np.arange(nx)), 0.5)
+    trapezoid = [sum(gain ** (i - 1 - j) * s * (p[j] + p[j + 1]) for j in range(i))
+                 for i in range(nx + 1)]
+    np.testing.assert_allclose(march @ p, trapezoid, rtol=1e-13, atol=0.0)
+    # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta F_(k+1),
+    # and h_0 (1 - theta) F_j, from the fluid F after each step
+    for theta in (0.5, 1.0):
+        for length in (1, 2, 32):
+            h, fluid = rng.uniform(0.5, 1.5, (2, length + 1))
+            mix = _theta_convolution(h, theta)
+            earned = (1.0 - theta) * fluid[:-1] + theta * fluid[1:]
+            steps = [sum(h[j - k] * earned[k] for k in range(j)) + h[0] * (1.0 - theta) * fluid[j]
+                     for j in range(length + 1)]
+            assert mix.shape == (length + 1, length + 1)
+            np.testing.assert_allclose(mix @ fluid, steps, rtol=1e-13, atol=0.0)
 
 
 def _direct_modes(y, pinned):
