@@ -39,21 +39,27 @@ Numerical layout
   the stretch): one matrix product gives the face gradient of every step
   in the block from its starting modes, the fluid of the block's earlier
   steps reaches each step through precomputed scalars h_d, weighed by
-  _theta_convolution, and one more product advances the modes to the
-  block's end. Each stretch builds its block's matrices in place of the
-  last one's, so one block's matrices are alive at a time. Node values
-  are synthesized only where needed (face gradient, snapshots, and the
-  node beside a pinned far boundary at each block's end).
-* x (along the fracture): nx uniform cells. The fluid march costs nx^2 per
-  step and the block products modes * nx, so each mode's grid factory takes
-  the nx its x error needs: 200 in slab mode, where the x part is as large
-  as the total, and 100 in semi-infinite mode, where the time step makes
+  _theta_convolution, one scan along x solves the fluid of all the
+  block's steps, and one more product advances the modes to the block's
+  end. Each stretch builds its block's matrices in place of the last
+  one's, so one block's matrices are alive at a time. Node values are
+  synthesized only where needed (face gradient, snapshots, and the node
+  beside a pinned far boundary at each block's end).
+* x (along the fracture): nx uniform cells. A block of `length` steps
+  costs the fluid scan 1 + ceil(log2 nx) products of length^2 * nx and the
+  modal products modes * nx per step, so each mode's grid factory takes the
+  nx its x error needs: 200 in slab mode, where the x part is as large as
+  the total, and 100 in semi-infinite mode, where the time step makes
   almost all of it (see OracleGrid and semi_infinite_grid).
 * coupling: within a step the rock update is affine in its face temperature,
-  so the fluid march solves the coupled step exactly, once per step, as one
-  lower-triangular matrix (per theta and step size, from _theta_convolution,
-  the builder of the step mix too) applied to the face gradient of the
-  explicit part; its gain reads the block's own h_0.
+  and the fluid of the block's earlier steps reaches each step through the
+  step mix, so along x the fluid of all the block's steps is one
+  first-order linear recurrence: the trapezoid march from station i-1 to i
+  with gain (1+q)/(1-q), the gain reading the block's own h_0.
+  _march_scan solves it exactly, for every step of the block at once, as a
+  prefix scan of ceil(log2 nx) doubling levels (Kogge and Stone 1973;
+  Blelloch 1990), with the powers of its step matrix built once per
+  stretch.
 """
 
 from __future__ import annotations
@@ -171,8 +177,9 @@ def semi_infinite_grid(
     The rock depth defaults to six diffusion lengths, 6 sqrt(alpha horizon).
     The default nx is 100, half the slab grid's. At nx = 200 the time step
     makes 93% of the outlet error here and x 5e-5 C (0.097 C in all at 48
-    log probes from horizon/100), while nx sets the cost of the fluid march
-    (nx^2 per step) and of the block products (modes * nx). Halving it moves
+    log probes from horizon/100), while nx sets the cost of the fluid scan
+    (1 + ceil(log2 nx) products of length^2 * nx per block of `length`
+    steps) and of the modal products (modes * nx per step). Halving it moves
     the outlet by at most 1.6e-4 C with one face and 2.0e-3 C with two on
     the bundled sites and takes about 40% off a run; the error against the
     closed form at 256 log probes reads 0.1070/0.1027 C
@@ -221,7 +228,8 @@ class OracleDetails:
     fluid_enthalpy_J: float
     rock_heat_loss_J: float | None  # slab mode only; unbounded domain otherwise
     n_steps: int
-    max_sweeps: ClassVar[int] = 1  # fluid marches per step: the exact coupled step
+    # fluid solves per step: each block's scan solves its coupled steps exactly, once
+    max_sweeps: ClassVar[int] = 1
 
     @property
     def energy_imbalance(self) -> float | None:
@@ -253,8 +261,10 @@ def _modes(ny: int, ratio: float, bc_far: str):
         s_diag = np.append(s_diag, -inv_h[-1])
     m = s_diag.size
     root_w = np.sqrt(_trapezoid_weights(y)[1 : m + 1])
-    # MRRR (stemr) keeps the small eigenpairs of this strongly graded matrix
-    # accurate; the divide-and-conquer default drifts ~1e-5 C at the outlet
+    # MRRR (stemr) for this strongly graded matrix: on the default grids the
+    # divide-and-conquer drivers (SciPy's default, stevd, and NumPy's eigh)
+    # move the outlet by up to 4.1e-8 C in slab mode, stemr on the reversed,
+    # equivalent matrix by 6.0e-9 C
     lam, vectors = eigh_tridiagonal(
         s_diag / root_w**2, inv_h[1:m] / (root_w[:-1] * root_w[1:]), lapack_driver="stemr"
     )
@@ -287,6 +297,45 @@ def _theta_convolution(kernel: np.ndarray, theta: float) -> np.ndarray:
     out = toeplitz(lag, np.zeros(kernel.size))
     out[:, 0] = (1.0 - theta) * kernel
     return out
+
+
+def _march_scan(gain: float, s: float, mix: np.ndarray, inlet: np.ndarray):
+    """The trapezoid fluid march of a block of steps, solved along x as one scan.
+
+    mix is the block's step mix, one row per step and one column more. Step
+    j's fluid F_j (F_0 the block's start) is inlet + T along x, T = 0 at the
+    inlet and T(i) = gain T(i-1) + s (p_j(i-1) + p_j(i)) from station i-1 to
+    i, driven by p_j = lead_j + sum over k <= j of mix[j, k] F_k. Stacked
+    over the block's steps, Q(i) = F(i) - inlet(i) obeys Q(i) = C Q(i-1) +
+    d(i) from Q(0) = 0, with N = mix[:, 1:] (strictly lower triangular),
+    A = (I - s N)^-1, C = A (gain I + s N) = (1 + gain) A - I,
+    d(i) = s A (r(i-1) + r(i)) and r = lead + mix[:, 0] F_0 + (N 1) inlet.
+    Doubling level k adds C^(2^k) Q(i - 2^k) to every Q(i) (Kogge and Stone
+    1973), so after ceil(log2 nx) levels, one (length x length)(length x nx)
+    product each, every station holds its whole sum. Returns
+    fluid(leads, start, out), which writes F_1 .. F_length to out, one row
+    each, and builds r in leads.
+    """
+    length = mix.shape[0]
+    n = mix[:, 1:]
+    a = np.linalg.solve(np.eye(length) - s * n, np.eye(length))
+    ladder = [(1.0 + gain) * a - np.eye(length)]
+    while 2 ** len(ladder) < inlet.size - 1:
+        ladder.append(ladder[-1] @ ladder[-1])
+    s_a = s * a
+    load = np.outer(n.sum(axis=1), inlet)
+
+    def fluid(leads: np.ndarray, start: np.ndarray, out: np.ndarray) -> np.ndarray:
+        leads += load
+        leads += np.outer(mix[:, 0], start)
+        out[:, 0] = 0.0
+        np.matmul(s_a, leads[:, :-1] + leads[:, 1:], out=out[:, 1:])
+        for level, power in enumerate(ladder):
+            offset = 2**level
+            out[:, offset:] += power @ out[:, :-offset]
+        return np.add(out, inlet, out=out)
+
+    return fluid
 
 
 def _plan(units: float) -> list[tuple[float, int, float]]:
@@ -485,19 +534,15 @@ def fd_simulate(
                 f"(nx={grid.nx}, dx={dx:.4g} m): the grid is too coarse along x "
                 "and the outlet would oscillate along it; raise nx"
             )
-        gain_powers = gain ** np.arange(grid.nx + 1)
-        # the trapezoid march from a zero inlet, T_i = sum over j < i of gain^(i-1-j)
-        # s (p_j + p_(j+1)), s = dx coupling / 2 / (1 - ratio_q), on [0, 2s, 2s gain, ..]
-        kernel = np.append(0.0, gain_powers[:-1]) * (dx * coupling / (1.0 - ratio_q))
-        march = _theta_convolution(kernel, 0.5)
-        inlet = (t_cold - t_hot) * gain_powers
+        inlet = (t_cold - t_hot) * gain ** np.arange(grid.nx + 1)
         # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta F_(k+1)
         # from the fluid F after k steps, and h_0 (1 - theta) F_j; row j of mix weighs them
-        mix = _theta_convolution(h, theta)
+        mix = _theta_convolution(h, theta)[:length]
+        fluid = _march_scan(gain, dx * coupling / 2.0 / (1.0 - ratio_q), mix, inlet)
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T
-        return powers, lead_rows, mix, carry, march, inlet
+        return powers, lead_rows, carry, fluid
 
     # modal coefficients of the rock's deviation from T0 at every station
     coeffs = np.zeros((lam.size, grid.nx + 1))
@@ -522,19 +567,15 @@ def fd_simulate(
     step = 0
     for theta, multiple, stretch in plan:
         length = 2 if theta == 1.0 else _BLOCK
-        powers, lead_rows, mix, carry, march, inlet = theta_block(theta, multiple, length)
+        powers, lead_rows, carry, fluid = theta_block(theta, multiple, length)
         stretch_end = step + int(stretch)
         for start in range(step, stretch_end, length):
             # every block computes all its rows, so a run cut short inside a
-            # block reproduces the longer run's outlets bit for bit
-            leads = lead_rows @ coeffs
+            # block reproduces the longer run's outlets bit for bit; the fluid
+            # after each step comes from one scan along x
+            fluid(lead_rows @ coeffs, history[0], history[1 : length + 1])
             step = min(start + length, stretch_end)
             count = step - start
-            for j in range(count):
-                # face gradient after the explicit part (new face value still
-                # zero); the step is affine in the new face value, so one
-                # march solves it
-                history[j + 1] = inlet + march @ (leads[j] + mix[j, : j + 1] @ history[: j + 1])
             earned[:count] = (1.0 - theta) * history[:count] + theta * history[1 : count + 1]
             outlet_history[start + 1 : step + 1] = t_hot + history[1 : count + 1, -1]
             for n in (s - start for s in snapshot_steps if start < s <= step):

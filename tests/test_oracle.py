@@ -20,6 +20,7 @@ from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
     _BLOCK,
     OracleGrid,
+    _march_scan,
     _modes,
     _plan,
     _theta_convolution,
@@ -529,11 +530,15 @@ def test_fd_default_slab_grid_error(valles):
 
 
 def test_fd_default_runs_keep_one_block_alive(valles, valles_single):
-    # traced peak of a run over the horizon, basis warm: 1.64 MiB (slab) and
-    # 0.82 MiB (semi-infinite) with one (theta, step size) block alive at a
-    # time, 3.94 and 1.75 MiB when all eight were kept to the run's end
+    # traced peak of a run over the horizon, basis warm: 1.23 MiB (slab) and
+    # 0.74 MiB (semi-infinite) with one (theta, step size) block alive at a
+    # time and the fluid solved along x by a scan, 3.94 and 1.75 MiB when all
+    # eight blocks were kept to the run's end. At nx = 800 the scan's run
+    # peaks at 3.9 MiB, against 13.1 MiB when each block built the dense
+    # (nx + 1)^2 march, which alone is 801^2 * 8 B = 5.1 MB
     for sc, grid, limit in ((valles, slab_grid(valles), 2.5),
-                            (valles_single, semi_infinite_grid(valles_single), 1.25)):
+                            (valles_single, semi_infinite_grid(valles_single), 1.25),
+                            (valles_single, semi_infinite_grid(valles_single, nx=800), 6.0)):
         fd_simulate(sc, grid, [grid.dt])
         tracemalloc.start()
         try:
@@ -541,7 +546,7 @@ def test_fd_default_runs_keep_one_block_alive(valles, valles_single):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit * 2**20, (grid.bc_far, peak)
+        assert peak < limit * 2**20, (grid.bc_far, grid.nx, peak)
 
 
 def test_fd_slab_energy_balance(slab_run):
@@ -682,18 +687,11 @@ def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, per_horizon,
 
 
 def test_theta_convolution_is_the_written_out_sums():
-    # the one builder of the fluid march and of a block's step mix, against
-    # both sums written out term by term (positive terms: nothing cancels)
+    # the builder of a block's step mix, against its sum written out term by
+    # term (positive terms: nothing cancels). Step j takes h_(j-k) w_k for
+    # k < j, w_k = (1 - theta) F_k + theta F_(k+1), and h_0 (1 - theta) F_j,
+    # from the fluid F after each step
     rng = np.random.default_rng(33)
-    nx, gain, s = 16, 0.8, 0.37
-    p = rng.uniform(0.5, 1.5, nx + 1)
-    # the trapezoid march from a zero inlet, on [0, 2s, 2s gain, ...]
-    march = _theta_convolution(np.append(0.0, 2.0 * s * gain ** np.arange(nx)), 0.5)
-    trapezoid = [sum(gain ** (i - 1 - j) * s * (p[j] + p[j + 1]) for j in range(i))
-                 for i in range(nx + 1)]
-    np.testing.assert_allclose(march @ p, trapezoid, rtol=1e-13, atol=0.0)
-    # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta F_(k+1),
-    # and h_0 (1 - theta) F_j, from the fluid F after each step
     for theta in (0.5, 1.0):
         for length in (1, 2, 32):
             h, fluid = rng.uniform(0.5, 1.5, (2, length + 1))
@@ -703,6 +701,36 @@ def test_theta_convolution_is_the_written_out_sums():
                      for j in range(length + 1)]
             assert mix.shape == (length + 1, length + 1)
             np.testing.assert_allclose(mix @ fluid, steps, rtol=1e-13, atol=0.0)
+
+
+def test_march_scan_is_the_trapezoid_march_station_by_station():
+    # a block's fluid solved along x as one scan, against the trapezoid march
+    # written out and stepped one station at a time: at station i, step j
+    # is driven by p_j = lead_j + sum over k <= j of mix[j, k] F_k (F_0 the
+    # block's start) and F_j(i) = gain F_j(i-1) + s (p_j(i-1) + p_j(i)) from
+    # the inlet's F_j(0). Positive inputs, so nothing cancels; nx = 257
+    # leaves the last doubling level partial
+    rng = np.random.default_rng(34)
+    gain, s = 0.99, 0.01
+    for nx in (16, 100, 257):
+        inlet = 0.5 * gain ** np.arange(nx + 1)
+        for theta in (0.5, 1.0):
+            for length in (1, 2, 32):
+                mix = _theta_convolution(rng.uniform(0.5, 1.5, length + 1), theta)[:length]
+                leads = rng.uniform(0.5, 1.5, (length, nx + 1))
+                start = rng.uniform(0.5, 1.5, nx + 1)
+                fluid = np.empty((length + 1, nx + 1))
+                fluid[0] = start
+                drive = np.empty((length, nx + 1))
+                for i in range(nx + 1):
+                    for j in range(length):
+                        drive[j, i] = leads[j, i] + mix[j, : j + 1] @ fluid[: j + 1, i]
+                        fluid[j + 1, i] = inlet[0] if i == 0 else (
+                            gain * fluid[j + 1, i - 1] + s * (drive[j, i - 1] + drive[j, i]))
+                scan = np.empty((length, nx + 1))
+                _march_scan(gain, s, mix, inlet)(leads.copy(), start, scan)
+                np.testing.assert_allclose(scan, fluid[1:], rtol=1e-12, atol=0.0,
+                                           err_msg=f"nx={nx} theta={theta} length={length}")
 
 
 def _direct_modes(y, pinned):
