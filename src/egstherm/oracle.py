@@ -38,28 +38,29 @@ Numerical layout
   Crank-Nicolson in blocks of at most _BLOCK, the last one ending with
   the stretch): one matrix product gives the face gradient of every step
   in the block from its starting modes, the fluid of the block's earlier
-  steps reaches each step through precomputed scalars h_d, weighed by
-  _theta_convolution, one scan along x solves the fluid of all the
-  block's steps, and one more product advances the modes to the block's
-  end. Each stretch builds its block's matrices in place of the last
-  one's, so one block's matrices are alive at a time. Node values are
-  synthesized only where needed (face gradient, snapshots, and the node
-  beside a pinned far boundary at each block's end).
+  steps reaches each step through precomputed scalars h_d, one scan along
+  x, started at the inlet temperature and weighing those steps by h_d
+  itself, solves the fluid of all the block's steps, and one more product
+  advances the modes to the block's end. Each stretch builds its block's
+  matrices in place of the last one's, so one block's matrices are alive
+  at a time. Node values are synthesized only where needed (face
+  gradient, snapshots, and the node beside a pinned far boundary at each
+  block's end).
 * x (along the fracture): nx uniform cells. A block of `length` steps
-  costs the fluid scan 1 + ceil(log2 nx) products of length^2 * nx and the
-  modal products modes * nx per step, so each mode's grid factory takes the
-  nx its x error needs: 200 in slab mode, where the x part is as large as
-  the total, and 100 in semi-infinite mode, where the time step makes
+  costs the fluid scan 1 + ceil(log2(nx + 1)) products of length^2 * nx and
+  the modal products modes * nx per step, so each mode's grid factory takes
+  the nx its x error needs: 200 in slab mode, where the x part is as large
+  as the total, and 100 in semi-infinite mode, where the time step makes
   almost all of it (see OracleGrid and semi_infinite_grid).
 * coupling: within a step the rock update is affine in its face temperature,
   and the fluid of the block's earlier steps reaches each step through the
-  step mix, so along x the fluid of all the block's steps is one
-  first-order linear recurrence: the trapezoid march from station i-1 to i
-  with gain (1+q)/(1-q), the gain reading the block's own h_0.
-  _march_scan solves it exactly, for every step of the block at once, as a
-  prefix scan of ceil(log2 nx) doubling levels (Kogge and Stone 1973;
-  Blelloch 1990), with the powers of its step matrix built once per
-  stretch.
+  h_d, so along x the fluid of all the block's steps is one first-order
+  linear recurrence: the trapezoid march from station i-1 to i with gain
+  (1+q)/(1-q), the gain reading the block's own h_0. _march_scan solves it
+  exactly, for every step of the block at once, as a prefix scan seeded
+  with the inlet temperature at station 0, in ceil(log2(nx + 1)) doubling
+  levels (Kogge and Stone 1973; Blelloch 1990), with its step weights and
+  the powers of its step matrix built from h once per stretch.
 """
 
 from __future__ import annotations
@@ -96,8 +97,9 @@ _BC_TAGS = ("dirichlet_T0", "neumann_zero")
 # truncated boundary is disturbed by more than this many degrees
 _CONTAMINATION_LIMIT_C = 0.1
 
-# Crank-Nicolson steps per block of the modal stepper; 16 to 64 run alike on
-# the default grid
+# Crank-Nicolson steps per block of the modal stepper: on the default grids
+# a run with blocks of 16 or 24 takes 4-15% longer than with 32, and one
+# with 48 or 64 15-23% longer
 _BLOCK = 32
 
 # the time-step ladder: steps per rung, each rung's step twice the last one's,
@@ -178,7 +180,7 @@ def semi_infinite_grid(
     The default nx is 100, half the slab grid's. At nx = 200 the time step
     makes 93% of the outlet error here and x 5e-5 C (0.097 C in all at 48
     log probes from horizon/100), while nx sets the cost of the fluid scan
-    (1 + ceil(log2 nx) products of length^2 * nx per block of `length`
+    (1 + ceil(log2(nx + 1)) products of length^2 * nx per block of `length`
     steps) and of the modal products (modes * nx per step). Halving it moves
     the outlet by at most 1.6e-4 C with one face and 2.0e-3 C with two on
     the bundled sites and takes about 40% off a run; the error against the
@@ -286,54 +288,42 @@ def _gradient_stencil(y: np.ndarray) -> np.ndarray:
     )
 
 
-def _theta_convolution(kernel: np.ndarray, theta: float) -> np.ndarray:
-    """The lower-triangular M, of kernel K's size squared, with (M v)[i] = sum
-    over k <= i of (1 - theta) K[i-k] v[k] + sum over 1 <= k <= i of theta
-    K[i-k+1] v[k]: K's response to a history v of theta-weighted steps."""
-    from scipy.linalg import toeplitz
-
-    lag = (1.0 - theta) * kernel
-    lag[:-1] += theta * kernel[1:]
-    out = toeplitz(lag, np.zeros(kernel.size))
-    out[:, 0] = (1.0 - theta) * kernel
-    return out
-
-
-def _march_scan(gain: float, s: float, mix: np.ndarray, inlet: np.ndarray):
+def _march_scan(gain: float, s: float, h: np.ndarray, theta: float, inlet: float, nx: int):
     """The trapezoid fluid march of a block of steps, solved along x as one scan.
 
-    mix is the block's step mix, one row per step and one column more. Step
-    j's fluid F_j (F_0 the block's start) is inlet + T along x, T = 0 at the
-    inlet and T(i) = gain T(i-1) + s (p_j(i-1) + p_j(i)) from station i-1 to
-    i, driven by p_j = lead_j + sum over k <= j of mix[j, k] F_k. Stacked
-    over the block's steps, Q(i) = F(i) - inlet(i) obeys Q(i) = C Q(i-1) +
-    d(i) from Q(0) = 0, with N = mix[:, 1:] (strictly lower triangular),
-    A = (I - s N)^-1, C = A (gain I + s N) = (1 + gain) A - I,
-    d(i) = s A (r(i-1) + r(i)) and r = lead + mix[:, 0] F_0 + (N 1) inlet.
-    Doubling level k adds C^(2^k) Q(i - 2^k) to every Q(i) (Kogge and Stone
-    1973), so after ceil(log2 nx) levels, one (length x length)(length x nx)
-    product each, every station holds its whole sum. Returns
-    fluid(leads, start, out), which writes F_1 .. F_length to out, one row
-    each, and builds r in leads.
+    h holds the block's scalars h_0 .. h_length. Step j's fluid F_j (F_0 the
+    block's start) is inlet at station 0 and F_j(i) = gain F_j(i-1) + s
+    (p_j(i-1) + p_j(i)) from station i-1 to i, driven by p_j = lead_j +
+    sum over k < j - 1 of h_(j-1-k) w_k + (1 - theta) h_0 F_(j-1), with
+    w_k = (1 - theta) F_k + theta F_(k+1) (theta h_0 F_j sits in the gain).
+    That is p_j = r_j + (N F)_j, r_j = lead_j + (1 - theta) h_(j-1) F_0 and
+    N[j, k] = (1 - theta) h_(j-k-1) + theta h_(j-k) for 1 <= k < j. Stacked
+    over the block's steps, F(i) = C F(i-1) + d(i) from F(0) = inlet, with
+    A = (I - s N)^-1, C = A (gain I + s N) = (1 + gain) A - I and d(i) =
+    s A (r(i-1) + r(i)). Doubling level k adds C^(2^k) F(i - 2^k) to every
+    F(i) (Kogge and Stone 1973; Blelloch 1990), so after ceil(log2(nx + 1))
+    levels, one (length x length)(length x nx) product each, every station
+    holds its whole sum from the inlet. Returns fluid(leads, start, out),
+    which writes F_1 .. F_length to out, one row each, building r in leads.
     """
-    length = mix.shape[0]
-    n = mix[:, 1:]
+    length = h.size - 1
+    k = np.arange(length)
+    lag = (1.0 - theta) * h[:-1] + theta * h[1:]
+    n = np.tril(lag[np.subtract.outer(k, k) - 1], -1)
+    start_column = (1.0 - theta) * h[:-1]
     a = np.linalg.solve(np.eye(length) - s * n, np.eye(length))
     ladder = [(1.0 + gain) * a - np.eye(length)]
-    while 2 ** len(ladder) < inlet.size - 1:
+    while 2 ** len(ladder) <= nx:
         ladder.append(ladder[-1] @ ladder[-1])
     s_a = s * a
-    load = np.outer(n.sum(axis=1), inlet)
 
-    def fluid(leads: np.ndarray, start: np.ndarray, out: np.ndarray) -> np.ndarray:
-        leads += load
-        leads += np.outer(mix[:, 0], start)
-        out[:, 0] = 0.0
+    def fluid(leads: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
+        leads += np.outer(start_column, start)
+        out[:, 0] = inlet
         np.matmul(s_a, leads[:, :-1] + leads[:, 1:], out=out[:, 1:])
         for level, power in enumerate(ladder):
             offset = 2**level
             out[:, offset:] += power @ out[:, :-offset]
-        return np.add(out, inlet, out=out)
 
     return fluid
 
@@ -418,7 +408,8 @@ def fd_simulate(
         y-cell is wider than 5 sqrt(alpha t) at the run's end or too thin for
         1/h^2 and alpha dt/h^2 to be finite floats, or if the fluid march
         gain of a step is not positive: the grid is too coarse along x and
-        the outlet would oscillate along it.
+        the outlet would oscillate along it, or if an outlet at a probe
+        lies outside [T_inj, T0] (named with the grid).
     RuntimeError
         If semi-infinite mode finds the node beside the truncated far boundary
         disturbed by more than 0.1 C at a block's end (named in the message):
@@ -534,11 +525,8 @@ def fd_simulate(
                 f"(nx={grid.nx}, dx={dx:.4g} m): the grid is too coarse along x "
                 "and the outlet would oscillate along it; raise nx"
             )
-        inlet = (t_cold - t_hot) * gain ** np.arange(grid.nx + 1)
-        # step j takes h_(j-k) w_k for k < j, w_k = (1 - theta) F_k + theta F_(k+1)
-        # from the fluid F after k steps, and h_0 (1 - theta) F_j; row j of mix weighs them
-        mix = _theta_convolution(h, theta)[:length]
-        fluid = _march_scan(gain, dx * coupling / 2.0 / (1.0 - ratio_q), mix, inlet)
+        s = dx * coupling / 2.0 / (1.0 - ratio_q)
+        fluid = _march_scan(gain, s, h, theta, t_cold - t_hot, grid.nx)
         # column k: S^(length-1-k) forcing, so the state after n steps takes
         # the last n columns against w_0 .. w_(n-1)
         carry = weighted[1:].T
@@ -597,9 +585,20 @@ def fd_simulate(
                         f"beside y_max={grid.y_max:.6g} m); enlarge y_max for this horizon"
                     )
 
-    series = replace(
-        series, outlet_temperatures=np.interp(probe_times, ends * grid.dt, outlet_history)
-    )
+    outlets = np.interp(probe_times, ends * grid.dt, outlet_history)
+    # ForecastSeries' own bounds, checked here so the refusal names the grid
+    slack = 1e-9 * abs(t_hot - t_cold)
+    if outlets.size and not (t_cold - slack <= outlets.min() and outlets.max() <= t_hot + slack):
+        excursion = np.maximum(t_cold - outlets, outlets - t_hot)
+        worst = int(np.argmax(excursion))  # the first NaN, if any
+        raise ValueError(
+            f"the oracle outlet at t={probe_times[worst]:.6g} s is {outlets[worst]:.9g} C, "
+            f"{excursion[worst]:.3g} C outside [T_inj, T0] = [{t_cold:.6g}, {t_hot:.6g}] C: "
+            f"the scheme rings past them on the grid nx={grid.nx}, ny={grid.ny}, "
+            f"y_max={grid.y_max:.6g} m with a first step of {grid.dt:.6g} s, so it is no "
+            "reference for this run"
+        )
+    series = replace(series, outlet_temperatures=outlets)
     if not (return_details or snapshots):
         return series
 

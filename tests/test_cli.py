@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import re
 import warnings
 from pathlib import Path
 
@@ -417,6 +418,21 @@ def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     assert rc == 1
     assert out == ""
     assert err == message
+
+
+def test_oracle_names_its_own_out_of_range_outlet(capsys):
+    # the drained 1 mm slab rings below T_inj: the oracle refuses the run
+    # itself, naming the probe, the excursion and the grid, instead of
+    # ForecastSeries' bounds message
+    rc, out, err = run(capsys, "oracle", "--model", "multi_slab", "--spacing-m", "1e-3",
+                       "--probes", "2")
+    assert rc == 1
+    assert out == ""
+    assert re.fullmatch(
+        r"error: the oracle outlet at t=1\.5768e\+09 s is 64\.999\d+ C, \S+ C outside "
+        r"\[T_inj, T0\] = \[65, 300\] C: the scheme rings past them on the grid nx=200, "
+        r"ny=200, y_max=0\.0005 m with a first step of 657000 s, so it is no reference for "
+        r"this run\n", err), err
 
 
 def first_cell_refusal(width: str, t: str, reach: str) -> str:

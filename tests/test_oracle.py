@@ -7,6 +7,7 @@ the acceptance suite exercises the default resolution.
 import dataclasses
 import json
 import re
+import sys
 import tracemalloc
 import warnings
 
@@ -23,7 +24,6 @@ from egstherm.oracle import (
     _march_scan,
     _modes,
     _plan,
-    _theta_convolution,
     convergence_study,
     fd_simulate,
     semi_infinite_grid,
@@ -530,11 +530,11 @@ def test_fd_default_slab_grid_error(valles):
 
 
 def test_fd_default_runs_keep_one_block_alive(valles, valles_single):
-    # traced peak of a run over the horizon, basis warm: 1.23 MiB (slab) and
-    # 0.74 MiB (semi-infinite) with one (theta, step size) block alive at a
+    # traced peak of a run over the horizon, basis warm: 1.16 MiB (slab) and
+    # 0.70 MiB (semi-infinite) with one (theta, step size) block alive at a
     # time and the fluid solved along x by a scan, 3.94 and 1.75 MiB when all
     # eight blocks were kept to the run's end. At nx = 800 the scan's run
-    # peaks at 3.9 MiB, against 13.1 MiB when each block built the dense
+    # peaks at 3.7 MiB, against 13.1 MiB when each block built the dense
     # (nx + 1)^2 march, which alone is 801^2 * 8 B = 5.1 MB
     for sc, grid, limit in ((valles, slab_grid(valles), 2.5),
                             (valles_single, semi_infinite_grid(valles_single), 1.25),
@@ -687,36 +687,46 @@ def test_fd_outlets_do_not_depend_on_the_request(scenario, factory, per_horizon,
 
 
 def test_theta_convolution_is_the_written_out_sums():
-    # the builder of a block's step mix, against its sum written out term by
-    # term (positive terms: nothing cancels). Step j takes h_(j-k) w_k for
-    # k < j, w_k = (1 - theta) F_k + theta F_(k+1), and h_0 (1 - theta) F_j,
-    # from the fluid F after each step
+    # the step weights the scan builds from h and theta, against their sums
+    # written out term by term on the scan's own fluid F (F_0 the block's
+    # start). Step j is driven by p_j = lead_j + (1 - theta) h_0 F_j + sum
+    # over k < j of h_(j-k) w_k, w_k = (1 - theta) F_k + theta F_(k+1), so
+    # F_(j+1)(i) = gain F_(j+1)(i-1) + s (p_j(i-1) + p_j(i)) at every station
+    # past the inlet. Positive terms on both sides: nothing cancels
     rng = np.random.default_rng(33)
+    gain, s, inlet, nx = 0.99, 0.01, 0.5, 4
     for theta in (0.5, 1.0):
         for length in (1, 2, 32):
-            h, fluid = rng.uniform(0.5, 1.5, (2, length + 1))
-            mix = _theta_convolution(h, theta)
+            h = rng.uniform(0.5, 1.5, length + 1)
+            leads = rng.uniform(0.5, 1.5, (length, nx + 1))
+            fluid = np.empty((length + 1, nx + 1))
+            fluid[0] = rng.uniform(0.5, 1.5, nx + 1)
+            _march_scan(gain, s, h, theta, inlet, nx)(leads.copy(), fluid[0], fluid[1:])
             earned = (1.0 - theta) * fluid[:-1] + theta * fluid[1:]
-            steps = [sum(h[j - k] * earned[k] for k in range(j)) + h[0] * (1.0 - theta) * fluid[j]
-                     for j in range(length + 1)]
-            assert mix.shape == (length + 1, length + 1)
-            np.testing.assert_allclose(mix @ fluid, steps, rtol=1e-13, atol=0.0)
+            drive = np.array([leads[j] + (1.0 - theta) * h[0] * fluid[j]
+                              + sum(h[j - k] * earned[k] for k in range(j))
+                              for j in range(length)])
+            np.testing.assert_array_equal(fluid[1:, 0], inlet)
+            np.testing.assert_allclose(fluid[1:, 1:],
+                                       gain * fluid[1:, :-1] + s * (drive[:, :-1] + drive[:, 1:]),
+                                       rtol=1e-13, atol=0.0,
+                                       err_msg=f"theta={theta} length={length}")
 
 
 def test_march_scan_is_the_trapezoid_march_station_by_station():
     # a block's fluid solved along x as one scan, against the trapezoid march
-    # written out and stepped one station at a time: at station i, step j
-    # is driven by p_j = lead_j + sum over k <= j of mix[j, k] F_k (F_0 the
-    # block's start) and F_j(i) = gain F_j(i-1) + s (p_j(i-1) + p_j(i)) from
-    # the inlet's F_j(0). Positive inputs, so nothing cancels; nx = 257
-    # leaves the last doubling level partial
+    # written out term by term and stepped one station at a time: step j's
+    # fluid F_(j+1) (F_0 the block's start) is the inlet value at station 0
+    # and F_(j+1)(i) = gain F_(j+1)(i-1) + s (p_j(i-1) + p_j(i)), driven by
+    # p_j = lead_j + (1 - theta) h_0 F_j + sum over k < j of h_(j-k) w_k,
+    # w_k = (1 - theta) F_k + theta F_(k+1). Positive inputs, so nothing
+    # cancels; nx = 257 leaves the last doubling level partial
     rng = np.random.default_rng(34)
-    gain, s = 0.99, 0.01
+    gain, s, inlet = 0.99, 0.01, 0.5
     for nx in (16, 100, 257):
-        inlet = 0.5 * gain ** np.arange(nx + 1)
         for theta in (0.5, 1.0):
             for length in (1, 2, 32):
-                mix = _theta_convolution(rng.uniform(0.5, 1.5, length + 1), theta)[:length]
+                h = rng.uniform(0.5, 1.5, length + 1)
                 leads = rng.uniform(0.5, 1.5, (length, nx + 1))
                 start = rng.uniform(0.5, 1.5, nx + 1)
                 fluid = np.empty((length + 1, nx + 1))
@@ -724,11 +734,13 @@ def test_march_scan_is_the_trapezoid_march_station_by_station():
                 drive = np.empty((length, nx + 1))
                 for i in range(nx + 1):
                     for j in range(length):
-                        drive[j, i] = leads[j, i] + mix[j, : j + 1] @ fluid[: j + 1, i]
-                        fluid[j + 1, i] = inlet[0] if i == 0 else (
+                        earned = (1.0 - theta) * fluid[:j, i] + theta * fluid[1 : j + 1, i]
+                        drive[j, i] = (leads[j, i] + (1.0 - theta) * h[0] * fluid[j, i]
+                                       + sum(h[j - k] * earned[k] for k in range(j)))
+                        fluid[j + 1, i] = inlet if i == 0 else (
                             gain * fluid[j + 1, i - 1] + s * (drive[j, i - 1] + drive[j, i]))
                 scan = np.empty((length, nx + 1))
-                _march_scan(gain, s, mix, inlet)(leads.copy(), start, scan)
+                _march_scan(gain, s, h, theta, inlet, nx)(leads.copy(), start, scan)
                 np.testing.assert_allclose(scan, fluid[1:], rtol=1e-12, atol=0.0,
                                            err_msg=f"nx={nx} theta={theta} length={length}")
 
@@ -800,6 +812,16 @@ def test_fd_outlets_are_the_same_from_a_cold_or_warm_basis(valles, valles_single
     # each shape was solved on its first run and on each return after the
     # others evicted it (32 unknowns in slab mode, 31 below the pinned node)
     assert (counted_eigensolves.count(32), counted_eigensolves.count(31)) == (3, 3)
+
+
+def test_fd_warm_run_needs_no_scipy(valles, monkeypatch):
+    # the eigensolve is the oracle's only SciPy call: once the basis of a
+    # grid shape is cached, a run over the horizon imports nothing from SciPy
+    grid = slab_grid(valles)
+    _modes(grid.ny, grid.ratio, grid.bc_far)
+    monkeypatch.setitem(sys.modules, "scipy.linalg", None)
+    series = fd_simulate(valles, grid, [valles.operating.horizon])
+    assert np.all(np.isfinite(series.outlet_temperatures))
 
 
 @pytest.mark.parametrize("site", ["valles", "zeinali"])
