@@ -21,7 +21,7 @@ it prints one "error:" line to stderr and exits 1.
 
 Each subcommand imports only what it runs: convert and table2 need the
 standard library alone, forecast and compare add NumPy and the Laplace
-engine, and only oracle loads the finite-difference oracle and SciPy.
+engine, and only oracle loads the finite-difference oracle.
 """
 
 from __future__ import annotations

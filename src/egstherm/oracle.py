@@ -111,6 +111,15 @@ _N_STEPS = 2400  # the grid factories' default first step is horizon / _N_STEPS
 # arrays grow with the count, so a far-off probe time is refused instead
 _MAX_STEPS = 10**6
 
+# the y-basis refinement (see _modes) takes at most this many steps and ends
+# at the first whose residual max(|R|, |E|) is below this tolerance. On the
+# shapes measured, a converging step's successor has a residual of at most 16
+# times the square of its own or the float64 floor, at most 4e-13 up to ny
+# 1000, so a step from below 1e-10 leaves the basis at that floor; the
+# refused shapes are still at 1.2e-2 or more on their third step
+_BASIS_STEPS = 3
+_BASIS_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class OracleGrid:
@@ -247,15 +256,23 @@ def _modes(ny: int, ratio: float, bc_far: str):
 
     On the unknown nodes (1 .. ny-1 below a pinned far boundary, 1 .. ny
     with the mirrored zero-flux midplane) the operator is K = D^-1 S with S
-    symmetric and D the trapezoid weights, so D^1/2 K D^-1/2 is symmetric
-    tridiagonal. Returns its eigenvalues, orthonormal eigenvectors (one per
-    column) and the square-rooted weights, all read-only. The nodes are
-    y_max times the unit-depth ones, so the eigenvectors serve every y_max
-    of this shape, the eigenvalues scale by 1/y_max^2 and the root-weights
-    by sqrt(y_max).
-    """
-    from scipy.linalg import eigh_tridiagonal
+    symmetric and D the trapezoid weights, so T = D^1/2 K D^-1/2 is
+    symmetric tridiagonal. Returns its eigenvalues, orthonormal eigenvectors
+    (one per column) and the square-rooted weights, all read-only. The
+    nodes are y_max times the unit-depth ones, so the eigenvectors serve
+    every y_max of this shape, the eigenvalues scale by 1/y_max^2 and the
+    root-weights by sqrt(y_max).
 
+    NumPy's eigh of the dense T alone moves slab outlets by up to 4e-8 C on
+    the default grids, so its basis X is refined (Ogita and Aishima 2018,
+    Japan J. Indust. Appl. Math. 35, 1007-1035): with R = I - X^T X and
+    S = X^T T X, a step takes lam_i = S_ii / (1 - R_ii), E_ij = (S_ij +
+    lam_j R_ij) / (lam_j - lam_i) off the diagonal and R_ii / 2 on it, and
+    X + X E, ending after the first step whose max(|R|, |E|) is below
+    _BASIS_TOL. On a y-grid graded so strongly that the refinement has not
+    got there in _BASIS_STEPS steps, eigh starts outside its reach and the
+    basis fails its own check: returns None, and fd_simulate refuses the grid.
+    """
     y = OracleGrid(y_max=1.0, dt=1.0, ny=ny, bc_far=bc_far, ratio=ratio).y_nodes()
     inv_h = 1.0 / np.diff(y)
     s_diag = -(inv_h[:-1] + inv_h[1:])
@@ -263,13 +280,22 @@ def _modes(ny: int, ratio: float, bc_far: str):
         s_diag = np.append(s_diag, -inv_h[-1])
     m = s_diag.size
     root_w = np.sqrt(_trapezoid_weights(y)[1 : m + 1])
-    # MRRR (stemr) for this strongly graded matrix: on the default grids the
-    # divide-and-conquer drivers (SciPy's default, stevd, and NumPy's eigh)
-    # move the outlet by up to 4.1e-8 C in slab mode, stemr on the reversed,
-    # equivalent matrix by 6.0e-9 C
-    lam, vectors = eigh_tridiagonal(
-        s_diag / root_w**2, inv_h[1:m] / (root_w[:-1] * root_w[1:]), lapack_driver="stemr"
-    )
+    off = inv_h[1:m] / (root_w[:-1] * root_w[1:])
+    t = np.diag(s_diag / root_w**2) + np.diag(off, 1) + np.diag(off, -1)
+    lam, vectors = np.linalg.eigh(t)
+    for _ in range(_BASIS_STEPS):
+        r = np.eye(m) - vectors.T @ vectors
+        s = vectors.T @ (t @ vectors)
+        s = (s + s.T) / 2.0  # symmetric in exact arithmetic
+        lam = np.diag(s) / (1.0 - np.diag(r))
+        # entry (i, j): lam_j - lam_i, with 1 on the diagonal that E sets apart
+        e = (s + lam * r) / (lam - lam[:, None] + np.eye(m))
+        np.fill_diagonal(e, np.diag(r) / 2.0)
+        vectors = vectors + vectors @ e
+        if np.abs(r).max() < _BASIS_TOL and np.abs(e).max() < _BASIS_TOL:  # NaN fails
+            break
+    else:
+        return None
     for array in (lam, vectors, root_w):
         array.flags.writeable = False
     return lam, vectors, root_w
@@ -406,7 +432,9 @@ def fd_simulate(
         raises), if a probe or snapshot time is not a finite number > 0, if
         reaching the latest of them takes more than 10**6 steps, if the first
         y-cell is wider than 5 sqrt(alpha t) at the run's end or too thin for
-        1/h^2 and alpha dt/h^2 to be finite floats, or if the fluid march
+        1/h^2 and alpha dt/h^2 to be finite floats, if the y-grid is graded
+        so strongly that its eigenbasis fails its own check (named with ny,
+        the ratio, ratio^ny and the first cell), or if the fluid march
         gain of a step is not positive: the grid is too coarse along x and
         the outlet would oscillate along it, or if an outlet at a probe
         lies outside [T_inj, T0] (named with the grid).
@@ -483,7 +511,15 @@ def fd_simulate(
     stencil = _gradient_stencil(y)
     # the unit-depth basis of this grid shape, scaled to y_max (lam / y_max**2
     # could overflow in the square)
-    lam, vectors, root_w = _modes(grid.ny, grid.ratio, grid.bc_far)
+    basis = _modes(grid.ny, grid.ratio, grid.bc_far)
+    if basis is None:
+        raise ValueError(
+            f"the y-grid of ny={grid.ny} cells at stretching ratio {grid.ratio} spans "
+            f"ratio^ny = {grid.ratio ** grid.ny:.3g} from a first rock cell of {y[1]:.3g} m: "
+            f"its eigenbasis still fails its own check after {_BASIS_STEPS} refinement steps, "
+            "so the grid is too strongly graded to solve; lower ny or the ratio"
+        )
+    lam, vectors, root_w = basis
     lam = lam / grid.y_max / grid.y_max
     root_w = root_w * math.sqrt(grid.y_max)
     face_load = vectors[0] / (y[1] - y[0]) / root_w[0]

@@ -381,7 +381,7 @@ THIN_CELL_SUFFIX = (" over ny=16 cells is thinner than 7.4e-154 m, where 1/h^2 o
          "error: --out directory 'no-such-dir' does not exist\n"),
         (["--nt", "60", "--probes", "2", "--snapshot-yr", "10", "--snapshot-out",
           "no-such-dir/snap"], "error: --snapshot-out directory 'no-such-dir' does not exist\n"),
-        # non-finite geometry is refused by name before NumPy or SciPy sees it
+        # non-finite geometry is refused by name before NumPy sees it
         (["--nt", "60", "--probes", "2", "--y-max", "inf"],
          "error: y_max must be a finite number > 0, got inf\n"),
         (["--nt", "60", "--probes", "2", "--model", "multi_slab", "--spacing-m", "inf"],
@@ -421,18 +421,41 @@ def test_oracle_refuses_bad_grid_input(flags, message, capsys):
 
 
 def test_oracle_names_its_own_out_of_range_outlet(capsys):
-    # the drained 1 mm slab rings below T_inj: the oracle refuses the run
-    # itself, naming the probe, the excursion and the grid, instead of
-    # ForecastSeries' bounds message
-    rc, out, err = run(capsys, "oracle", "--model", "multi_slab", "--spacing-m", "1e-3",
-                       "--probes", "2")
+    # the drained 1 mm slab rings below T_inj, by about 0.0097 C at its
+    # probe near 1 yr: the oracle refuses the run itself, naming the probe,
+    # the excursion and the grid, instead of ForecastSeries' bounds message
+    rc, out, err = run(capsys, "oracle", "--model", "multi_slab", "--spacing-m", "1e-3")
     assert rc == 1
     assert out == ""
     assert re.fullmatch(
-        r"error: the oracle outlet at t=1\.5768e\+09 s is 64\.999\d+ C, \S+ C outside "
+        r"error: the oracle outlet at t=3\.04432e\+07 s is 64\.99\d+ C, \S+ C outside "
         r"\[T_inj, T0\] = \[65, 300\] C: the scheme rings past them on the grid nx=200, "
         r"ny=200, y_max=0\.0005 m with a first step of 657000 s, so it is no reference for "
         r"this run\n", err), err
+
+
+@pytest.mark.parametrize(
+    "flags, grid",
+    [
+        (["--model", "multi_slab", "--ny", "800"],
+         "ny=800 cells at stretching ratio 1.025 spans ratio^ny = 3.79e+08 from a first rock "
+         "cell of 1.32e-09 m"),
+        (["--ny", "400", "--ratio", "1.05"],
+         "ny=400 cells at stretching ratio 1.05 spans ratio^ny = 2.99e+08 from a first rock "
+         "cell of 3.85e-08 m"),
+    ],
+    ids=["slab-ny-800", "semi-infinite-ratio-1.05"],
+)
+def test_oracle_refuses_a_y_grid_too_graded_for_its_basis(flags, grid, capsys):
+    # cells spanning ratio^ny of about 3e8: the y-basis still fails its own
+    # check after its refinement steps, so the run is refused by name, not
+    # served far off
+    rc, out, err = run(capsys, "oracle", *flags)
+    assert rc == 1
+    assert out == ""
+    assert err == (f"error: the y-grid of {grid}: its eigenbasis still fails its own check "
+                   "after 3 refinement steps, so the grid is too strongly graded to solve; "
+                   "lower ny or the ratio\n")
 
 
 def first_cell_refusal(width: str, t: str, reach: str) -> str:
@@ -527,8 +550,10 @@ def test_compare_checks_onset_fraction_before_writing(tmp_path, capsys):
         ["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "2",
          "--snapshot-yr", "10", "--snapshot-out", "missing/snap"],
         ["convert", "1", "yr", "C"],
+        ["oracle", "--ny", "400", "--ratio", "1.05"],
     ],
-    ids=["forecast-clamp", "compare-onset", "oracle-snapshot-dir", "convert-units"],
+    ids=["forecast-clamp", "compare-onset", "oracle-snapshot-dir", "convert-units",
+         "oracle-graded-y"],
 )
 def test_failed_command_writes_nothing(argv, tmp_path, monkeypatch, capsys):
     # each command fails after its inputs parse; neither stdout nor a file
@@ -811,20 +836,24 @@ _IMPORT_GRAPH = {
     ),
     "oracle": (
         ["oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes", "1"],
-        ["numpy", "egstherm.oracle", "scipy"],
-        [],
+        ["numpy", "egstherm.oracle"],
+        ["scipy"],
     ),
 }
 
 
 @pytest.mark.parametrize("command", list(_IMPORT_GRAPH))
 def test_each_subcommand_imports_only_what_it_runs(command):
+    # with SciPy blocked (importing it raises ImportError), every subcommand
+    # still runs: NumPy is the only runtime dependency
     argv, loads, leaves = _IMPORT_GRAPH[command]
     out = fresh_python(
-        "import contextlib, io, json, sys, egstherm.cli\n"
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import contextlib, io, json, egstherm.cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    rc = egstherm.cli.main({argv!r})\n"
-        "print(json.dumps([rc, sorted(sys.modules)]))"
+        "print(json.dumps([rc, sorted(m for m, mod in sys.modules.items() if mod is not None)]))"
     )
     rc, modules = json.loads(out)
     assert rc == 0

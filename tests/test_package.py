@@ -39,8 +39,8 @@ def test_bare_import_loads_no_numpy():
 
 
 def test_closed_forms_load_no_oracle_or_scipy():
-    # only the finite-difference oracle needs SciPy; every closed-form entry
-    # point and the slab forecast stay NumPy-only
+    # every closed-form entry point and the slab forecast run without the
+    # finite-difference oracle
     out = fresh_python(
         "import json, sys, numpy as np, egstherm\n"
         "sc = egstherm.bundled_scenario('valles_caldera')\n"
