@@ -19,6 +19,13 @@ slab image, in float64 up to n_terms = 16 and in long double at 18 and 20: the
 image's own rounding is amplified by the weights, and only from n_terms = 18
 does the float64 image move the inverted temperatures by more than the last
 printed digit. The weighted sum is long double at every order.
+
+An array forecast samples only the times the cooling front may have reached
+the outlet: at every time up to the front's arrival, computed once from the
+scenario and the order, the front's terms move the inverted sum off the
+initial temperature by less than float64 can hold, so those times take the
+initial temperature without being sampled, as the closed form's saturated
+erfc does.
 """
 
 from __future__ import annotations
@@ -115,6 +122,14 @@ def _weights_longdouble(n_terms: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _front_exponent(n_terms: int) -> float:
+    # Gamma_n = ln(sum_k |V_k| / k) + 53 ln 2: once x gamma(ln 2 / t) reaches
+    # it, the front terms of the sum at t add less than 2^-53 of the span
+    bound = sum(abs(v) / k for k, v in enumerate(_weight_fractions(n_terms), 1))
+    return math.log(bound) + 53.0 * math.log(2.0)
+
+
+@lru_cache(maxsize=None)
 def _ln2_multiples_float64(n_terms: int) -> np.ndarray:
     # k ln 2 for k = 1..n_terms, each rounded to float64; a float64 sample
     # grid is these divided by t
@@ -187,10 +202,11 @@ def stehfest_invert(
     try:
         with np.errstate(all="raise", under="ignore"):
             values = np.asarray(image(s), dtype=np.longdouble)
-            # NumPy's longdouble product sums the terms in order, as the series
-            # is written; np.sum's pairwise order would move the last bits of a
-            # sum that cancels weights of up to ~10^9 against each other
-            out = (log2_over_t * (values @ weights)).astype(float)
+            # np.dot of long doubles sums the terms in order, as the series is
+            # written, bit for bit as a term-by-term loop; np.sum's pairwise
+            # order would move the last bits of a sum that cancels weights of
+            # up to ~10^9 against each other
+            out = (log2_over_t * np.dot(values, weights)).astype(float)
     except Exception as err:
         raise ArithmeticError(
             f"Laplace image evaluation failed on s={float(s.min())!r}..{float(s.max())!r}: {err}"
@@ -254,6 +270,25 @@ def _fluid_image(sc, x: float, half_spacing: float) -> LaplaceImage:
     return image
 
 
+def _arrival(n_terms: int, reach: float, half_spacing: float, alpha: float) -> float:
+    """Latest time, s, up to which the n-term sum of the slab image is T0 in float64.
+
+    As sum_k V_k / k = 1, the sum at t is T0 + (T_inj - T0) sum_k (V_k / k)
+    exp(-x gamma(k ln 2 / t)), with gamma(s) = c r tanh(d r), r = sqrt(s / alpha),
+    rising in s; once x gamma(ln 2 / t) >= Gamma_n, the front terms add less
+    than 2^-53 of the span. With reach = x c and r0 = Gamma_n / reach, a t up
+    to (ln 2 / alpha) (tanh(d r0) / r0)^2 has r >= r0 / tanh(d r0) >= r0 at
+    k = 1, so tanh(d r) >= tanh(d r0) and x gamma >= reach r0 = Gamma_n. A
+    reach or diffusivity of 0 or inf gives 0, so that only t = 0 is skipped
+    and the inversion meets such a scenario as it did without the rule.
+    """
+    if not (0.0 < reach < math.inf and 0.0 < alpha < math.inf):
+        return 0.0
+    r0 = _front_exponent(n_terms) / reach
+    depth = math.tanh(half_spacing * r0) / r0
+    return depth * depth * math.log(2.0) / alpha
+
+
 def _finish_series(raw, times, sc, config: StehfestConfig):
     """Clamp and sanity-check inverted samples, then box them.
 
@@ -306,10 +341,13 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
 
     A single fracture takes the exact closed-form path. An array takes the
     finite-slab transform, inverted numerically in one
-    :func:`stehfest_invert` call over every requested time t > 0. Times are
-    seconds, strictly increasing; t = 0 evaluates to the initial rock
-    temperature without touching the inversion. A scenario that breaks a
-    rule of validate is refused with the loader's ScenarioError.
+    :func:`stehfest_invert` call over every requested time later than
+    :func:`_arrival`'s bound. t = 0 and the times up to that bound, where the
+    cooling front cannot move the inverted sum off T0 in float64, evaluate
+    to the initial rock temperature without being sampled; when no time is
+    later, the call is made on none. Times are seconds, strictly
+    increasing. A scenario that breaks a rule of validate is refused with
+    the loader's ScenarioError.
 
     Returns
     -------
@@ -337,7 +375,13 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     # as returned, so a wrapper installed on either sees every call
     slab = fluid_temp_laplace_slab(sc, length)
     samples = np.float64 if config.n_terms <= _FLOAT64_IMAGE_MAX_TERMS else np.longdouble
+    front = _arrival(
+        config.n_terms,
+        length * face_coupling(sc),
+        sc.fractures.spacing / 2.0,
+        thermal_diffusivity(sc.rock),
+    )
     raw = np.full(times.shape, sc.rock.initial_temperature)
-    later = times != 0.0  # keeps NaN, which the inversion refuses
+    later = ~(times <= front)  # keeps NaN, which the inversion refuses
     raw[later] = stehfest_invert(slab, times[later], config, sample_dtype=samples)
     return _finish_series(raw, times, sc, config)

@@ -272,6 +272,10 @@ def _modes(ny: int, ratio: float, bc_far: str):
     _BASIS_TOL. On a y-grid graded so strongly that the refinement has not
     got there in _BASIS_STEPS steps, eigh starts outside its reach and the
     basis fails its own check: returns None, and fd_simulate refuses the grid.
+    T is dense only as eigh's input; a step forms T X from T's three
+    diagonals, so it takes three m^3 products (X^T X, X^T (T X), X E), and
+    writes R, S, E and its temporaries into three m x m buffers, the first
+    of them T's own.
     """
     y = OracleGrid(y_max=1.0, dt=1.0, ny=ny, bc_far=bc_far, ratio=ratio).y_nodes()
     inv_h = 1.0 / np.diff(y)
@@ -281,18 +285,36 @@ def _modes(ny: int, ratio: float, bc_far: str):
     m = s_diag.size
     root_w = np.sqrt(_trapezoid_weights(y)[1 : m + 1])
     off = inv_h[1:m] / (root_w[:-1] * root_w[1:])
-    t = np.diag(s_diag / root_w**2) + np.diag(off, 1) + np.diag(off, -1)
-    lam, vectors = np.linalg.eigh(t)
+    diag = s_diag / root_w**2
+    r = np.diag(diag)
+    r.flat[1 :: m + 1] = off
+    r.flat[m :: m + 1] = off
+    lam, vectors = np.linalg.eigh(r)  # T's dense copy is R's buffer from here on
+    s = np.empty_like(r)
+    scratch = np.empty_like(r)
     for _ in range(_BASIS_STEPS):
-        r = np.eye(m) - vectors.T @ vectors
-        s = vectors.T @ (t @ vectors)
-        s = (s + s.T) / 2.0  # symmetric in exact arithmetic
+        np.matmul(vectors.T, vectors, out=r)
+        np.subtract(0.0, r, out=r)
+        r.flat[:: m + 1] += 1.0
+        # T X from T's three diagonals, row i: diag_i X_i + off_i X_(i+1) + off_(i-1) X_(i-1)
+        np.multiply(diag[:, None], vectors, out=s)
+        np.multiply(off[:, None], vectors[1:], out=scratch[1:])
+        s[:-1] += scratch[1:]
+        np.multiply(off[:, None], vectors[:-1], out=scratch[1:])
+        s[1:] += scratch[1:]
+        np.matmul(vectors.T, s, out=scratch)
+        np.add(scratch, scratch.T, out=s)
+        s /= 2.0  # symmetric in exact arithmetic
         lam = np.diag(s) / (1.0 - np.diag(r))
         # entry (i, j): lam_j - lam_i, with 1 on the diagonal that E sets apart
-        e = (s + lam * r) / (lam - lam[:, None] + np.eye(m))
+        s += np.multiply(r, lam, out=scratch)
+        np.subtract(lam, lam[:, None], out=scratch)
+        scratch.flat[:: m + 1] = 1.0
+        e = np.divide(s, scratch, out=s)
         np.fill_diagonal(e, np.diag(r) / 2.0)
-        vectors = vectors + vectors @ e
-        if np.abs(r).max() < _BASIS_TOL and np.abs(e).max() < _BASIS_TOL:  # NaN fails
+        vectors += np.matmul(vectors, e, out=scratch)
+        # a NaN residual compares False, so it fails the check
+        if np.abs(r, out=r).max() < _BASIS_TOL and np.abs(e, out=e).max() < _BASIS_TOL:
             break
     else:
         return None

@@ -15,7 +15,9 @@ import egstherm.scenario
 import egstherm.specfun
 from egstherm.laplace import (
     StehfestConfig,
+    _arrival,
     _finish_series,
+    _ln2_multiples_float64,
     _weight_fractions,
     _weights_longdouble,
     fluid_temp_laplace,
@@ -23,7 +25,7 @@ from egstherm.laplace import (
     multi_fracture_forecast,
     stehfest_invert,
 )
-from egstherm.scenario import ScenarioError
+from egstherm.scenario import ScenarioError, face_coupling, thermal_diffusivity
 from egstherm.units import SECONDS_PER_YEAR
 
 from conftest import with_total_rate
@@ -278,6 +280,13 @@ def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
 FLOAT64_IMAGE_BOUNDS = {6: 1e-6, 8: 1e-6, 10: 1e-6, 12: 1e-6, 14: 1e-5, 16: 2e-4}
 
 
+def _front(sc, n=12):
+    """The time up to which the forecast takes T0 without sampling."""
+    length = sc.fractures.flow_length
+    return _arrival(n, length * face_coupling(sc), sc.fractures.spacing / 2.0,
+                    thermal_diffusivity(sc.rock))
+
+
 @pytest.mark.parametrize("n", range(6, 21, 2))
 @pytest.mark.parametrize("site", ["valles", "zeinali"])
 def test_forecast_matches_long_double_image_per_order(site, n, request):
@@ -296,10 +305,116 @@ def test_forecast_matches_long_double_image_per_order(site, n, request):
         return
     want = _finish_series(raw, times, sc, cfg).outlet_temperatures
     got = multi_fracture_forecast(sc, times, cfg).outlet_temperatures
+    # before the front's arrival the forecast is T0 itself, where the
+    # inversion reads T0 plus rounding (up to 6.8e-6 C below it at n = 20)
+    early = times <= _front(sc, n)
+    assert early.sum() >= 38 and np.all(got[early] == sc.rock.initial_temperature)
     if n in FLOAT64_IMAGE_BOUNDS:
         assert np.max(np.abs(got - want)) <= FLOAT64_IMAGE_BOUNDS[n]
     else:
-        assert np.array_equal(got, want)
+        assert np.array_equal(got[~early], want[~early])
+
+
+def _exact_front_terms(sc, t, n):
+    """(T_inj - T0) sum_k (V_k / k) exp(-x gamma(k ln 2 / t)), the n-term
+    sum at t less T0, to 30 digits from the exact weights."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        alpha = mpmath.mpf(thermal_diffusivity(sc.rock))
+        reach = mpmath.mpf(sc.fractures.flow_length) * mpmath.mpf(face_coupling(sc))
+        d = mpmath.mpf(sc.fractures.spacing) / 2
+        acc = mpmath.mpf(0)
+        for k, v in enumerate(_weight_fractions(n), 1):
+            r = mpmath.sqrt(k * mpmath.log(2) / (mpmath.mpf(t) * alpha))
+            weight = mpmath.mpf(v.numerator) / (v.denominator * k)
+            acc += weight * mpmath.exp(-reach * r * mpmath.tanh(d * r))
+        span = sc.fluid.injection_temperature - sc.rock.initial_temperature
+        return float(span * acc)
+
+
+@pytest.mark.parametrize("n", range(6, 21, 2))
+@pytest.mark.parametrize("site", ["valles", "zeinali", "close"])
+def test_sum_is_t0_to_float64_up_to_the_front(site, n, request):
+    # at the last time the forecast skips, the exact sum lies within 2^-53
+    # of the span from T0, on both sites and on a 2 m spacing, where
+    # tanh(d r0) is well below 1
+    if site == "close":
+        valles = request.getfixturevalue("valles")
+        fractures = dataclasses.replace(valles.fractures, spacing=2.0)
+        sc = dataclasses.replace(valles, fractures=fractures)
+    else:
+        sc = request.getfixturevalue(site)
+    front = _front(sc, n)
+    span = sc.rock.initial_temperature - sc.fluid.injection_temperature
+    assert 0.0 < front and abs(_exact_front_terms(sc, front, n)) <= 2.0**-53 * span
+    # and the rule is not vacuous: ten times later the front has moved the sum
+    assert abs(_exact_front_terms(sc, 10.0 * front, n)) > 2.0**-53 * span
+
+
+@pytest.mark.parametrize("reach, alpha", [(0.0, 1e-6), (math.inf, 1e-6), (math.nan, 1e-6),
+                                          (1e3, 0.0), (1e3, math.inf), (1e3, math.nan)])
+def test_arrival_skips_nothing_outside_its_domain(reach, alpha):
+    # no division by zero and no NaN: only t = 0 is skipped, and the
+    # inversion meets the scenario as it would without the rule
+    assert _arrival(12, reach, 20.0, alpha) == 0.0
+
+
+@pytest.mark.parametrize("site, skipped", [("valles", 56), ("zeinali", 47)])
+def test_forecast_samples_only_times_after_the_front(site, skipped, request, slab_samples):
+    # of each bundled 200-point default series, 28 % (valles_caldera) and
+    # 23.5 % (zeinali) lie before the front can reach the outlet at n = 12
+    sc = request.getfixturevalue(site)
+    horizon = sc.operating.horizon
+    times = np.geomspace(horizon / 1e4, horizon, 200)
+    early = times <= _front(sc)
+    assert early.sum() == skipped and np.all(early[:skipped])
+    got = multi_fracture_forecast(sc, times).outlet_temperatures
+    assert np.all(got[early] == sc.rock.initial_temperature)
+    assert len(slab_samples) == 1 and slab_samples[0].shape == (200 - skipped, 12)
+    assert np.array_equal(slab_samples[0][:, 0], _ln2_multiples_float64(12)[0] / times[~early])
+
+
+def test_forecast_before_the_front_inverts_nothing(valles, slab_samples, monkeypatch):
+    # every time before the front: T0 everywhere, from one inversion of no times
+    times = np.array([0.0, 5e5, 1e6, 2e6])
+    assert np.all(times <= _front(valles))
+    calls = []
+    invert = egstherm.laplace.stehfest_invert
+
+    def counted(image, t, *args, **kwargs):
+        calls.append(np.array(t))
+        return invert(image, t, *args, **kwargs)
+
+    monkeypatch.setattr(egstherm.laplace, "stehfest_invert", counted)
+    series = multi_fracture_forecast(valles, times)
+    assert np.all(series.outlet_temperatures == 300.0)
+    assert len(calls) == 1 and calls[0].shape == (0,)
+    assert len(slab_samples) == 1 and slab_samples[0].shape == (0, 12)
+
+
+@pytest.mark.parametrize("n", range(6, 21, 2))
+@pytest.mark.parametrize("sample_dtype", [np.float64, np.longdouble])
+def test_weighted_sum_is_the_in_order_loop(valles, n, sample_dtype):
+    # the long-double sum adds the terms in order, as the series is
+    # written, bit for bit as a term-by-term loop over the same image values
+    image = fluid_temp_laplace_slab(valles, L)
+    seen = []
+
+    def recorded(s):
+        values = image(s)
+        seen.append(np.asarray(values, dtype=np.longdouble))
+        return values
+
+    horizon = valles.operating.horizon
+    times = np.geomspace(horizon / 1e4, horizon, 200)
+    got = stehfest_invert(recorded, times, StehfestConfig(n), sample_dtype=sample_dtype)
+    (values,) = seen
+    weights = _weights_longdouble(n)
+    acc = np.zeros(times.shape, dtype=np.longdouble)
+    for k in range(n):
+        acc += values[:, k] * weights[k]
+    log2_over_t = np.log(np.longdouble(2.0)) / times.astype(np.longdouble)
+    assert np.array_equal(got, (log2_over_t * acc).astype(float))
 
 
 def test_invert_wraps_image_failure():
