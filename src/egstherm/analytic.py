@@ -24,6 +24,7 @@ from .scenario import Scenario, thermal_diffusivity, transfer_coefficient
 
 __all__ = [
     "ForecastSeries",
+    "band_outlier",
     "MODEL_TAGS",
     "rock_temp",
     "fluid_temp_single",
@@ -39,12 +40,29 @@ MODEL_TAGS = ("single", "gringarten_ref", "multi_slab", "oracle")
 _ERFC_SATURATION = 6.0
 
 
+def band_outlier(temps: np.ndarray, cold: float, hot: float, slack: float = 1e-9):
+    """(index, distance outside, C) of the sample furthest outside [cold, hot],
+    or None if all lie within slack |hot - cold| of it, by default the rounding
+    a ForecastSeries allows. NaN lies outside, beyond any number.
+    """
+    allowance = slack * abs(hot - cold)
+    # not (... <= ...), so that a NaN is outside; ufunc.reduce skips a wrapper
+    if not temps.size or (
+        cold - allowance <= np.minimum.reduce(temps)
+        and np.maximum.reduce(temps) <= hot + allowance
+    ):
+        return None
+    excess = np.maximum(cold - temps, temps - hot)
+    worst = int(excess.argmax())  # the first NaN, if any
+    return worst, float(excess[worst])
+
+
 @dataclass(frozen=True)
 class ForecastSeries:
     """A produced-temperature time series from one model.
 
-    times are seconds, strictly increasing; temperatures are bounded by the
-    injection and initial temperatures (a tiny rounding slack is allowed).
+    times are seconds, strictly increasing (check_times); temperatures lie
+    in [T_inj, T0] up to a rounding slack (band_outlier).
     """
 
     model: str
@@ -53,24 +71,26 @@ class ForecastSeries:
     injection_temperature: float
     initial_temperature: float
 
+    @staticmethod
+    def check_times(times) -> np.ndarray:
+        """times as a float64 array, refused unless 1-D and strictly increasing."""
+        times = np.asarray(times, dtype=float)
+        if times.ndim != 1:
+            raise ValueError("times and outlet_temperatures must be 1-D and equal length")
+        if not np.logical_and.reduce(times[1:] > times[:-1]):
+            raise ValueError("times must be strictly increasing")
+        return times
+
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
-        temps = np.asarray(self.outlet_temperatures, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "outlet_temperatures", temps)
         if self.model not in MODEL_TAGS:
             raise ValueError(f"model must be one of {MODEL_TAGS}, got {self.model!r}")
-        if times.ndim != 1 or temps.shape != times.shape:
+        times = self.check_times(self.times)
+        temps = np.asarray(self.outlet_temperatures, dtype=float)
+        if temps.shape != times.shape:
             raise ValueError("times and outlet_temperatures must be 1-D and equal length")
-        if not (times[1:] > times[:-1]).all():
-            raise ValueError("times must be strictly increasing")
-        span = self.initial_temperature - self.injection_temperature
-        slack = 1e-9 * abs(span)
-        # not (... <= ...), so that a NaN temperature, which compares False, is refused
-        if temps.size and not (
-            self.injection_temperature - slack <= temps.min()
-            and temps.max() <= self.initial_temperature + slack
-        ):
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "outlet_temperatures", temps)
+        if band_outlier(temps, self.injection_temperature, self.initial_temperature) is not None:
             raise ValueError(
                 "outlet temperatures must lie between the injection and initial "
                 f"temperatures [{self.injection_temperature}, {self.initial_temperature}]"
@@ -85,7 +105,7 @@ def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> flo
     of t's shape otherwise; any negative or NaN time is refused.
     """
     t = np.asarray(t, dtype=float)
-    if not (t >= 0.0).all():
+    if not np.logical_and.reduce(t >= 0.0, axis=None):
         raise ValueError(f"t must be >= 0, got {float(t[~(t >= 0.0)].flat[0])}")
     t_hot = sc.rock.initial_temperature
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -133,20 +133,24 @@ def _model_scenario(
     return dataclasses.replace(sc, fractures=fractures)
 
 
+def _load(args: argparse.Namespace) -> Scenario:
+    """Load --scenario, filling it in with the bundled default when not given."""
+    args.scenario = args.scenario or bundled_scenario_path("valles_caldera")
+    return load_scenario(args.scenario)
+
+
 def _resolve(
     args: argparse.Namespace, tokens: list[str]
 ) -> tuple[list[_Model], StehfestConfig]:
     """Read the scenario and each model token once and check the run flags.
 
-    Fills in args.scenario and args.horizon_yr from the bundled default and
-    the scenario where they were not given. Returns the models and the
-    inversion order.
+    Fills in args.scenario (:func:`_load`) and args.horizon_yr from the
+    bundled default and the scenario where they were not given. Returns the
+    models and the inversion order.
     """
     from .laplace import StehfestConfig
 
-    if args.scenario is None:
-        args.scenario = bundled_scenario_path("valles_caldera")
-    sc = load_scenario(args.scenario)
+    sc = _load(args)
     parsed = [(token, *_parse_model_token(token)) for token in tokens]
     slab_spacings = [spacing for _, base, spacing in parsed if base == "multi_slab"]
     if not slab_spacings:
@@ -205,8 +209,7 @@ def cmd_forecast(args: argparse.Namespace) -> _Output:
 def cmd_table2(args: argparse.Namespace) -> _Output:
     """The thermal-radius / interference-time table as CSV."""
     spacings = _parse_spacings(args.spacings)
-    sc = load_scenario(args.scenario or bundled_scenario_path("valles_caldera"))
-    alpha = thermal_diffusivity(sc.rock)
+    alpha = thermal_diffusivity(_load(args).rock)
     rows = [
         [row.radius_m, row.time_yr, row.interference_time_yr, row.interference_radius_m]
         for row in interference_table(spacings, alpha)

@@ -43,7 +43,7 @@ import numpy as np
 # load after egstherm.analytic's bindings were replaced (perfbench/tracing.py
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
-from .analytic import ForecastSeries
+from .analytic import ForecastSeries, band_outlier
 from .scenario import along_fracture, face_coupling, refuse_invalid, thermal_diffusivity
 
 __all__ = [
@@ -296,30 +296,23 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
     outside [T_inj, T0]; those are clipped. Anything larger, any non-finite
     sample, or any non-monotone wiggle above 0.5% of span, means the
     inversion has gone unstable for this transform and is reported instead
-    of smoothed over.
+    of smoothed over. The clipped samples are boxed before the wiggle is
+    looked for, so times out of order are refused as such.
     """
-    t_hot = sc.rock.initial_temperature
-    t_cold = sc.fluid.injection_temperature
-    span = t_hot - t_cold
+    t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
     raw = np.asarray(raw, dtype=float)
-
-    # the worst excursion is max(raw) - T0 or T_inj - min(raw); written as
-    # not (... <= budget) so that a NaN, which compares False, is refused too
-    budget = _CLAMP_BUDGET * span
-    above = raw.max(initial=t_hot) - t_hot
-    below = t_cold - raw.min(initial=t_cold)
-    if not (above <= budget and below <= budget):
-        excess = np.maximum(raw - t_hot, t_cold - raw)
-        idx = int(excess.argmax())
+    if (outlier := band_outlier(raw, t_cold, t_hot, _CLAMP_BUDGET)) is not None:
+        idx, excess = outlier
         raise ArithmeticError(
-            f"inverted temperature leaves [{t_cold}, {t_hot}] by {float(excess[idx]):.3g} C "
+            f"inverted temperature leaves [{t_cold}, {t_hot}] by {excess:.3g} C "
             f"at t={float(times[idx]):.6g} s, beyond the {_CLAMP_BUDGET:.1%} "
             "clamping budget; the transform inversion is unstable here"
         )
     clipped = np.minimum(np.maximum(raw, t_cold), t_hot)
+    series = ForecastSeries("multi_slab", times, clipped, t_cold, t_hot)
 
     rises = clipped[1:] - clipped[:-1]
-    if rises.max(initial=0.0) > _WIGGLE_BUDGET * span:
+    if np.maximum.reduce(rises, initial=0.0) > _WIGGLE_BUDGET * (t_hot - t_cold):
         idx = int(rises.argmax())
         raise ArithmeticError(
             f"non-monotone inversion wiggle of {float(rises[idx]):.3g} C between "
@@ -327,13 +320,7 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
             f"try a different Stehfest term count (n_terms={config.n_terms} used; "
             "10-16 usually behaves best)"
         )
-    return ForecastSeries(
-        model="multi_slab",
-        times=np.asarray(times, dtype=float),
-        outlet_temperatures=clipped,
-        injection_temperature=t_cold,
-        initial_temperature=t_hot,
-    )
+    return series
 
 
 def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig = StehfestConfig()):
@@ -358,18 +345,14 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     times = np.asarray(times, dtype=float)
     if times.ndim != 1:
         raise ValueError("times must be a one-dimensional sequence of seconds")
-    if (times < 0.0).any():
+    if np.logical_or.reduce(times < 0.0):
         raise ValueError("forecast times must be >= 0 s")
 
     length = sc.fractures.flow_length
     if sc.fractures.count == 1:
-        return ForecastSeries(
-            model="single",
-            times=times,
-            outlet_temperatures=analytic.fluid_temp_single(sc, length, times),
-            injection_temperature=sc.fluid.injection_temperature,
-            initial_temperature=sc.rock.initial_temperature,
-        )
+        temps = analytic.fluid_temp_single(sc, length, times)
+        t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
+        return ForecastSeries("single", times, temps, t_cold, t_hot)
 
     # both bindings are looked up at call time and the closure is passed on
     # as returned, so a wrapper installed on either sees every call

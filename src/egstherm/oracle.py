@@ -77,7 +77,7 @@ import numpy as np
 # load after egstherm.analytic's bindings were replaced (perfbench/tracing.py
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
-from .analytic import ForecastSeries
+from .analytic import ForecastSeries, band_outlier
 from .scenario import Scenario, face_coupling, refuse_invalid, thermal_diffusivity
 
 __all__ = [
@@ -431,10 +431,11 @@ def fd_simulate(
     sc : Scenario
     grid : OracleGrid
     probe_times : sequence of float
-        Times (s, > 0) at which the outlet temperature is reported, by
-        linear interpolation between completed steps.
+        Times (s, > 0, strictly increasing) at which the outlet temperature
+        is reported, by linear interpolation between completed steps.
     snapshot_times : sequence of float
-        Times at which the full rock field is captured (nearest step, >= 1).
+        Times (s, > 0) at which the full rock field is captured (nearest
+        step, >= 1).
     return_details : bool
         Also return :class:`OracleDetails` (implied by snapshot_times).
 
@@ -451,15 +452,17 @@ def fd_simulate(
     ------
     ValueError
         If sc breaks a rule of validate (a ScenarioError, as the loader
-        raises), if a probe or snapshot time is not a finite number > 0, if
-        reaching the latest of them takes more than 10**6 steps, if the first
-        y-cell is wider than 5 sqrt(alpha t) at the run's end or too thin for
-        1/h^2 and alpha dt/h^2 to be finite floats, if the y-grid is graded
-        so strongly that its eigenbasis fails its own check (named with ny,
-        the ratio, ratio^ny and the first cell), or if the fluid march
-        gain of a step is not positive: the grid is too coarse along x and
-        the outlet would oscillate along it, or if an outlet at a probe
-        lies outside [T_inj, T0] (named with the grid).
+        raises), if the snapshot times are not 1-D, if a probe or snapshot
+        time is not a finite number > 0, if reaching the latest of them takes
+        more than 10**6 steps, if the probe times are not 1-D and strictly
+        increasing (checked before any step), if the first y-cell is wider
+        than 5 sqrt(alpha t) at the run's end or too thin for 1/h^2 and alpha
+        dt/h^2 to be finite floats, if the y-grid is graded so strongly that
+        its eigenbasis fails its own check (named with ny, the ratio, ratio^ny
+        and the first cell), or if the fluid march gain of a step is not
+        positive: the grid is too coarse along x and the outlet would
+        oscillate along it, or if an outlet at a probe lies outside
+        [T_inj, T0] (named with the grid).
     RuntimeError
         If semi-infinite mode finds the node beside the truncated far boundary
         disturbed by more than 0.1 C at a block's end (named in the message):
@@ -468,6 +471,8 @@ def fd_simulate(
     refuse_invalid(sc)
     probe_times = np.asarray(probe_times, dtype=float)
     snapshot_times = np.asarray(snapshot_times, dtype=float)
+    if snapshot_times.ndim != 1:
+        raise ValueError("snapshot times must be a one-dimensional sequence of seconds")
     for name, times in (("probe", probe_times), ("snapshot", snapshot_times)):
         if times.size and times.min() <= 0.0:
             raise ValueError(f"{name} times must be > 0 s")
@@ -498,14 +503,8 @@ def fd_simulate(
     ends = np.append(0, np.cumsum(multiples))
     n_steps = multiples.size
     pinned = grid.bc_far == "dirichlet_T0"
+    ForecastSeries.check_times(probe_times)  # the series' time rule, before any step
 
-    series = ForecastSeries(
-        model="oracle",
-        times=probe_times,
-        outlet_temperatures=np.full(probe_times.shape, t_hot),
-        injection_temperature=t_cold,
-        initial_temperature=t_hot,
-    )
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
     dx = x[1] - x[0]
@@ -644,19 +643,17 @@ def fd_simulate(
                     )
 
     outlets = np.interp(probe_times, ends * grid.dt, outlet_history)
-    # ForecastSeries' own bounds, checked here so the refusal names the grid
-    slack = 1e-9 * abs(t_hot - t_cold)
-    if outlets.size and not (t_cold - slack <= outlets.min() and outlets.max() <= t_hot + slack):
-        excursion = np.maximum(t_cold - outlets, outlets - t_hot)
-        worst = int(np.argmax(excursion))  # the first NaN, if any
+    # ForecastSeries' own band, checked here so the refusal names the grid
+    if (outlier := band_outlier(outlets, t_cold, t_hot)) is not None:
+        worst, excursion = outlier
         raise ValueError(
             f"the oracle outlet at t={probe_times[worst]:.6g} s is {outlets[worst]:.9g} C, "
-            f"{excursion[worst]:.3g} C outside [T_inj, T0] = [{t_cold:.6g}, {t_hot:.6g}] C: "
+            f"{excursion:.3g} C outside [T_inj, T0] = [{t_cold:.6g}, {t_hot:.6g}] C: "
             f"the scheme rings past them on the grid nx={grid.nx}, ny={grid.ny}, "
             f"y_max={grid.y_max:.6g} m with a first step of {grid.dt:.6g} s, so it is no "
             "reference for this run"
         )
-    series = replace(series, outlet_temperatures=outlets)
+    series = ForecastSeries("oracle", probe_times, outlets, t_cold, t_hot)
     if not (return_details or snapshots):
         return series
 

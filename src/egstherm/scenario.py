@@ -257,19 +257,28 @@ def validate(sc: Scenario) -> list[str]:
 
     An empty list means the scenario is usable by all solvers. Violations
     name the offending field and the rule, and are data, not exceptions.
+    Every number must be finite, except fractures.spacing, which may be
+    inf: an isolated fracture.
     """
     out: list[str] = []
     rock, fluid, fr, op = sc.rock, sc.fluid, sc.fractures, sc.operating
-    if not rock.conductivity > 0.0:
-        out.append(f"rock.conductivity must be > 0, got {rock.conductivity}")
-    if not rock.density > 0.0:
-        out.append(f"rock.density must be > 0, got {rock.density}")
-    if not rock.specific_heat > 0.0:
-        out.append(f"rock.specific_heat must be > 0, got {rock.specific_heat}")
-    if not fluid.density > 0.0:
-        out.append(f"fluid.density must be > 0, got {fluid.density}")
-    if not fluid.specific_heat > 0.0:
-        out.append(f"fluid.specific_heat must be > 0, got {fluid.specific_heat}")
+    # the ten fields that must be finite numbers > 0
+    for name, value in (
+        ("rock.conductivity", rock.conductivity), ("rock.density", rock.density),
+        ("rock.specific_heat", rock.specific_heat), ("fluid.density", fluid.density),
+        ("fluid.specific_heat", fluid.specific_heat), ("fractures.aperture", fr.aperture),
+        ("fractures.height", fr.height), ("fractures.flow_length", fr.flow_length),
+        ("operating.total_rate", op.total_rate), ("operating.horizon", op.horizon),
+    ):
+        if not 0.0 < value < math.inf:
+            out.append(f"{name} must be {'> 0' if not value > 0.0 else 'finite'}, got {value}")
+    # and the two that must be finite
+    for name, value in (
+        ("rock.initial_temperature", rock.initial_temperature),
+        ("fluid.injection_temperature", fluid.injection_temperature),
+    ):
+        if not -math.inf < value < math.inf:
+            out.append(f"{name} must be finite, got {value}")
     if not fluid.injection_temperature < rock.initial_temperature:
         out.append(
             "fluid.injection_temperature must be below rock.initial_temperature, "
@@ -277,23 +286,10 @@ def validate(sc: Scenario) -> list[str]:
         )
     if not (isinstance(fr.count, int) and fr.count >= 1):
         out.append(f"fractures.count must be an integer >= 1, got {fr.count!r}")
-    if not fr.aperture > 0.0:
-        out.append(f"fractures.aperture must be > 0, got {fr.aperture}")
-    if not fr.height > 0.0:
-        out.append(f"fractures.height must be > 0, got {fr.height}")
-    if not fr.flow_length > 0.0:
-        out.append(f"fractures.flow_length must be > 0, got {fr.flow_length}")
-    if isinstance(fr.count, int) and fr.count > 1:
-        if fr.spacing is None or not fr.spacing > 0.0:
-            out.append(
-                f"fractures.spacing must be > 0 when count > 1, got {fr.spacing}"
-            )
+    if isinstance(fr.count, int) and fr.count > 1 and (fr.spacing is None or not fr.spacing > 0):
+        out.append(f"fractures.spacing must be > 0 when count > 1, got {fr.spacing}")
     if fr.faces not in (1, 2):
         out.append(f"fractures.faces must be 1 or 2, got {fr.faces}")
-    if not op.total_rate > 0.0:
-        out.append(f"operating.total_rate must be > 0, got {op.total_rate}")
-    if not op.horizon > 0.0:
-        out.append(f"operating.horizon must be > 0, got {op.horizon}")
     if not (isinstance(op.n_steps, int) and op.n_steps >= 2):
         out.append(f"operating.n_steps must be an integer >= 2, got {op.n_steps!r}")
     return out

@@ -10,6 +10,7 @@ from scipy.special import erfcinv
 
 from egstherm.analytic import (
     ForecastSeries,
+    band_outlier,
     fluid_temp_single,
     interfacial_flux,
     onset_of_decline,
@@ -332,6 +333,32 @@ def test_forecast_series_refuses_nan_temperature(temps):
 def test_forecast_series_refuses_nan_time():
     with pytest.raises(ValueError, match="strictly increasing"):
         _series([1.0, math.nan], [300.0, 300.0])
+
+
+def test_band_outlier_finds_the_sample_furthest_outside():
+    # inside [65, 300] up to 1e-9 of the 235 C span by default, and up to the
+    # slack given
+    assert band_outlier(np.array([]), 65.0, 300.0) is None
+    assert band_outlier(np.array([300.0 + 2e-7, 65.0 - 2e-7]), 65.0, 300.0) is None
+    assert band_outlier(np.array([300.0 + 3e-7, 100.0]), 65.0, 300.0) == (0, 300.0 + 3e-7 - 300.0)
+    assert band_outlier(np.array([200.0, 64.0, 301.5]), 65.0, 300.0) == (2, 1.5)
+    assert band_outlier(np.array([200.0, 64.0, 301.5]), 65.0, 300.0, slack=0.01) is None
+    # NaN lies outside, beyond any number: the first one is returned
+    worst, excess = band_outlier(np.array([400.0, np.nan, 200.0, np.nan]), 65.0, 300.0)
+    assert worst == 1 and math.isnan(excess)
+    assert band_outlier(np.array([np.nan]), 65.0, 300.0, slack=math.inf)[0] == 0
+
+
+def test_forecast_series_time_rule_stands_alone():
+    times = ForecastSeries.check_times([1.0, 2.0, 5.0])
+    assert times.dtype == np.float64 and times.tolist() == [1.0, 2.0, 5.0]
+    assert ForecastSeries.check_times([]).shape == (0,)
+    for bad in ([2.0, 1.0], [1.0, 1.0], [1.0, math.nan]):
+        with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+            ForecastSeries.check_times(bad)
+    for bad in (3.0, [[1.0, 2.0]]):
+        with pytest.raises(ValueError, match="^times and outlet_temperatures must be 1-D"):
+            ForecastSeries.check_times(bad)
 
 
 def test_forecast_series_refuses_unknown_model_and_mismatched_shapes():

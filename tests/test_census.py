@@ -2,20 +2,30 @@
 
 Every call either succeeds with bounded temperatures and nothing on stderr,
 or exits 1 with one "error:" line and nothing on stdout. Which of the two,
-and every byte of it, must not depend on whether warnings are errors.
+and every byte of it, must not depend on whether warnings are errors. The
+same holds on scenario files with one field broken, and a file with a
+number that is not finite (save an infinite spacing) is refused by name.
 """
 
 import contextlib
 import io
+import json
 import math
+import re
 import sys
 import warnings
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from egstherm.cli import main
-from egstherm.scenario import bundled_scenario, bundled_scenario_path
+from egstherm.scenario import (
+    ScenarioError,
+    bundled_scenario,
+    bundled_scenario_path,
+    load_scenario,
+)
 from egstherm.units import _UNIT_TABLE
 
 SITES = ("valles_caldera", "zeinali")
@@ -212,3 +222,75 @@ def test_table2_reads_alike_under_any_warnings_filter(argv):
     else:
         assert rc == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
+# every numeric field of a scenario file, and the values that break or stretch
+# it: JSON reads 1e400 as inf and -1e400 as -inf
+SCENARIO_FIELDS = [
+    ("rock", "conductivity"), ("rock", "density"), ("rock", "specific_heat"),
+    ("rock", "initial_temperature"), ("fluid", "density"), ("fluid", "specific_heat"),
+    ("fluid", "injection_temperature"), ("fractures", "count"), ("fractures", "aperture"),
+    ("fractures", "height"), ("fractures", "flow_length"), ("fractures", "spacing"),
+    ("fractures", "faces"), ("operating", "total_rate"), ("operating", "horizon"),
+    ("operating", "n_steps"),
+]
+SCENARIO_VALUES = ("1e400", "-1e400", "NaN", "0", "-2")
+SCENARIO_RUNS = [
+    ["forecast", "--model", "multi_slab", "--steps", "4"],
+    ["compare", "--model", "single", "--model", "gringarten_ref", "--model", "multi_slab",
+     "--steps", "3"],
+    ["oracle", *SMALL_GRID],
+    ["oracle", "--model", "multi_slab", *SMALL_GRID],
+]
+
+
+def _scenario_file(tmp_path, site: str, section: str, field: str, value: str) -> str:
+    data = json.loads(bundled_scenario_path(site).read_text())
+    data[section][field] = "@value@"
+    path = tmp_path / f"{site}-{section}-{field}-{value}.json"
+    path.write_text(json.dumps(data).replace('"@value@"', value))
+    return str(path)
+
+
+@pytest.mark.parametrize("section,field", SCENARIO_FIELDS,
+                         ids=[f"{section}.{field}" for section, field in SCENARIO_FIELDS])
+def test_scenario_files_read_as_finite_numbers_or_one_error(tmp_path, section, field):
+    # a scenario with one field overflowed, NaN, zero or negative is refused
+    # by the loader, naming the field, whenever the value is not finite
+    # (save an infinite spacing, the isolated fracture); each forecast,
+    # compare and small-grid oracle run on one that loads prints only finite
+    # numbers, or exits 1 with one "error:" line, under either warnings filter
+    for site in SITES:
+        for value in SCENARIO_VALUES:
+            path = _scenario_file(tmp_path, site, section, field, value)
+            try:
+                load_scenario(path)
+            except ScenarioError as refusal:
+                assert f"{section}.{field}" in str(refusal)
+                expected = (1, "", f"error: {refusal}\n")
+            else:
+                assert math.isfinite(float(value)) or (field, value) == ("spacing", "1e400"), path
+                expected = None
+            for command, *flags in SCENARIO_RUNS:
+                argv = [command, "--scenario", path, *flags]
+                rc, out, err = run(argv, "error")
+                assert run(argv, "ignore") == (rc, out, err), argv
+                if expected is not None:
+                    assert (rc, out, err) == expected, argv
+                elif rc == 0:
+                    assert err == "", argv
+                    for token in re.split(r"[\s,=:()]+", out):
+                        with contextlib.suppress(ValueError):
+                            assert math.isfinite(float(token)), (argv, out)
+                else:
+                    assert rc == 1 and out == "", argv
+                    assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+
+
+def test_an_infinitely_spaced_array_forecasts_as_the_isolated_fracture(tmp_path):
+    # spacing may be inf: the slab image's half-space branch
+    path = _scenario_file(tmp_path, "valles_caldera", "fractures", "spacing", "1e400")
+    argv = ["forecast", "--scenario", path, "--model", "multi_slab", "--horizon-yr", "50",
+            "--steps", "2"]
+    assert run(argv, "error") == (0, "time_yr,T_out_C,model\n0.005,300,multi_slab\n"
+                                     "50,273.42,multi_slab\n", "")

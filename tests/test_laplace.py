@@ -5,6 +5,7 @@ import dataclasses
 import math
 from types import FunctionType
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -318,7 +319,6 @@ def test_forecast_matches_long_double_image_per_order(site, n, request):
 def _exact_front_terms(sc, t, n):
     """(T_inj - T0) sum_k (V_k / k) exp(-x gamma(k ln 2 / t)), the n-term
     sum at t less T0, to 30 digits from the exact weights."""
-    mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(30):
         alpha = mpmath.mpf(thermal_diffusivity(sc.rock))
         reach = mpmath.mpf(sc.fractures.flow_length) * mpmath.mpf(face_coupling(sc))
@@ -540,6 +540,13 @@ def test_forecast_rejects_bad_times(valles):
         multi_fracture_forecast(valles, np.array([2.0 * YR, YR]))
     with pytest.raises(ValueError):
         multi_fracture_forecast(valles, np.array([np.nan]))
+
+
+def test_forecast_refuses_times_out_of_order_as_such(valles):
+    # the inverted samples are boxed before the wiggle check, so that times
+    # far enough apart to read as a 95 C wiggle are refused for their order
+    with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+        multi_fracture_forecast(valles, np.array([50.0, 10.0]) * YR)
 
 
 @pytest.mark.parametrize(

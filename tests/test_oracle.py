@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal, lu_factor, lu_solve
 
+import egstherm.oracle
 from egstherm.analytic import ForecastSeries, fluid_temp_single, rock_temp
 from egstherm.laplace import multi_fracture_forecast
 from egstherm.oracle import (
@@ -155,6 +156,59 @@ def test_fd_rejects_bad_probes(valles_single):
             fd_simulate(valles_single, grid, [YR, bad])
         with pytest.raises(ValueError, match=rf"^snapshot times must be finite, got {bad}$"):
             fd_simulate(valles_single, grid, [YR], snapshot_times=[bad])
+
+
+def test_fd_checks_its_times_before_any_step(valles_single, monkeypatch):
+    # probe times obey the series' time rule and snapshot times must be 1-D,
+    # both checked before the first step
+    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
+    monkeypatch.setattr("egstherm.oracle._march_scan", lambda *_: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+        fd_simulate(valles_single, grid, [2.0 * YR, YR])
+    with pytest.raises(ValueError, match="^times and outlet_temperatures must be 1-D"):
+        fd_simulate(valles_single, grid, [[YR, 2.0 * YR]])
+    for bad in (3e8, [[1e8, 2e8]]):
+        with pytest.raises(ValueError, match=(
+            "^snapshot times must be a one-dimensional sequence of seconds$"
+        )):
+            fd_simulate(valles_single, grid, [YR], snapshot_times=bad)
+
+
+def _outlet_deviation_set_to(monkeypatch, deviation):
+    """Make every fluid scan end with the outlet at T0 + deviation."""
+    real = egstherm.oracle._march_scan
+
+    def scan(*args):
+        fluid = real(*args)
+
+        def fixed(leads, start, out):
+            fluid(leads, start, out)
+            out[:, -1] = deviation
+
+        return fixed
+
+    monkeypatch.setattr("egstherm.oracle._march_scan", scan)
+
+
+@pytest.mark.parametrize("deviation", [0.5e-9 * 235.0, -235.5, 2e-9 * 235.0, np.nan],
+                         ids=["within-slack", "below-T_inj", "beyond-slack", "nan"])
+def test_fd_outlet_band_is_the_series_band(valles_single, monkeypatch, deviation):
+    # an outlet within ForecastSeries' slack of [T_inj, T0] is returned as
+    # it is; one beyond it, or NaN, is refused by the oracle with its grid
+    grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
+    _outlet_deviation_set_to(monkeypatch, deviation)
+    probes = [10.0 * YR, 20.0 * YR]
+    if deviation == 0.5e-9 * 235.0:
+        series = fd_simulate(valles_single, grid, probes)
+        assert np.all(series.outlet_temperatures == 300.0 + deviation)
+        return
+    with pytest.raises(ValueError, match=(
+        r"^the oracle outlet at t=3\.1536e\+08 s is \S+ C, \S+ C outside \[T_inj, T0\] = "
+        r"\[65, 300\] C: the scheme rings past them on the grid nx=16, ny=16, "
+    )) as err:
+        fd_simulate(valles_single, grid, probes)
+    if deviation != deviation:
+        assert " is nan C, nan C outside " in str(err.value)
 
 
 def test_fd_refuses_more_steps_than_the_cap(valles_single):

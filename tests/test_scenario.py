@@ -152,6 +152,65 @@ def test_validate_collects_multiple_problems(valles):
     assert len(problems) == 2
 
 
+POSITIVE_FIELDS = [
+    ("rock", "conductivity"),
+    ("rock", "density"),
+    ("rock", "specific_heat"),
+    ("fluid", "density"),
+    ("fluid", "specific_heat"),
+    ("fractures", "aperture"),
+    ("fractures", "height"),
+    ("fractures", "flow_length"),
+    ("operating", "total_rate"),
+    ("operating", "horizon"),
+]
+
+
+def _with(sc, section, field, value):
+    part = dataclasses.replace(getattr(sc, section), **{field: value})
+    return dataclasses.replace(sc, **{section: part})
+
+
+@pytest.mark.parametrize("section,field", POSITIVE_FIELDS)
+def test_validate_states_each_positive_field_rule_once(valles, section, field):
+    # every value that is not > 0, NaN and -inf included, keeps its message;
+    # inf is > 0 but not finite
+    for bad in (0.0, -1.0, -math.inf, math.nan):
+        assert validate(_with(valles, section, field, bad)) == [
+            f"{section}.{field} must be > 0, got {bad}"
+        ]
+    assert validate(_with(valles, section, field, math.inf)) == [
+        f"{section}.{field} must be finite, got inf"
+    ]
+
+
+@pytest.mark.parametrize("section,field", [
+    ("rock", "initial_temperature"), ("fluid", "injection_temperature")
+])
+def test_validate_refuses_an_infinite_temperature(valles, section, field):
+    cooler = {"rock": math.inf, "fluid": -math.inf}[section]  # still T_inj < T0
+    assert validate(_with(valles, section, field, cooler)) == [
+        f"{section}.{field} must be finite, got {cooler}"
+    ]
+
+
+def test_validate_lets_an_array_be_infinitely_spaced(valles):
+    # an isolated fracture, which the slab image's half-space branch serves
+    assert validate(_with(valles, "fractures", "spacing", math.inf)) == []
+
+
+def test_load_scenario_refuses_an_infinite_injection_temperature(tmp_path):
+    # JSON reads -1e400 as -inf, which the loader refuses by field name
+    text = json.dumps(_valid_dict()).replace('"injection_temperature": 60.0',
+                                             '"injection_temperature": -1e400')
+    path = tmp_path / "cold.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError, match=(
+        r"^invalid scenario: fluid.injection_temperature must be finite, got -inf$"
+    )):
+        load_scenario(path)
+
+
 def _valid_dict():
     return {
         "rock": {
