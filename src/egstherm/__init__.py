@@ -28,6 +28,7 @@ _SUBMODULE = {
     "StehfestConfig": "laplace",
     "fluid_temp_laplace": "laplace",
     "fluid_temp_laplace_slab": "laplace",
+    "fluid_drop_laplace_slab": "laplace",
     "multi_fracture_forecast": "laplace",
     "stehfest_invert": "laplace",
     "ConvergenceStudy": "oracle",

@@ -8,17 +8,21 @@ midplane at half the spacing) has no elementary inverse and is where the
 numerical inversion earns its keep: it is the engine behind the
 multi-fracture forecast.
 
-Stehfest weights are assembled exactly as rationals and only then rounded,
-and the weighted inversion sum is always accumulated in extended precision
-(long double); the alternating weights grow like 10^9 by n_terms = 20, so
-naive double-precision assembly loses most of the mantissa to cancellation.
-The inversion takes an array of times and evaluates the image once on the
-whole (times x n_terms) grid of sample points, so a forecast costs one
-vectorised image evaluation. The forecast builds that grid, and evaluates the
-slab image, in float64 up to n_terms = 16 and in long double at 18 and 20: the
-image's own rounding is amplified by the weights, and only from n_terms = 18
-does the float64 image move the inverted temperatures by more than the last
-printed digit. The weighted sum is long double at every order.
+Stehfest weights are assembled exactly as rationals and only then rounded;
+the alternating weights grow like 10^12 by n_terms = 20, so naive
+double-precision assembly loses most of the mantissa to cancellation. The
+inversion takes an array of times and evaluates the image once on the whole
+(times x n_terms) grid of sample points, so a forecast costs one vectorised
+image evaluation. The weighted sum is accumulated in extended precision (long
+double) on a long-double grid, and in float64 on a float64 grid.
+
+An array forecast inverts the normalised cooling drop exp(-x gamma(s)) / s
+and returns T0 + (T_inj - T0) times it. The temperature image's other term,
+T0 / s, inverts to exactly T0, as sum_k V_k / k = 1, so pushed through the
+weights it would add nothing but their rounding. The forecast builds the
+grid, evaluates the drop and sums in float64 up to n_terms = 16, and in long
+double at 18 and 20, where the weights amplify the float64 image's rounding
+past the last printed digit.
 
 An array forecast samples only the times the cooling front may have reached
 the outlet: at every time up to the front's arrival, computed once from the
@@ -33,7 +37,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 from typing import Callable, Sequence
 
@@ -52,6 +56,7 @@ __all__ = [
     "stehfest_invert",
     "fluid_temp_laplace",
     "fluid_temp_laplace_slab",
+    "fluid_drop_laplace_slab",
     "multi_fracture_forecast",
 ]
 
@@ -66,13 +71,14 @@ LaplaceImage = Callable[[np.ndarray], np.ndarray]
 _LN2_LONG = np.log(np.longdouble(2.0))
 _SAMPLE_DTYPES = (np.dtype(np.float64), np.dtype(np.longdouble))
 
-# Highest order at which the forecast samples and evaluates the slab image in
-# float64.
-# The weights amplify the image's rounding: the float64 image moves the
-# inverted temperatures by at most 5e-5 C at n = 16 on the bundled sites and
-# the design panel, but by 1e-3 C at 18 (changing printed CSV digits) and
-# 2e-2 C at 20 (a worse error against a 30-digit reference), so 18 and 20
-# keep the long-double image. The weighted sum is long double at every order.
+# Highest order at which the forecast samples, evaluates the cooling drop and
+# sums in float64.
+# The weights amplify the float64 rounding of the drop and of the sum: over
+# the bundled sites and the served designs of the benchmark's design panel,
+# the float64 route moves the inverted temperatures off the long-double one by
+# at most 1.2e-5 C at n = 16, but by 2.8e-4 C at 18 (enough to change a
+# printed CSV digit) and 4.9e-3 C at 20 (a worse error against a 40-digit
+# reference), so 18 and 20 keep the long-double route.
 _FLOAT64_IMAGE_MAX_TERMS = 16
 
 # tanh(z) is exactly 1 from z ~ 22.9 on in long double, and a float time gives
@@ -122,11 +128,30 @@ def _weights_longdouble(n_terms: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
+def _weights_float64(n_terms: int) -> np.ndarray:
+    # each exact weight rounded to float64, for the float64 sum
+    out = np.array([float(w) for w in _weight_fractions(n_terms)])
+    out.flags.writeable = False
+    return out
+
+
+@lru_cache(maxsize=None)
 def _front_exponent(n_terms: int) -> float:
-    # Gamma_n = ln(sum_k |V_k| / k) + 53 ln 2: once x gamma(ln 2 / t) reaches
-    # it, the front terms of the sum at t add less than 2^-53 of the span
-    bound = sum(abs(v) / k for k, v in enumerate(_weight_fractions(n_terms), 1))
-    return math.log(bound) + 53.0 * math.log(2.0)
+    # Gamma_n, the least g with sum_k (|V_k| / k) exp(-sqrt(k) g) <= 2^-53,
+    # by bisection: as gamma(k s) >= sqrt(k) gamma(s), once x gamma(ln 2 / t)
+    # reaches it the front terms of the sum at t add less than 2^-53 of the
+    # span. The bracket's top, ln(sum_k |V_k| / k) + 53 ln 2, bounds it, as
+    # exp(-sqrt(k) g) <= exp(-g); the top end is kept, so the bound holds.
+    terms = [(abs(float(v)) / k, math.sqrt(k))
+             for k, v in enumerate(_weight_fractions(n_terms), 1)]
+    lo, hi = 0.0, math.log(sum(a for a, _ in terms)) + 53.0 * math.log(2.0)
+    for _ in range(64):
+        mid = 0.5 * (lo + hi)
+        if sum(a * math.exp(-root * mid) for a, root in terms) <= 2.0**-53:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @lru_cache(maxsize=None)
@@ -143,10 +168,10 @@ class StehfestConfig:
     """Inversion order. Even n_terms in [6, 20]; 12 is the double-precision
     sweet spot for smooth monotone transforms.
 
-    The weighted sum runs in long double at every order. The forecast builds
-    its sample grid and evaluates the slab image in float64 up to
-    n_terms = 16, and in long double at 18 and 20, where the weights amplify
-    float64 image rounding past the printed digits.
+    The forecast builds its sample grid, evaluates the cooling drop and sums
+    the weighted terms in float64 up to n_terms = 16, and in long double at
+    18 and 20, where the weights amplify float64 image rounding past the
+    printed digits.
     """
 
     n_terms: int = 12
@@ -167,12 +192,14 @@ def stehfest_invert(
     """Evaluate the inverse transform at time t > 0, or at an array of times.
 
     f(t) ~ (ln 2 / t) * sum_j V_j F(j ln 2 / t). The image is called once, on
-    the grid s[..., j-1] = j ln 2 / t of shape (*t.shape, n_terms), and the
-    weighted sum runs in extended precision term by term. The grid is long
-    double, s = j * (ln 2 / t), unless sample_dtype is float64: then it is
-    (j ln 2 rounded to float64) / t, built in float64, for an image that
-    computes in float64 anyway. A scalar t returns a float; an array t
-    returns a float64 array of t's shape.
+    the grid s[..., j-1] = j ln 2 / t of shape (*t.shape, n_terms). By
+    default the grid is long double, s = j * (ln 2 / t), and the weighted sum
+    runs in extended precision term by term. With sample_dtype float64 the
+    grid is (j ln 2 rounded to float64) / t, built in float64, for an image
+    that computes in float64 anyway, and the sum runs in float64 with each
+    exact weight rounded to float64. Either way a scalar t returns a float
+    equal to its element of an array call, and an array t returns a float64
+    array of t's shape.
     Exact for transforms of low-order polynomials; for smooth monotone
     transforms the systematic error floor is reached around n_terms 12-18.
 
@@ -183,8 +210,9 @@ def stehfest_invert(
         double.
     ArithmeticError
         If the image or the weighted sum raises, overflow, division by zero
-        and invalid operations included, whatever the warnings filter; the
-        sampled range of s is named and the original error chained.
+        and invalid operations included, or the sum is not finite, whatever
+        the warnings filter; the sampled range of s is named and the
+        original error chained.
     """
     # np.dtype(None) is float64, so None is refused before it is converted
     if sample_dtype is None or (sample := np.dtype(sample_dtype)) not in _SAMPLE_DTYPES:
@@ -193,20 +221,31 @@ def stehfest_invert(
     if not (t_arr > 0.0).all():
         bad = t_arr[~(t_arr > 0.0)].flat[0]
         raise ValueError(f"inversion time must be > 0, got {float(bad)}")
-    weights = _weights_longdouble(config.n_terms)
-    log2_over_t = _LN2_LONG / t_arr.astype(np.longdouble)
+    n = config.n_terms
     if sample == np.float64:
-        s = _ln2_multiples_float64(config.n_terms) / t_arr[..., None]
+        s = _ln2_multiples_float64(n) / t_arr[..., None]
+        log2_over_t, weights = s[..., 0], _weights_float64(n)
+        # np.einsum reduces every row of the grid as it reduces a lone row, so
+        # a scalar t reads its element of an array call bit for bit, which
+        # np.dot's matrix-vector product does not
+        weighted_sum = partial(np.einsum, "...k,k->...")
     else:
-        s = np.arange(1, config.n_terms + 1, dtype=np.longdouble) * log2_over_t[..., None]
+        log2_over_t = _LN2_LONG / t_arr.astype(np.longdouble)
+        s = np.arange(1, n + 1, dtype=np.longdouble) * log2_over_t[..., None]
+        # np.dot of long doubles sums the terms in order, as the series is
+        # written, bit for bit as a term-by-term loop; np.sum's pairwise order
+        # would move the last bits of a sum that cancels weights of up to
+        # ~10^12 against each other
+        weighted_sum, weights = np.dot, _weights_longdouble(n)
     try:
         with np.errstate(all="raise", under="ignore"):
-            values = np.asarray(image(s), dtype=np.longdouble)
-            # np.dot of long doubles sums the terms in order, as the series is
-            # written, bit for bit as a term-by-term loop; np.sum's pairwise
-            # order would move the last bits of a sum that cancels weights of
-            # up to ~10^9 against each other
-            out = (log2_over_t * np.dot(values, weights)).astype(float)
+            values = np.asarray(image(s), dtype=sample)
+            out = (log2_over_t * weighted_sum(values, weights)).astype(float)
+            # np.einsum and np.dot leave NumPy's error state unset when the
+            # sum overflows, which is then the only way finite image values
+            # give a non-finite result
+            if not np.isfinite(out).all():
+                raise FloatingPointError("overflow encountered in the weighted sum")
     except Exception as err:
         raise ArithmeticError(
             f"Laplace image evaluation failed on s={float(s.min())!r}..{float(s.max())!r}: {err}"
@@ -224,7 +263,7 @@ def fluid_temp_laplace(sc, x: float) -> LaplaceImage:
     :func:`egstherm.analytic.fluid_temp_single`, so the two routes
     cross-validate each other.
     """
-    return _fluid_image(sc, x, math.inf)
+    return _temperature_image(sc, _drop_image(sc, x, math.inf))
 
 
 def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
@@ -236,36 +275,59 @@ def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
     transform domain the half-space kernel sqrt(s/alpha) picks up a factor
     tanh(d sqrt(s/alpha)):
 
-        s -> T0/s + (T_inj - T0)/s * exp(-x g(s)),
-        g(s) = (faces k / (rho_f c_f v b)) sqrt(s/alpha) tanh(d sqrt(s/alpha))
+        s -> T0/s + (T_inj - T0) * D(s),
 
-    tanh -> 1 recovers the semi-infinite image exactly, so early times are
+    with D the cooling drop of :func:`fluid_drop_laplace_slab`. tanh -> 1
+    recovers the semi-infinite image exactly, so early times are
     indistinguishable from the isolated fracture; once the diffusion depth
     reaches d the slab starts exhausting its heat inventory and the forecast
     drops toward T_inj on the depletion timescale
     faces x d rho_r c_r / (rho_f c_f v b).
+    """
+    return _temperature_image(sc, fluid_drop_laplace_slab(sc, x))
+
+
+def fluid_drop_laplace_slab(sc, x: float) -> LaplaceImage:
+    """Transform of the normalised cooling drop (T0 - T) / (T0 - T_inj), finite
+    rock slab of half-thickness d = spacing/2:
+
+        D(s) = exp(-x g(s)) / s,
+        g(s) = (faces k / (rho_f c_f v b)) sqrt(s/alpha) tanh(d sqrt(s/alpha)).
+
+    Its inverse is 0 before the cooling front arrives and rises toward 1 as
+    the slab is depleted. The array forecast inverts this image, not the
+    temperature's: the temperature's T0/s term inverts to T0 exactly.
     """
     fr = sc.fractures
     if fr.count <= 1:
         raise ValueError("slab image requires a multi-fracture array (count > 1)")
     if fr.spacing is None or not fr.spacing > 0.0:
         raise ValueError("slab image requires a positive fracture spacing")
-    return _fluid_image(sc, x, fr.spacing / 2.0)
+    return _drop_image(sc, x, fr.spacing / 2.0)
 
 
-def _fluid_image(sc, x: float, half_spacing: float) -> LaplaceImage:
-    """The slab image at half-spacing d; d = inf is the half-space."""
+def _drop_image(sc, x: float, half_spacing: float) -> LaplaceImage:
+    """The cooling drop's image at half-spacing d; d = inf is the half-space."""
     x = along_fracture(sc, x)
     alpha = thermal_diffusivity(sc.rock)
     coupling = face_coupling(sc)
-    t_hot = sc.rock.initial_temperature
-    t_cold = sc.fluid.injection_temperature
     half_space = not half_spacing < _HALF_SPACE_DEPTH * math.sqrt(alpha)
 
     def image(s):
         root = np.sqrt(s / alpha)
         gamma = coupling * root * (1.0 if half_space else np.tanh(half_spacing * root))
-        return (t_hot + (t_cold - t_hot) * np.exp(-x * gamma)) / s
+        return np.exp(-x * gamma) / s
+
+    return image
+
+
+def _temperature_image(sc, drop: LaplaceImage) -> LaplaceImage:
+    """s -> T0/s + (T_inj - T0) drop(s)."""
+    t_hot = sc.rock.initial_temperature
+    span = sc.fluid.injection_temperature - t_hot
+
+    def image(s):
+        return t_hot / s + span * drop(s)
 
     return image
 
@@ -273,14 +335,16 @@ def _fluid_image(sc, x: float, half_spacing: float) -> LaplaceImage:
 def _arrival(n_terms: int, reach: float, half_spacing: float, alpha: float) -> float:
     """Latest time, s, up to which the n-term sum of the slab image is T0 in float64.
 
-    As sum_k V_k / k = 1, the sum at t is T0 + (T_inj - T0) sum_k (V_k / k)
-    exp(-x gamma(k ln 2 / t)), with gamma(s) = c r tanh(d r), r = sqrt(s / alpha),
-    rising in s; once x gamma(ln 2 / t) >= Gamma_n, the front terms add less
-    than 2^-53 of the span. With reach = x c and r0 = Gamma_n / reach, a t up
-    to (ln 2 / alpha) (tanh(d r0) / r0)^2 has r >= r0 / tanh(d r0) >= r0 at
-    k = 1, so tanh(d r) >= tanh(d r0) and x gamma >= reach r0 = Gamma_n. A
-    reach or diffusivity of 0 or inf gives 0, so that only t = 0 is skipped
-    and the inversion meets such a scenario as it did without the rule.
+    The n-term sum of the cooling drop at t is sum_k (V_k / k)
+    exp(-x gamma(k ln 2 / t)), with gamma(s) = c r tanh(d r), r = sqrt(s / alpha);
+    as tanh rises, gamma(k s) >= sqrt(k) gamma(s), so the sum's size is at
+    most sum_k (|V_k| / k) exp(-sqrt(k) x gamma(ln 2 / t)), below 2^-53 once
+    x gamma(ln 2 / t) >= Gamma_n (_front_exponent). With reach = x c and
+    r0 = Gamma_n / reach, a t up to (ln 2 / alpha) (tanh(d r0) / r0)^2 has
+    r >= r0 / tanh(d r0) >= r0 at k = 1, so tanh(d r) >= tanh(d r0) and
+    x gamma >= reach r0 = Gamma_n. A reach or diffusivity of 0 or inf gives
+    0, so that only t = 0 is skipped and the inversion meets such a scenario
+    as it did without the rule.
     """
     if not (0.0 < reach < math.inf and 0.0 < alpha < math.inf):
         return 0.0
@@ -327,14 +391,16 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     """Produced-temperature forecast at the fracture outlet, any array size.
 
     A single fracture takes the exact closed-form path. An array takes the
-    finite-slab transform, inverted numerically in one
-    :func:`stehfest_invert` call over every requested time later than
-    :func:`_arrival`'s bound. t = 0 and the times up to that bound, where the
-    cooling front cannot move the inverted sum off T0 in float64, evaluate
-    to the initial rock temperature without being sampled; when no time is
-    later, the call is made on none. Times are seconds, strictly
-    increasing. A scenario that breaks a rule of validate is refused with
-    the loader's ScenarioError.
+    finite-slab transform of the cooling drop (:func:`fluid_drop_laplace_slab`),
+    inverted numerically in one :func:`stehfest_invert` call over every
+    requested time later than :func:`_arrival`'s bound and scaled onto
+    [T_inj, T0]. t = 0 and the times up to that bound, where the cooling
+    front cannot move the inverted sum off T0 in float64, evaluate to the
+    initial rock temperature without being sampled; when no time is later,
+    the call is made on none. Times are seconds, >= 0 and, by
+    :meth:`ForecastSeries.check_times`, strictly increasing; they are
+    checked before any sampling. A scenario that breaks a rule of validate
+    is refused with the loader's ScenarioError.
 
     Returns
     -------
@@ -342,9 +408,7 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
         Model tag ``single`` (count = 1) or ``multi_slab``.
     """
     refuse_invalid(sc)
-    times = np.asarray(times, dtype=float)
-    if times.ndim != 1:
-        raise ValueError("times must be a one-dimensional sequence of seconds")
+    times = ForecastSeries.check_times(times)
     if np.logical_or.reduce(times < 0.0):
         raise ValueError("forecast times must be >= 0 s")
 
@@ -356,7 +420,7 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
 
     # both bindings are looked up at call time and the closure is passed on
     # as returned, so a wrapper installed on either sees every call
-    slab = fluid_temp_laplace_slab(sc, length)
+    drop = fluid_drop_laplace_slab(sc, length)
     samples = np.float64 if config.n_terms <= _FLOAT64_IMAGE_MAX_TERMS else np.longdouble
     front = _arrival(
         config.n_terms,
@@ -364,7 +428,9 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
         sc.fractures.spacing / 2.0,
         thermal_diffusivity(sc.rock),
     )
-    raw = np.full(times.shape, sc.rock.initial_temperature)
+    t_hot = sc.rock.initial_temperature
+    raw = np.full(times.shape, t_hot)
     later = ~(times <= front)  # keeps NaN, which the inversion refuses
-    raw[later] = stehfest_invert(slab, times[later], config, sample_dtype=samples)
+    dropped = stehfest_invert(drop, times[later], config, sample_dtype=samples)
+    raw[later] = t_hot + (sc.fluid.injection_temperature - t_hot) * dropped
     return _finish_series(raw, times, sc, config)

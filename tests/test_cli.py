@@ -20,7 +20,7 @@ from conftest import fresh_python, python_run
 FORECAST_TWO_STEPS = "time_yr,T_out_C,model\n0.005,300,single\n50,79.8373,single\n"
 OVERFLOW_REFUSAL = ("error: Laplace image evaluation failed on "
                     "s=2.1979552909688777e-308..2.6375463491626532e-303: "
-                    "overflow encountered in divide\n")
+                    "overflow encountered in the weighted sum\n")
 
 
 def run(capsys, *argv):
