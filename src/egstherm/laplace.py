@@ -244,7 +244,7 @@ def stehfest_invert(
             # np.einsum and np.dot leave NumPy's error state unset when the
             # sum overflows, which is then the only way finite image values
             # give a non-finite result
-            if not np.isfinite(out).all():
+            if not np.logical_and.reduce(np.isfinite(out), axis=None):
                 raise FloatingPointError("overflow encountered in the weighted sum")
     except Exception as err:
         raise ArithmeticError(
@@ -409,7 +409,9 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     """
     refuse_invalid(sc)
     times = ForecastSeries.check_times(times)
-    if np.logical_or.reduce(times < 0.0):
+    # in order, so the first time is the least; a NaN can only be a lone
+    # time, which the inversion or the closed form refuses
+    if times.size and times[0] < 0.0:
         raise ValueError("forecast times must be >= 0 s")
 
     length = sc.fractures.flow_length
@@ -430,7 +432,8 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     )
     t_hot = sc.rock.initial_temperature
     raw = np.full(times.shape, t_hot)
-    later = ~(times <= front)  # keeps NaN, which the inversion refuses
-    dropped = stehfest_invert(drop, times[later], config, sample_dtype=samples)
-    raw[later] = t_hot + (sc.fluid.injection_temperature - t_hot) * dropped
+    # the times later than the front are a suffix; a lone NaN sorts into it
+    later = np.searchsorted(times, front, side="right")
+    dropped = stehfest_invert(drop, times[later:], config, sample_dtype=samples)
+    raw[later:] = t_hot + (sc.fluid.injection_temperature - t_hot) * dropped
     return _finish_series(raw, times, sc, config)
