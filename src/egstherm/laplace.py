@@ -241,9 +241,8 @@ def stehfest_invert(
         with np.errstate(all="raise", under="ignore"):
             values = np.asarray(image(s), dtype=sample)
             out = (log2_over_t * weighted_sum(values, weights)).astype(float)
-            # np.einsum and np.dot leave NumPy's error state unset when the
-            # sum overflows, which is then the only way finite image values
-            # give a non-finite result
+            # np.einsum, unlike np.dot, does not raise when the sum overflows,
+            # which is the only way finite image values give a non-finite sum
             if not np.logical_and.reduce(np.isfinite(out), axis=None):
                 raise FloatingPointError("overflow encountered in the weighted sum")
     except Exception as err:
