@@ -76,7 +76,7 @@ class ForecastSeries:
         """times as a float64 array, refused unless 1-D and strictly increasing."""
         times = np.asarray(times, dtype=float)
         if times.ndim != 1:
-            raise ValueError("times and outlet_temperatures must be 1-D and equal length")
+            raise ValueError("times must be a one-dimensional sequence of seconds")
         if not np.logical_and.reduce(times[1:] > times[:-1]):
             raise ValueError("times must be strictly increasing")
         return times

@@ -210,9 +210,9 @@ def stehfest_invert(
         double.
     ArithmeticError
         If the image or the weighted sum raises, overflow, division by zero
-        and invalid operations included, or the sum is not finite, whatever
-        the warnings filter; the sampled range of s is named and the
-        original error chained.
+        and invalid operations included, or an image value or the sum is
+        not finite, whatever the warnings filter; the sampled range of s is
+        named and the original error chained.
     """
     # np.dtype(None) is float64, so None is refused before it is converted
     if sample_dtype is None or (sample := np.dtype(sample_dtype)) not in _SAMPLE_DTYPES:
@@ -241,9 +241,11 @@ def stehfest_invert(
         with np.errstate(all="raise", under="ignore"):
             values = np.asarray(image(s), dtype=sample)
             out = (log2_over_t * weighted_sum(values, weights)).astype(float)
-            # np.einsum, unlike np.dot, does not raise when the sum overflows,
-            # which is the only way finite image values give a non-finite sum
+            # a NaN or inf image value raises no flag, and np.einsum, unlike
+            # np.dot, does not raise when the sum overflows: name the step
             if not np.logical_and.reduce(np.isfinite(out), axis=None):
+                if not np.logical_and.reduce(np.isfinite(values), axis=None):
+                    raise FloatingPointError("the image returned a non-finite value")
                 raise FloatingPointError("overflow encountered in the weighted sum")
     except Exception as err:
         raise ArithmeticError(

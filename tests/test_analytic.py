@@ -357,7 +357,7 @@ def test_forecast_series_time_rule_stands_alone():
         with pytest.raises(ValueError, match="^times must be strictly increasing$"):
             ForecastSeries.check_times(bad)
     for bad in (3.0, [[1.0, 2.0]]):
-        with pytest.raises(ValueError, match="^times and outlet_temperatures must be 1-D"):
+        with pytest.raises(ValueError, match="^times must be a one-dimensional sequence"):
             ForecastSeries.check_times(bad)
 
 
@@ -365,9 +365,11 @@ def test_forecast_series_refuses_unknown_model_and_mismatched_shapes():
     with pytest.raises(ValueError, match=r"^model must be one of \(.*\), got 'talbot'$"):
         ForecastSeries("talbot", [1.0, 2.0], [300.0, 300.0], 65.0, 300.0)
     shapes = "^times and outlet_temperatures must be 1-D and equal length$"
-    for times, temps in (([1.0, 2.0], [300.0]), ([[1.0, 2.0]], [[300.0, 300.0]])):
+    for times, temps in (([1.0, 2.0], [300.0]), ([1.0, 2.0], [[300.0, 300.0]])):
         with pytest.raises(ValueError, match=shapes):
             ForecastSeries("single", times, temps, 65.0, 300.0)
+    with pytest.raises(ValueError, match="^times must be a one-dimensional sequence of seconds$"):
+        ForecastSeries("single", [[1.0, 2.0]], [[300.0, 300.0]], 65.0, 300.0)
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])

@@ -501,6 +501,31 @@ def test_invert_wraps_image_failure():
     assert isinstance(err.value.__cause__, ZeroDivisionError)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_invert_refuses_a_non_finite_image_value_as_such(dtype, bad):
+    # a NaN or inf image value raises no floating-point flag of its own; it
+    # is refused on the image route, not as an overflow of the sum
+    def image(s):
+        values = np.ones_like(s)
+        values[..., 3] = bad
+        return values
+
+    for errors in ("ignore", "raise"):
+        with np.errstate(all=errors), pytest.raises(ArithmeticError) as err:
+            stehfest_invert(image, np.array([1.0, 2.0]), sample_dtype=dtype)
+        assert str(err.value).startswith("Laplace image evaluation failed on s=")
+        assert str(err.value).endswith(": the image returned a non-finite value")
+
+
+def test_invert_refuses_an_overflowing_float64_sum():
+    # finite image values whose weighted sum overflows float64: np.einsum
+    # raises no flag, so the sum is checked
+    with pytest.raises(ArithmeticError) as err:
+        stehfest_invert(lambda s: np.full(s.shape, 1e308), 1.0, sample_dtype=np.float64)
+    assert str(err.value).endswith(": overflow encountered in the weighted sum")
+
+
 def test_semi_infinite_image_value_theorems(valles_single):
     image = fluid_temp_laplace(valles_single, L)
     # initial value: s F(s) -> T0 as s -> inf (front not yet at the outlet)
@@ -613,6 +638,11 @@ def test_forecast_rejects_bad_times(valles):
         multi_fracture_forecast(valles, np.array([2.0 * YR, YR]))
     with pytest.raises(ValueError):
         multi_fracture_forecast(valles, np.array([np.nan]))
+
+
+def test_forecast_refuses_times_of_another_shape_by_their_name(valles):
+    with pytest.raises(ValueError, match="^times must be a one-dimensional sequence of seconds$"):
+        multi_fracture_forecast(valles, np.array([[YR, 2.0 * YR]]))
 
 
 def test_forecast_refuses_times_out_of_order_as_such(valles):

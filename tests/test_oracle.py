@@ -165,7 +165,7 @@ def test_fd_checks_its_times_before_any_step(valles_single, monkeypatch):
     monkeypatch.setattr("egstherm.oracle._march_scan", lambda *_: pytest.fail("stepped"))
     with pytest.raises(ValueError, match="^times must be strictly increasing$"):
         fd_simulate(valles_single, grid, [2.0 * YR, YR])
-    with pytest.raises(ValueError, match="^times and outlet_temperatures must be 1-D"):
+    with pytest.raises(ValueError, match="^times must be a one-dimensional sequence of seconds$"):
         fd_simulate(valles_single, grid, [[YR, 2.0 * YR]])
     for bad in (3e8, [[1e8, 2e8]]):
         with pytest.raises(ValueError, match=(

@@ -107,3 +107,18 @@ def test_summary_has_every_metric_of_the_benchmark_and_the_failed_share():
     assert report["metrics"]["op_p50_ms"]["parent"]["runs"] == [1.0, 2.0, 3.0]
     assert report["metrics"]["ops_per_s"]["verdict"] == "regression"
     json.dumps(report, allow_nan=False)
+
+
+@pytest.mark.parametrize("change_failed, want", [(3, "gain"), (4, "within bound")])
+def test_summary_counts_no_gain_when_more_operations_fail(change_failed, want):
+    end_to_end = [{"name": "op_p50_ms", "better": "lower", "bound": 0.24}]
+    runs = []
+    for seed, value in enumerate([1.00, 1.01, 0.99, 1.02, 0.98], start=1):
+        change = _result(op_p50_ms=value * 0.5)
+        change["failed"] = change_failed
+        runs.append({"seed": seed, "first": "parent", "parent": _result(op_p50_ms=value),
+                     "change": change})
+    report = pairs.summarise(runs, end_to_end)
+    assert report["more_failed"] is (change_failed > 3)
+    assert report["metrics"]["op_p50_ms"]["wins"] == 5
+    assert report["metrics"]["op_p50_ms"]["verdict"] == want
