@@ -62,7 +62,10 @@ class ForecastSeries:
     """A produced-temperature time series from one model.
 
     times are seconds, strictly increasing (check_times); temperatures lie
-    in [T_inj, T0] up to a rounding slack (band_outlier).
+    in [T_inj, T0] up to a rounding slack (check_band). The public
+    constructor, dataclasses.replace included, applies both rules. The
+    engines apply each rule once on their own terms and build their series
+    from those parts with _from_checked, which repeats neither.
     """
 
     model: str
@@ -81,6 +84,16 @@ class ForecastSeries:
             raise ValueError("times must be strictly increasing")
         return times
 
+    @staticmethod
+    def check_band(temps: np.ndarray, cold: float, hot: float) -> None:
+        """Refuse temps unless each lies in [cold, hot] up to band_outlier's
+        default slack; a NaN lies outside."""
+        if band_outlier(temps, cold, hot) is not None:
+            raise ValueError(
+                "outlet temperatures must lie between the injection and initial "
+                f"temperatures [{cold}, {hot}]"
+            )
+
     def __post_init__(self) -> None:
         if self.model not in MODEL_TAGS:
             raise ValueError(f"model must be one of {MODEL_TAGS}, got {self.model!r}")
@@ -90,11 +103,26 @@ class ForecastSeries:
             raise ValueError("times and outlet_temperatures must be 1-D and equal length")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "outlet_temperatures", temps)
-        if band_outlier(temps, self.injection_temperature, self.initial_temperature) is not None:
-            raise ValueError(
-                "outlet temperatures must lie between the injection and initial "
-                f"temperatures [{self.injection_temperature}, {self.initial_temperature}]"
-            )
+        self.check_band(temps, self.injection_temperature, self.initial_temperature)
+
+    @classmethod
+    def _from_checked(cls, model: str, times: np.ndarray, temps: np.ndarray,
+                      cold: float, hot: float) -> ForecastSeries:
+        """The series of parts an engine has already checked, checked no further.
+
+        The caller's contract: model is one of MODEL_TAGS; times is the
+        float64 array check_times returned; temps is a float64 array of the
+        times' shape with no NaN and every sample within check_band's slack
+        of [cold, hot], as a band check, or a clip after a check that refused
+        NaN, has made sure.
+        """
+        series = object.__new__(cls)
+        object.__setattr__(series, "model", model)
+        object.__setattr__(series, "times", times)
+        object.__setattr__(series, "outlet_temperatures", temps)
+        object.__setattr__(series, "injection_temperature", cold)
+        object.__setattr__(series, "initial_temperature", hot)
+        return series
 
 
 def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> float | np.ndarray:
@@ -111,7 +139,7 @@ def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> flo
     with np.errstate(divide="ignore", invalid="ignore"):
         z = numerator / (2.0 * np.sqrt(t))  # inf or NaN at t = 0, so never live
     live = z < _ERFC_SATURATION
-    out = np.full(t.shape, t_hot)
+    out = np.full(t.shape, t_hot, dtype=float)
     out[live] = t_hot + (sc.fluid.injection_temperature - t_hot) * specfun.erfc(z[live])
     return float(out) if out.ndim == 0 else out
 

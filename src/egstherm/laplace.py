@@ -212,7 +212,8 @@ def stehfest_invert(
         If the image or the weighted sum raises, overflow, division by zero
         and invalid operations included, or an image value or the sum is
         not finite, whatever the warnings filter; the sampled range of s is
-        named and the original error chained.
+        named and the original error chained. If the sample grid overflows
+        (a subnormal t on the float64 grid), the least t is named instead.
     """
     # np.dtype(None) is float64, so None is refused before it is converted
     if sample_dtype is None or (sample := np.dtype(sample_dtype)) not in _SAMPLE_DTYPES:
@@ -222,23 +223,26 @@ def stehfest_invert(
         bad = t_arr[~(t_arr > 0.0)].flat[0]
         raise ValueError(f"inversion time must be > 0, got {float(bad)}")
     n = config.n_terms
-    if sample == np.float64:
-        s = _ln2_multiples_float64(n) / t_arr[..., None]
-        log2_over_t, weights = s[..., 0], _weights_float64(n)
-        # np.einsum reduces every row of the grid as it reduces a lone row, so
-        # a scalar t reads its element of an array call bit for bit, which
-        # np.dot's matrix-vector product does not
-        weighted_sum = partial(np.einsum, "...k,k->...")
-    else:
-        log2_over_t = _LN2_LONG / t_arr.astype(np.longdouble)
-        s = np.arange(1, n + 1, dtype=np.longdouble) * log2_over_t[..., None]
-        # np.dot of long doubles sums the terms in order, as the series is
-        # written, bit for bit as a term-by-term loop; np.sum's pairwise order
-        # would move the last bits of a sum that cancels weights of up to
-        # ~10^12 against each other
-        weighted_sum, weights = np.dot, _weights_longdouble(n)
+    s = None  # the sample grid, once built
     try:
         with np.errstate(all="raise", under="ignore"):
+            if sample == np.float64:
+                # a subnormal t overflows ln 2 / t here, so the grid is built
+                # under the same policy as the image and the sum
+                s = _ln2_multiples_float64(n) / t_arr[..., None]
+                log2_over_t, weights = s[..., 0], _weights_float64(n)
+                # np.einsum reduces every row of the grid as it reduces a lone
+                # row, so a scalar t reads its element of an array call bit for
+                # bit, which np.dot's matrix-vector product does not
+                weighted_sum = partial(np.einsum, "...k,k->...")
+            else:
+                log2_over_t = _LN2_LONG / t_arr.astype(np.longdouble)
+                s = np.arange(1, n + 1, dtype=np.longdouble) * log2_over_t[..., None]
+                # np.dot of long doubles sums the terms in order, as the series
+                # is written, bit for bit as a term-by-term loop; np.sum's
+                # pairwise order would move the last bits of a sum that cancels
+                # weights of up to ~10^12 against each other
+                weighted_sum, weights = np.dot, _weights_longdouble(n)
             values = np.asarray(image(s), dtype=sample)
             out = (log2_over_t * weighted_sum(values, weights)).astype(float)
             # a NaN or inf image value raises no flag, and np.einsum, unlike
@@ -248,6 +252,10 @@ def stehfest_invert(
                     raise FloatingPointError("the image returned a non-finite value")
                 raise FloatingPointError("overflow encountered in the weighted sum")
     except Exception as err:
+        if s is None:
+            raise ArithmeticError(
+                f"Laplace sample grid failed at t={float(t_arr.min())!r}: {err}"
+            ) from err
         raise ArithmeticError(
             f"Laplace image evaluation failed on s={float(s.min())!r}..{float(s.max())!r}: {err}"
         ) from err
@@ -361,11 +369,11 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
     outside [T_inj, T0]; those are clipped. Anything larger, any non-finite
     sample, or any non-monotone wiggle above 0.5% of span, means the
     inversion has gone unstable for this transform and is reported instead
-    of smoothed over. The clipped samples are boxed before the wiggle is
-    looked for, so times out of order are refused as such.
+    of smoothed over. The clamping budget's check, which refuses NaN, and
+    the clip are the series' band rule, and times are checked at the
+    forecast's start, so the series is built without checking either again.
     """
     t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
-    raw = np.asarray(raw, dtype=float)
     if (outlier := band_outlier(raw, t_cold, t_hot, _CLAMP_BUDGET)) is not None:
         idx, excess = outlier
         raise ArithmeticError(
@@ -374,7 +382,6 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
             "clamping budget; the transform inversion is unstable here"
         )
     clipped = np.minimum(np.maximum(raw, t_cold), t_hot)
-    series = ForecastSeries("multi_slab", times, clipped, t_cold, t_hot)
 
     rises = clipped[1:] - clipped[:-1]
     if np.maximum.reduce(rises, initial=0.0) > _WIGGLE_BUDGET * (t_hot - t_cold):
@@ -385,7 +392,7 @@ def _finish_series(raw, times, sc, config: StehfestConfig):
             f"try a different Stehfest term count (n_terms={config.n_terms} used; "
             "10-16 usually behaves best)"
         )
-    return series
+    return ForecastSeries._from_checked("multi_slab", times, clipped, t_cold, t_hot)
 
 
 def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig = StehfestConfig()):
@@ -419,7 +426,9 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     if sc.fractures.count == 1:
         temps = analytic.fluid_temp_single(sc, length, times)
         t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
-        return ForecastSeries("single", times, temps, t_cold, t_hot)
+        # cannot fail, as erfc lies in [0, 1], but the band rule is kept
+        ForecastSeries.check_band(temps, t_cold, t_hot)
+        return ForecastSeries._from_checked("single", times, temps, t_cold, t_hot)
 
     # both bindings are looked up at call time and the closure is passed on
     # as returned, so a wrapper installed on either sees every call
@@ -432,7 +441,7 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
         thermal_diffusivity(sc.rock),
     )
     t_hot = sc.rock.initial_temperature
-    raw = np.full(times.shape, t_hot)
+    raw = np.full(times.shape, t_hot, dtype=float)
     # the times later than the front are a suffix; a lone NaN sorts into it
     later = np.searchsorted(times, front, side="right")
     dropped = stehfest_invert(drop, times[later:], config, sample_dtype=samples)

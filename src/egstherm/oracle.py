@@ -503,7 +503,7 @@ def fd_simulate(
     ends = np.append(0, np.cumsum(multiples))
     n_steps = multiples.size
     pinned = grid.bc_far == "dirichlet_T0"
-    ForecastSeries.check_times(probe_times)  # the series' time rule, before any step
+    probe_times = ForecastSeries.check_times(probe_times)  # the series' time rule, before any step
 
     y = grid.y_nodes()
     x = np.linspace(0.0, fr.flow_length, grid.nx + 1)
@@ -643,7 +643,8 @@ def fd_simulate(
                     )
 
     outlets = np.interp(probe_times, ends * grid.dt, outlet_history)
-    # ForecastSeries' own band, checked here so the refusal names the grid
+    # ForecastSeries' band rule, checked here so the refusal names the grid;
+    # the series is then built from these checked parts without checking again
     if (outlier := band_outlier(outlets, t_cold, t_hot)) is not None:
         worst, excursion = outlier
         raise ValueError(
@@ -653,7 +654,7 @@ def fd_simulate(
             f"y_max={grid.y_max:.6g} m with a first step of {grid.dt:.6g} s, so it is no "
             "reference for this run"
         )
-    series = ForecastSeries("oracle", probe_times, outlets, t_cold, t_hot)
+    series = ForecastSeries._from_checked("oracle", probe_times, outlets, t_cold, t_hot)
     if not (return_details or snapshots):
         return series
 

@@ -9,6 +9,7 @@ import pytest
 from scipy.special import erfcinv
 
 from egstherm.analytic import (
+    MODEL_TAGS,
     ForecastSeries,
     band_outlier,
     fluid_temp_single,
@@ -24,6 +25,8 @@ from egstherm.scenario import (
     time_to_radius,
     transfer_coefficient,
 )
+from egstherm.laplace import StehfestConfig, multi_fracture_forecast
+from egstherm.oracle import fd_simulate, semi_infinite_grid, slab_grid
 from egstherm.units import SECONDS_PER_YEAR
 
 ALPHA = 9.358490566037735e-07
@@ -370,6 +373,90 @@ def test_forecast_series_refuses_unknown_model_and_mismatched_shapes():
             ForecastSeries("single", times, temps, 65.0, 300.0)
     with pytest.raises(ValueError, match="^times must be a one-dimensional sequence of seconds$"):
         ForecastSeries("single", [[1.0, 2.0]], [[300.0, 300.0]], 65.0, 300.0)
+
+
+def _forecast_series(site, n=12, faces=None):
+    def build(request):
+        sc = request.getfixturevalue(site)
+        if faces is not None:
+            sc = collapse_to_single(sc, faces)
+        h = sc.operating.horizon
+        times = np.append(0.0, np.geomspace(h / 1e4, h, 200))
+        return multi_fracture_forecast(sc, times, StehfestConfig(n))
+
+    return build
+
+
+def _oracle_series(site, mode):
+    def build(request):
+        sc = request.getfixturevalue(site)
+        if mode == "slab":
+            grid = slab_grid(sc, nx=16, ny=16, n_steps=60)
+        else:
+            sc = collapse_to_single(sc, 1)
+            grid = semi_infinite_grid(sc, nx=16, ny=16, n_steps=60)
+        h = sc.operating.horizon
+        return fd_simulate(sc, grid, np.geomspace(h / 100.0, h, 12))
+
+    return build
+
+
+ENGINE_SERIES = {
+    **{f"multi_slab-{site}-n{n}": _forecast_series(site, n)
+       for site in ("valles", "zeinali") for n in (8, 12, 18)},
+    **{f"{model}-{site}": _forecast_series(site, faces=faces)
+       for site in ("valles", "zeinali") for model, faces in (("single", 1),
+                                                             ("gringarten_ref", 2))},
+    **{f"oracle-{mode}-{site}": _oracle_series(site, mode)
+       for site in ("valles", "zeinali") for mode in ("slab", "semi")},
+}
+
+
+@pytest.mark.parametrize("build", ENGINE_SERIES.values(), ids=ENGINE_SERIES.keys())
+def test_engine_series_passes_the_public_constructor(build, request):
+    # the engines build their series from parts they checked, without the
+    # public constructor's checks; rebuilt through it, each is refused by
+    # nothing and comes back field for field
+    series = build(request)
+    assert series.model in MODEL_TAGS
+    assert series.times.dtype == series.outlet_temperatures.dtype == np.float64
+    fields = {f.name: getattr(series, f.name) for f in dataclasses.fields(ForecastSeries)}
+    rebuilt = ForecastSeries(**fields)
+    for name, value in fields.items():
+        again = getattr(rebuilt, name)
+        if isinstance(value, np.ndarray):
+            assert again.dtype == value.dtype and np.array_equal(again, value)
+        else:
+            assert again == value
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        series.model = "oracle"
+
+
+def test_forecast_series_band_rule_stands_alone():
+    ForecastSeries.check_band(np.array([65.0, 300.0 + 2e-7, 65.0 - 2e-7]), 65.0, 300.0)
+    ForecastSeries.check_band(np.array([]), 65.0, 300.0)
+    for bad in ([300.0 + 3e-7], [64.0, 200.0], [200.0, math.nan]):
+        with pytest.raises(ValueError, match=re.escape(
+                "outlet temperatures must lie between the injection and initial "
+                "temperatures [65.0, 300.0]")):
+            ForecastSeries.check_band(np.array(bad), 65.0, 300.0)
+
+
+@pytest.mark.parametrize("count", [1, 12])
+def test_forecast_of_integer_temperatures_is_the_float_one(valles, count):
+    # a Scenario built in Python may hold integer temperatures: the forecast
+    # is a float64 series all the same, not one truncated to integers
+    fr = dataclasses.replace(valles.fractures, count=count,
+                             spacing=valles.fractures.spacing if count > 1 else None)
+    floats = dataclasses.replace(valles, fractures=fr)
+    ints = dataclasses.replace(
+        floats, rock=dataclasses.replace(floats.rock, initial_temperature=300),
+        fluid=dataclasses.replace(floats.fluid, injection_temperature=65))
+    times = np.geomspace(1e5, floats.operating.horizon, 50)
+    want = multi_fracture_forecast(floats, times).outlet_temperatures
+    got = multi_fracture_forecast(ints, times).outlet_temperatures
+    assert got.dtype == np.float64 and np.array_equal(got, want)
+    assert np.array_equal(fluid_temp_single(ints, L, times), fluid_temp_single(floats, L, times))
 
 
 @pytest.mark.parametrize("t", [0.0, -1.0, math.nan])

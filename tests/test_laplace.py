@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import functools
 import math
+import warnings
 from types import FunctionType
 
 import mpmath
@@ -499,6 +500,26 @@ def test_invert_wraps_image_failure():
     msg = str(err.value)
     assert "s=" in msg and "synthetic failure" in msg
     assert isinstance(err.value.__cause__, ZeroDivisionError)
+
+
+@pytest.mark.parametrize("flag", ["error", "default"])
+def test_invert_refuses_a_sample_grid_that_overflows_under_any_warnings_filter(flag):
+    # at a subnormal t, ln 2 / t overflows a float64 grid but not a long
+    # double one: the float64 route refuses it by the step, and neither
+    # route lets a RuntimeWarning through, whatever the filter
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter(flag)
+        for t in (1e-320, np.array([1.0, 1e-320])):
+            with pytest.raises(ArithmeticError) as err:
+                stehfest_invert(lambda s: 1.0 / s, t, sample_dtype=np.float64)
+            assert str(err.value) == (
+                "Laplace sample grid failed at t=1e-320: overflow encountered in divide"
+            )
+            assert isinstance(err.value.__cause__, FloatingPointError)
+        assert stehfest_invert(lambda s: 1.0 / s, 1e-320) == 1.0000000000001337
+        got = stehfest_invert(lambda s: 1.0 / s, np.array([1.0, 1e-320]))
+        assert got[1] == 1.0000000000001337 and abs(got[0] - 1.0) < 1e-12
+    assert seen == []
 
 
 @pytest.mark.parametrize("dtype", [np.float64, np.longdouble], ids=["float64", "longdouble"])

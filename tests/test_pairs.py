@@ -1,4 +1,5 @@
-"""The pair driver's pure parts: strict parsing, quartiles, verdicts, report.
+"""The pair driver's pure parts: strict parsing, quartiles, verdicts, report,
+and the comparison of two trees' outputs.
 
 No benchmark run is started here.
 """
@@ -122,3 +123,45 @@ def test_summary_counts_no_gain_when_more_operations_fail(change_failed, want):
     assert report["more_failed"] is (change_failed > 3)
     assert report["metrics"]["op_p50_ms"]["wins"] == 5
     assert report["metrics"]["op_p50_ms"]["verdict"] == want
+
+
+def test_compare_outputs_counts_arrays_that_move_and_refusals_that_differ():
+    parent = {
+        "design array n=12": {"d00": {"refused": "ArithmeticError: budget"},
+                              "d01": {"values": [300.0, 200.0]},
+                              "d02": {"values": [300.0, 0.0]},
+                              "d03": {"values": [300.0, 100.0]}},
+        "oracle slab": {"zeinali": {"values": [250.0]}},
+    }
+    change = {
+        "design array n=12": {"d00": {"refused": "ArithmeticError: budget"},
+                              "d01": {"values": [300.0, 200.0 + 2.0**-45]},
+                              "d02": {"values": [300.0, -0.0]},
+                              "d03": {"refused": "ArithmeticError: wiggle"},
+                              "d04": {"values": [1.0]}},
+        "oracle slab": {"zeinali": {"values": [250.0, 240.0]}},
+    }
+    got = pairs.compare_outputs(parent, change)
+    assert list(got["groups"]) == ["design array n=12", "oracle slab"]
+    # -0.0 equals 0.0 but is another bit pattern
+    assert got["groups"]["design array n=12"] == {
+        "arrays": 2, "not_identical": 2, "max_abs_diff_C": 2.0**-45, "refused": 1}
+    assert got["groups"]["oracle slab"] == {
+        "arrays": 1, "not_identical": 1, "max_abs_diff_C": 0.0, "refused": 0}
+    assert got["not_identical"] == 3
+    assert got["differing_refusals"] == [{"group": "design array n=12", "case": "d03",
+                                          "parent": None, "change": "ArithmeticError: wiggle"}]
+    assert got["unmatched"] == [
+        {"group": "design array n=12", "case": "d04", "only_in": "change"},
+        {"group": "oracle slab", "case": "zeinali", "lengths": [1, 2]},
+    ]
+    json.dumps(got, allow_nan=False)
+
+
+def test_compare_outputs_of_identical_trees_finds_nothing():
+    outputs = {"design isolated n=8": {"d00": {"values": [300.0, 65.5]}},
+               "design array n=8": {"d00": {"refused": "ArithmeticError: budget"}}}
+    got = pairs.compare_outputs(outputs, json.loads(json.dumps(outputs)))
+    assert got["not_identical"] == 0 and got["differing_refusals"] == got["unmatched"] == []
+    assert got["groups"]["design array n=8"]["refused"] == 1
+    assert got["groups"]["design isolated n=8"]["max_abs_diff_C"] == 0.0

@@ -2,7 +2,7 @@
 
     python3 tools/pairs.py --against 829a798 --label pr41
     python3 tools/pairs.py --against HEAD~1 --label x \\
-        --workload design_sweep --pairs 10 --seed 1
+        --workload design_sweep --pairs 10 --seed 1 --outputs
 
 Exports the parent revision and HEAD with ``git archive`` into a temporary
 directory, so each runs from its committed files alone, and runs each tree's
@@ -29,6 +29,14 @@ median):
 A workload whose change fails a larger share of operations than the parent,
 in the median, is flagged ``more_failed``, and none of its metrics is then a
 ``gain``: those read ``within bound``.
+
+``--outputs`` also runs one fixed script (``OUTPUTS_SCRIPT``) in each tree,
+in a subprocess importing that tree's ``src``: the design panel of the tree's
+own ``perfbench/workloads.py``, array and isolated, at Stehfest orders 8, 12,
+16 and 18, and the default ``fd_simulate`` grid in slab and semi-infinite
+mode on both bundled sites. The report's ``outputs`` entry gives, per group,
+the largest difference in C, the count of arrays that are not bit-identical
+and every refusal whose message differs between the trees.
 """
 
 from __future__ import annotations
@@ -141,6 +149,97 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+# Run in a tree's root with that tree's src on the path; prints one strict
+# JSON object {group: {case: {"values": [...]} or {"refused": message}}}.
+OUTPUTS_SCRIPT = """
+import json, sys
+from pathlib import Path
+import numpy as np
+import egstherm
+from egstherm.scenario import collapse_to_single
+sys.path.insert(0, "perfbench")
+import workloads
+
+def record(run):
+    try:
+        return {"values": run().outlet_temperatures.tolist()}
+    except (ArithmeticError, ValueError) as err:
+        return {"refused": f"{type(err).__name__}: {err}"}
+
+out = {}
+panel = workloads.design_panel(workloads.load_sites(Path.cwd()))
+for n in (8, 12, 16, 18):
+    config = egstherm.StehfestConfig(n)
+    for d in panel:
+        times = np.array(d["times"])
+        for kind in ("array", "isolated"):
+            sc = egstherm.scenario_from_dict(d[kind])
+            out.setdefault(f"design {kind} n={n}", {})[d["id"]] = record(
+                lambda: egstherm.multi_fracture_forecast(sc, times, config))
+for site in workloads.SITES:
+    sc = egstherm.bundled_scenario(site)
+    h = sc.operating.horizon
+    probes = np.geomspace(h / 100.0, h, 32)
+    single = collapse_to_single(sc, 1)
+    out.setdefault("oracle slab", {})[site] = record(
+        lambda: egstherm.fd_simulate(sc, egstherm.slab_grid(sc), probes))
+    out.setdefault("oracle semi-infinite", {})[site] = record(
+        lambda: egstherm.fd_simulate(single, egstherm.semi_infinite_grid(single), probes))
+print(json.dumps(out, allow_nan=False))
+"""
+
+
+def compare_outputs(parent: dict, change: dict) -> dict:
+    """Per group of OUTPUTS_SCRIPT's result, the largest |change - parent| in
+    C over the arrays both trees served, and the count of arrays that are not
+    bit-identical; and, over all groups, every case whose refusal differs
+    (refused by one tree only, or with another message) or that one tree
+    lacks."""
+    out = {"groups": {}, "not_identical": 0, "differing_refusals": [], "unmatched": []}
+    for group in dict.fromkeys([*parent, *change]):
+        p_cases, c_cases = parent.get(group, {}), change.get(group, {})
+        summary = {"arrays": 0, "not_identical": 0, "max_abs_diff_C": 0.0, "refused": 0}
+        for case in sorted(p_cases.keys() | c_cases.keys()):
+            p, c = p_cases.get(case), c_cases.get(case)
+            if p is None or c is None:
+                out["unmatched"].append({"group": group, "case": case,
+                                         "only_in": "parent" if c is None else "change"})
+                continue
+            if "refused" in p or "refused" in c:
+                summary["refused"] += "refused" in p and "refused" in c
+                if p.get("refused") != c.get("refused"):
+                    out["differing_refusals"].append({"group": group, "case": case,
+                                                      "parent": p.get("refused"),
+                                                      "change": c.get("refused")})
+                continue
+            a, b = p["values"], c["values"]
+            summary["arrays"] += 1
+            # float.hex tells -0.0 from 0.0, which == does not
+            if [x.hex() for x in a] != [y.hex() for y in b]:
+                summary["not_identical"] += 1
+            if len(a) == len(b):
+                diff = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+                summary["max_abs_diff_C"] = max(summary["max_abs_diff_C"], diff)
+            else:
+                out["unmatched"].append({"group": group, "case": case,
+                                         "lengths": [len(a), len(b)]})
+        out["groups"][group] = summary
+        out["not_identical"] += summary["not_identical"]
+    return out
+
+
+def run_outputs(tree: Path) -> dict:
+    """OUTPUTS_SCRIPT's result in tree, parsed strictly."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
+           "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    if proc.returncode != 0:
+        raise RuntimeError(f"the outputs script exited with {proc.returncode} in {tree}:\n"
+                           f"{proc.stderr[-2000:]}")
+    return strict_loads(proc.stdout)
+
+
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
@@ -173,6 +272,15 @@ def _print_workload(workload: str, report: dict) -> None:
               f"won {m['wins']}/{m['pairs']}  {m['verdict']}")
 
 
+def _print_outputs(outputs: dict) -> None:
+    print(f"outputs: {outputs['not_identical']} arrays not bit-identical, "
+          f"{len(outputs['differing_refusals'])} refusals differ, "
+          f"{len(outputs['unmatched'])} cases unmatched")
+    for group, g in outputs["groups"].items():
+        print(f"  {group:24s} max |diff| {g['max_abs_diff_C']:.3g} C over {g['arrays']} arrays, "
+              f"{g['not_identical']} not identical, {g['refused']} refused by both")
+
+
 def main(argv: list[str] | None = None) -> int:
     bench = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in bench["workloads"]]
@@ -183,6 +291,8 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeatable (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
+    parser.add_argument("--outputs", action="store_true",
+                        help="also compare both trees' outputs (see OUTPUTS_SCRIPT)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -215,6 +325,10 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append(run)
                 report["workloads"][workload] = summarise(runs, bench["end_to_end"])
                 _print_workload(workload, report["workloads"][workload])
+            if args.outputs:
+                report["outputs"] = compare_outputs(*(run_outputs(trees[side])
+                                                      for side in ("parent", "change")))
+                _print_outputs(report["outputs"])
             report["wall_s"] = time.time() - started
     except (OSError, RuntimeError, ValueError, subprocess.SubprocessError) as err:
         print(f"error: {err}", file=sys.stderr)
