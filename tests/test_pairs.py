@@ -159,9 +159,41 @@ def test_compare_outputs_counts_arrays_that_move_and_refusals_that_differ():
 
 
 def test_compare_outputs_of_identical_trees_finds_nothing():
-    outputs = {"design isolated n=8": {"d00": {"values": [300.0, 65.5]}},
+    outputs = {"design isolated": {"d00": {"values": [300.0, 65.5]}},
                "design array n=8": {"d00": {"refused": "ArithmeticError: budget"}}}
     got = pairs.compare_outputs(outputs, json.loads(json.dumps(outputs)))
     assert got["not_identical"] == 0 and got["differing_refusals"] == got["unmatched"] == []
     assert got["groups"]["design array n=8"]["refused"] == 1
-    assert got["groups"]["design isolated n=8"]["max_abs_diff_C"] == 0.0
+    assert got["groups"]["design isolated"]["max_abs_diff_C"] == 0.0
+
+
+def test_compare_cli_reports_each_stream_per_command():
+    ok = {"stdout": "t_yr,T_C\n1,300\n", "stderr": "", "exit_code": 0}
+    parent = {"forecast --model single": ok,
+              "table2 --spacings 5": {"stdout": "", "stderr": "error: x\n", "exit_code": 2},
+              "convert 1 bpd m3_per_s": ok}
+    change = {"forecast --model single": dict(ok),
+              "table2 --spacings 5": {"stdout": "", "stderr": "error: y\n", "exit_code": 2},
+              "compare --model single": ok}
+    got = pairs.compare_cli(parent, change)
+    assert got["commands"] == [
+        {"command": "forecast --model single", "stdout": True, "stderr": True,
+         "exit_code": True},
+        {"command": "table2 --spacings 5", "stdout": True, "stderr": False, "exit_code": True},
+        {"command": "convert 1 bpd m3_per_s", "only_in": "parent"},
+        {"command": "compare --model single", "only_in": "change"},
+    ]
+    assert got["differ"] == 3
+    assert pairs.compare_cli(parent, json.loads(json.dumps(parent)))["differ"] == 0
+
+
+def test_compare_trees_joins_series_and_cli():
+    tree = {"series": {"oracle slab": {"zeinali": {"values": [250.0]}}},
+            "cli": {"convert 1 bpd m3_per_s": {"stdout": "1.8e-06\n", "stderr": "",
+                                               "exit_code": 0}}}
+    got = pairs.compare_trees(tree, json.loads(json.dumps(tree)))
+    assert got["not_identical"] == 0 and got["groups"]["oracle slab"]["arrays"] == 1
+    assert got["cli"] == {"differ": 0, "commands": [
+        {"command": "convert 1 bpd m3_per_s", "stdout": True, "stderr": True,
+         "exit_code": True}]}
+    json.dumps(got, allow_nan=False)

@@ -2,7 +2,7 @@
 
     python3 tools/pairs.py --against 829a798 --label pr41
     python3 tools/pairs.py --against HEAD~1 --label x \\
-        --workload design_sweep --pairs 10 --seed 1 --outputs
+        --workload design_sweep --pairs 10 --seed 1
 
 Exports the parent revision and HEAD with ``git archive`` into a temporary
 directory, so each runs from its committed files alone, and runs each tree's
@@ -30,13 +30,16 @@ A workload whose change fails a larger share of operations than the parent,
 in the median, is flagged ``more_failed``, and none of its metrics is then a
 ``gain``: those read ``within bound``.
 
-``--outputs`` also runs one fixed script (``OUTPUTS_SCRIPT``) in each tree,
-in a subprocess importing that tree's ``src``: the design panel of the tree's
-own ``perfbench/workloads.py``, array and isolated, at Stehfest orders 8, 12,
-16 and 18, and the default ``fd_simulate`` grid in slab and semi-infinite
-mode on both bundled sites. The report's ``outputs`` entry gives, per group,
-the largest difference in C, the count of arrays that are not bit-identical
-and every refusal whose message differs between the trees.
+After the pairs it also runs one fixed script (``OUTPUTS_SCRIPT``) in each
+tree, in a subprocess importing that tree's ``src``: the design panel of the
+tree's own ``perfbench/workloads.py``, array at Stehfest orders 8, 12, 16 and
+18 and isolated once (the single-fracture path reads no Stehfest order), the
+default ``fd_simulate`` grid in slab and semi-infinite mode on both bundled
+sites, and every distinct ``cli_session`` command of the pairs' seeds as
+``python -m egstherm``. The report's ``outputs`` entry gives, per group, the
+largest difference in C, the count of arrays that are not bit-identical and
+every refusal whose message differs between the trees, and, per command,
+whether its stdout, its stderr and its exit code match byte for byte.
 """
 
 from __future__ import annotations
@@ -149,10 +152,13 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
-# Run in a tree's root with that tree's src on the path; prints one strict
-# JSON object {group: {case: {"values": [...]} or {"refused": message}}}.
+# Run in a tree's root with that tree's src on the path, with the pairs'
+# seeds as arguments; prints one strict JSON object {"series": {group: {case:
+# {"values": [...]} or {"refused": message}}}, "cli": {command: {"stdout",
+# "stderr", "exit_code"}}}, the CLI's bytes decoded as Latin-1 (one character
+# per byte, so equal strings are equal bytes).
 OUTPUTS_SCRIPT = """
-import json, sys
+import json, subprocess, sys
 from pathlib import Path
 import numpy as np
 import egstherm
@@ -166,26 +172,40 @@ def record(run):
     except (ArithmeticError, ValueError) as err:
         return {"refused": f"{type(err).__name__}: {err}"}
 
-out = {}
+series = {}
 panel = workloads.design_panel(workloads.load_sites(Path.cwd()))
+for d in panel:
+    times = np.array(d["times"])
+    sc = egstherm.scenario_from_dict(d["isolated"])
+    series.setdefault("design isolated", {})[d["id"]] = record(
+        lambda: egstherm.multi_fracture_forecast(sc, times))
 for n in (8, 12, 16, 18):
     config = egstherm.StehfestConfig(n)
     for d in panel:
         times = np.array(d["times"])
-        for kind in ("array", "isolated"):
-            sc = egstherm.scenario_from_dict(d[kind])
-            out.setdefault(f"design {kind} n={n}", {})[d["id"]] = record(
-                lambda: egstherm.multi_fracture_forecast(sc, times, config))
+        sc = egstherm.scenario_from_dict(d["array"])
+        series.setdefault(f"design array n={n}", {})[d["id"]] = record(
+            lambda: egstherm.multi_fracture_forecast(sc, times, config))
 for site in workloads.SITES:
     sc = egstherm.bundled_scenario(site)
     h = sc.operating.horizon
     probes = np.geomspace(h / 100.0, h, 32)
     single = collapse_to_single(sc, 1)
-    out.setdefault("oracle slab", {})[site] = record(
+    series.setdefault("oracle slab", {})[site] = record(
         lambda: egstherm.fd_simulate(sc, egstherm.slab_grid(sc), probes))
-    out.setdefault("oracle semi-infinite", {})[site] = record(
+    series.setdefault("oracle semi-infinite", {})[site] = record(
         lambda: egstherm.fd_simulate(single, egstherm.semi_infinite_grid(single), probes))
-print(json.dumps(out, allow_nan=False))
+cli = {}
+for seed in map(int, sys.argv[1:]):
+    for command in workloads.build_inputs("cli_session", seed, Path.cwd())["commands"]:
+        key = " ".join(command["argv"])
+        if key not in cli:
+            proc = subprocess.run([sys.executable, "-m", "egstherm", *command["argv"]],
+                                  capture_output=True)
+            cli[key] = {"stdout": proc.stdout.decode("latin-1"),
+                        "stderr": proc.stderr.decode("latin-1"),
+                        "exit_code": proc.returncode}
+print(json.dumps({"series": series, "cli": cli}, allow_nan=False))
 """
 
 
@@ -228,16 +248,40 @@ def compare_outputs(parent: dict, change: dict) -> dict:
     return out
 
 
-def run_outputs(tree: Path) -> dict:
-    """OUTPUTS_SCRIPT's result in tree, parsed strictly."""
+def compare_cli(parent: dict, change: dict) -> dict:
+    """Per command of OUTPUTS_SCRIPT's "cli" result, whether its stdout, its
+    stderr and its exit code match between the trees, and the count of
+    commands where any of them differs or that one tree lacks."""
+    out = {"commands": [], "differ": 0}
+    for command in dict.fromkeys([*parent, *change]):
+        p, c = parent.get(command), change.get(command)
+        if p is None or c is None:
+            row = {"command": command, "only_in": "parent" if c is None else "change"}
+        else:
+            row = {"command": command, **{k: p[k] == c[k]
+                                          for k in ("stdout", "stderr", "exit_code")}}
+        out["differ"] += not all(row.get(k) is True for k in ("stdout", "stderr", "exit_code"))
+        out["commands"].append(row)
+    return out
+
+
+def run_outputs(tree: Path, seeds: list[int]) -> dict:
+    """OUTPUTS_SCRIPT's result in tree for the CLI commands of seeds,
+    parsed strictly."""
     env = {**os.environ, "PYTHONPATH": str(tree / "src"), "OMP_NUM_THREADS": "1",
            "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT], cwd=tree, env=env,
-                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    proc = subprocess.run([sys.executable, "-c", OUTPUTS_SCRIPT, *map(str, seeds)], cwd=tree,
+                          env=env, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"the outputs script exited with {proc.returncode} in {tree}:\n"
                            f"{proc.stderr[-2000:]}")
     return strict_loads(proc.stdout)
+
+
+def compare_trees(parent: dict, change: dict) -> dict:
+    """The report's outputs entry from both trees' OUTPUTS_SCRIPT results."""
+    return {**compare_outputs(parent["series"], change["series"]),
+            "cli": compare_cli(parent["cli"], change["cli"])}
 
 
 def _git(*args: str) -> bytes:
@@ -275,7 +319,8 @@ def _print_workload(workload: str, report: dict) -> None:
 def _print_outputs(outputs: dict) -> None:
     print(f"outputs: {outputs['not_identical']} arrays not bit-identical, "
           f"{len(outputs['differing_refusals'])} refusals differ, "
-          f"{len(outputs['unmatched'])} cases unmatched")
+          f"{len(outputs['unmatched'])} cases unmatched, "
+          f"{outputs['cli']['differ']} of {len(outputs['cli']['commands'])} CLI commands differ")
     for group, g in outputs["groups"].items():
         print(f"  {group:24s} max |diff| {g['max_abs_diff_C']:.3g} C over {g['arrays']} arrays, "
               f"{g['not_identical']} not identical, {g['refused']} refused by both")
@@ -291,8 +336,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="repeatable (default: every workload of BENCHMARK.json)")
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
-    parser.add_argument("--outputs", action="store_true",
-                        help="also compare both trees' outputs (see OUTPUTS_SCRIPT)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
@@ -325,10 +368,10 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append(run)
                 report["workloads"][workload] = summarise(runs, bench["end_to_end"])
                 _print_workload(workload, report["workloads"][workload])
-            if args.outputs:
-                report["outputs"] = compare_outputs(*(run_outputs(trees[side])
-                                                      for side in ("parent", "change")))
-                _print_outputs(report["outputs"])
+            seeds = [args.seed + i for i in range(args.pairs)]
+            report["outputs"] = compare_trees(*(run_outputs(trees[side], seeds)
+                                                for side in ("parent", "change")))
+            _print_outputs(report["outputs"])
             report["wall_s"] = time.time() - started
     except (OSError, RuntimeError, ValueError, subprocess.SubprocessError) as err:
         print(f"error: {err}", file=sys.stderr)
