@@ -57,7 +57,7 @@ def band_outlier(temps: np.ndarray, cold: float, hot: float, slack: float = 1e-9
     return worst, float(excess[worst])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ForecastSeries:
     """A produced-temperature time series from one model.
 
@@ -65,7 +65,8 @@ class ForecastSeries:
     in [T_inj, T0] up to a rounding slack (check_band). The public
     constructor, dataclasses.replace included, applies both rules. The
     engines apply each rule once on their own terms and build their series
-    from those parts with _from_checked, which repeats neither.
+    from those parts with _from_checked, which repeats neither. Equality
+    and hash go by identity, as the fields hold arrays.
     """
 
     model: str
@@ -139,8 +140,14 @@ def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> flo
     with np.errstate(divide="ignore", invalid="ignore"):
         z = numerator / (2.0 * np.sqrt(t))  # inf or NaN at t = 0, so never live
     live = z < _ERFC_SATURATION
-    out = np.full(t.shape, t_hot, dtype=float)
-    out[live] = t_hot + (sc.fluid.injection_temperature - t_hot) * specfun.erfc(z[live])
+    out = np.empty(t.shape)
+    out.fill(t_hot)
+    # T0 + (T_inj - T0) erfc(z) in place: the same product and sum, so the
+    # same bits
+    temps = specfun.erfc(z[live])
+    temps *= sc.fluid.injection_temperature - t_hot
+    temps += t_hot
+    out[live] = temps
     return float(out) if out.ndim == 0 else out
 
 

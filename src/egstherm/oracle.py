@@ -221,9 +221,9 @@ def slab_grid(
     return replace(grid, bc_far="neumann_zero")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RockSnapshot:
-    """Full rock temperature field at one completed step."""
+    """Full rock temperature field at one completed step; equal only to itself."""
 
     time: float
     x: np.ndarray
@@ -231,9 +231,9 @@ class RockSnapshot:
     temperatures: np.ndarray  # shape (ny + 1, nx + 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OracleDetails:
-    """Diagnostics accompanying a simulation when requested."""
+    """Diagnostics accompanying a simulation when requested; equal only to itself."""
 
     snapshots: tuple[RockSnapshot, ...]
     fluid_enthalpy_J: float

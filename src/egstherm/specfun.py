@@ -35,7 +35,7 @@ def erfc(x: float | np.ndarray) -> float | np.ndarray:
     """
     x = np.asarray(x, dtype=float)
     finite = np.isfinite(x)
-    if not finite.all():
+    if not np.logical_and.reduce(finite, axis=None):
         raise ValueError(f"x must be finite, got {float(x[~finite].flat[0])!r}")
     out = np.fromiter(map(math.erfc, x.ravel().tolist()), float, x.size).reshape(x.shape)
     return float(out) if out.ndim == 0 else out

@@ -1,11 +1,15 @@
 """Closed-form solutions: frozen references, physics identities, domains."""
 
 import dataclasses
+import itertools
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import erfcinv
 
 from egstherm.analytic import (
@@ -19,8 +23,10 @@ from egstherm.analytic import (
     thermal_power,
 )
 from egstherm.scenario import (
+    bundled_scenario_path,
     collapse_to_single,
     interference_table,
+    scenario_from_dict,
     thermal_diffusivity,
     time_to_radius,
     transfer_coefficient,
@@ -484,3 +490,99 @@ def test_rock_temp_initial_identity(valles_single):
         rock_temp(math.nan, 1e6, valles_single, 0.0)
     with pytest.raises(ValueError):
         rock_temp(1.0, 0.0, valles_single, 0.0)
+
+
+def _saturation_rule(a, t):
+    return a / (2.0 * math.sqrt(t)) < 6.0
+
+
+def _closed_form(sc, a, t, live):
+    # the closed form as its docstring states it, in scalar math: T0 at t = 0
+    # and unless live(a, t), else T0 + (T_inj - T0) erfc(a / (2 sqrt(t)))
+    t_hot = sc.rock.initial_temperature
+    if t == 0.0 or not live(a, t):
+        return t_hot
+    return t_hot + (sc.fluid.injection_temperature - t_hot) * math.erfc(a / (2.0 * math.sqrt(t)))
+
+
+def test_fluid_temp_single_saturation_rule_bit_for_bit(valles, zeinali):
+    # at 41 stations from the inlet (a = 0) to the outlet, t = 0 and the times
+    # within 4 ulps of (a/12)^2, where the argument crosses 6, read the
+    # predicate a / (2 sqrt(t)) < 6 exactly as written, scalar and array
+    # alike. With T0 = 0 C, T0 + (T_inj - T0) erfc(6) is not T0, so there the
+    # algebraically equal a < 12 sqrt(t) would move some of these outputs.
+    moved = 0
+    for base, faces in itertools.product((valles, zeinali), (1, 2)):
+        single = collapse_to_single(base, faces)
+        zeroed = dataclasses.replace(
+            single, rock=dataclasses.replace(single.rock, initial_temperature=0.0),
+            fluid=dataclasses.replace(single.fluid, injection_temperature=-235.0))
+        for sc in (single, zeroed):
+            for x in np.linspace(0.0, sc.fractures.flow_length, 41).tolist():
+                a = transfer_coefficient(sc, x)
+                times = [(a / 12.0) ** 2]
+                for _ in range(4):
+                    times = [math.nextafter(times[0], 0.0), *times,
+                             math.nextafter(times[-1], math.inf)]
+                times = [0.0, *times]
+                want = [_closed_form(sc, a, t, _saturation_rule).hex() for t in times]
+                assert [float(fluid_temp_single(sc, x, t)).hex() for t in times] == want
+                got = fluid_temp_single(sc, x, np.array(times)).tolist()
+                assert [v.hex() for v in got] == want
+                moved += sum(_closed_form(sc, a, t, lambda a, t: a < 12.0 * math.sqrt(t)).hex()
+                             != w for t, w in zip(times, want))
+            assert fluid_temp_single(sc, 0.0, 1.0) == sc.fluid.injection_temperature
+    assert moved > 0  # so these times tell the rule from its rewrite
+
+
+_SITE_DOCS = {site: json.loads(bundled_scenario_path(site).read_text(encoding="utf-8"))
+              for site in ("valles_caldera", "zeinali")}
+# spans of T0 - T_inj from 1e-6 to 1e4 C, integer or float
+_SPANS = st.floats(-6.0, 4.0).map(lambda e: 10.0**e) | st.integers(1, 10_000)
+
+
+@st.composite
+def single_fracture_cases(draw):
+    """A one-fracture scenario built through scenario_from_dict, with its T0,
+    span, faces and rate drawn, and strictly increasing times from 0 through
+    saturated times to very large ones."""
+    doc = json.loads(json.dumps(_SITE_DOCS[draw(st.sampled_from(sorted(_SITE_DOCS)))]))
+    hot = draw(st.integers(-100, 1000) | st.floats(-100.0, 1000.0))
+    doc["rock"]["initial_temperature"] = hot
+    doc["fluid"]["injection_temperature"] = hot - draw(_SPANS)
+    doc["fractures"].update(count=1, spacing=None, faces=draw(st.sampled_from([1, 2])))
+    doc["operating"]["total_rate"] *= 10.0 ** draw(st.floats(-3.0, 3.0))
+    sc = scenario_from_dict(doc)
+    a = transfer_coefficient(sc, sc.fractures.flow_length)
+    # times as multiples of (a/12)^2, the last saturated time, and up to 1e250 s
+    scale = (a / 12.0) ** 2
+    factors = draw(st.lists(st.floats(-8.0, 40.0).map(lambda e: 10.0**e), max_size=40))
+    times = np.unique([0.0, scale, *(scale * f for f in factors),
+                       *draw(st.lists(st.floats(1e200, 1e250), max_size=3))])
+    return sc, times
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(single_fracture_cases())
+def test_single_path_series_lies_in_the_band_by_construction(case):
+    # the single path builds its series without a band check: erfc of a live
+    # argument lies in [0, 1] and a saturated time is T0 exactly, so every
+    # series passes check_band and rebuilds through the public constructor
+    sc, times = case
+    series = multi_fracture_forecast(sc, times)
+    cold, hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
+    ForecastSeries.check_band(series.outlet_temperatures, cold, hot)
+    rebuilt = ForecastSeries("single", times, series.outlet_temperatures, cold, hot)
+    assert np.array_equal(rebuilt.outlet_temperatures, series.outlet_temperatures)
+    assert series.outlet_temperatures[0] == hot
+
+
+@pytest.mark.parametrize("faces", [None, 1])
+def test_forecast_series_compare_by_identity(valles, faces):
+    # the fields hold arrays: two forecasts of one scenario and times are
+    # unequal without raising, and each hashes, by identity
+    sc = valles if faces is None else collapse_to_single(valles, faces)
+    times = np.geomspace(1e5, sc.operating.horizon, 50)
+    a, b = (multi_fracture_forecast(sc, times) for _ in range(2))
+    assert a == a and a != b and not a == b
+    assert hash(a) == hash(a) and len({a, b}) == 2

@@ -367,6 +367,17 @@ def test_fd_outlet_monotone_and_bounded(semi_run):
     assert np.all(temps >= 65.0 - 1e-9)
 
 
+def test_fd_details_and_snapshots_compare_by_identity(valles_single):
+    # their fields hold arrays: two default runs' details, snapshots and
+    # series are unequal without raising, and each hashes, by identity
+    grid = semi_infinite_grid(valles_single)
+    (s1, d1), (s2, d2) = (fd_simulate(valles_single, grid, PROBES, snapshot_times=[10.0 * YR],
+                                      return_details=True) for _ in range(2))
+    for a, b in ((d1, d2), (d1.snapshots[0], d2.snapshots[0]), (s1, s2)):
+        assert a == a and a != b and not a == b
+        assert hash(a) == hash(a) and len({a, b}) == 2
+
+
 def test_fd_snapshot_layout(semi_run):
     grid, _, details = semi_run
     # 300 dt: 64 steps of dt, 64 of 2 dt, then 27 of 4 dt

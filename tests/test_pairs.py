@@ -1,7 +1,7 @@
 """The pair driver's pure parts: strict parsing, quartiles, verdicts, report,
-and the comparison of two trees' outputs.
+the comparison of two trees' outputs and the reading of pytest's summary line.
 
-No benchmark run is started here.
+No benchmark or pytest run is started here.
 """
 
 import importlib.util
@@ -197,3 +197,22 @@ def test_compare_trees_joins_series_and_cli():
         {"command": "convert 1 bpd m3_per_s", "stdout": True, "stderr": True,
          "exit_code": True}]}
     json.dumps(got, allow_nan=False)
+
+
+@pytest.mark.parametrize("text, want", [
+    ("tests/test_x.py ..F\n1 failed, 603 passed in 17.80s\n", (603, 1, 0)),
+    ("===== 603 passed, 2 warnings in 12.30s =====\n\n", (603, 0, 0)),
+    ("1 failed, 600 passed, 1 skipped, 2 errors in 20.01s (0:00:20)", (600, 1, 2)),
+    ("1 error in 0.50s", (0, 0, 1)),
+    ("no tests ran in 0.01s", (0, 0, 0)),
+])
+def test_tier1_counts_read_pytests_summary_line(text, want):
+    got = pairs.tier1_counts(text)
+    assert (got["passed"], got["failed"], got["errors"]) == want
+
+
+@pytest.mark.parametrize("text", ["", "\n \n", "collected 604 items\n",
+                                  "1 failed, 603 passed in 17.80s\nINTERNALERROR> boom"])
+def test_tier1_counts_refuse_output_without_a_summary_line(text):
+    with pytest.raises(ValueError, match="no pytest summary line"):
+        pairs.tier1_counts(text)

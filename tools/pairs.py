@@ -40,6 +40,11 @@ sites, and every distinct ``cli_session`` command of the pairs' seeds as
 largest difference in C, the count of arrays that are not bit-identical and
 every refusal whose message differs between the trees, and, per command,
 whether its stdout, its stderr and its exit code match byte for byte.
+
+Last it runs the tier-1 test command (``TIER1_COMMAND``) once in each tree,
+the tree that ran first in the last pair now second, and records under
+``tier1`` each tree's wall time, exit code and the passed, failed and error
+counts of pytest's closing summary line.
 """
 
 from __future__ import annotations
@@ -50,6 +55,7 @@ import io
 import json
 import os
 import platform
+import re
 import statistics
 import subprocess
 import sys
@@ -284,6 +290,36 @@ def compare_trees(parent: dict, change: dict) -> dict:
             "cli": compare_cli(parent["cli"], change["cli"])}
 
 
+# run in a tree's root with that tree's src on the path
+TIER1_COMMAND = ["-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def tier1_counts(stdout: str) -> dict:
+    """The passed, failed and error counts of pytest's closing summary line,
+    the last non-empty one, such as "1 failed, 603 passed in 17.80s"."""
+    lines = [line.strip(" =") for line in stdout.splitlines() if line.strip(" =")]
+    if not lines or not re.search(r"\bin \d+(\.\d+)?s\b", lines[-1]):
+        raise ValueError(f"no pytest summary line: {lines[-1][:200] if lines else ''!r}")
+    counts = {"passed": 0, "failed": 0, "errors": 0}
+    for number, word in re.findall(r"(\d+) (passed|failed|errors?)\b", lines[-1]):
+        counts["errors" if word.startswith("error") else word] += int(number)
+    return counts
+
+
+def run_tier1(tree: Path) -> dict:
+    """Wall time, exit code and counts of one TIER1_COMMAND run in tree."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, *TIER1_COMMAND], cwd=tree, env=env,
+                          capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
+    wall = time.perf_counter() - started
+    # 0: all passed, 1: some failed; anything else ran no full suite
+    if proc.returncode not in (0, 1):
+        raise RuntimeError(f"tier-1 tests exited with {proc.returncode} in {tree}:\n"
+                           f"{(proc.stdout + proc.stderr)[-2000:]}")
+    return {"wall_s": wall, "exit_code": proc.returncode, **tier1_counts(proc.stdout)}
+
+
 def _git(*args: str) -> bytes:
     return subprocess.run(["git", *args], cwd=ROOT, check=True, capture_output=True).stdout
 
@@ -324,6 +360,13 @@ def _print_outputs(outputs: dict) -> None:
     for group, g in outputs["groups"].items():
         print(f"  {group:24s} max |diff| {g['max_abs_diff_C']:.3g} C over {g['arrays']} arrays, "
               f"{g['not_identical']} not identical, {g['refused']} refused by both")
+
+
+def _print_tier1(tier1: dict) -> None:
+    for side in ("parent", "change"):
+        t = tier1[side]
+        print(f"tier-1 {side}: {t['passed']} passed, {t['failed']} failed, {t['errors']} errors "
+              f"in {t['wall_s']:.1f} s" + ("  (first)" if tier1["first"] == side else ""))
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -372,6 +415,11 @@ def main(argv: list[str] | None = None) -> int:
             report["outputs"] = compare_trees(*(run_outputs(trees[side], seeds)
                                                 for side in ("parent", "change")))
             _print_outputs(report["outputs"])
+            # pair number args.pairs of the alternation: the last pair's second runs first
+            order = ("parent", "change") if args.pairs % 2 == 0 else ("change", "parent")
+            report["tier1"] = {"command": ["python", *TIER1_COMMAND], "first": order[0],
+                               **{side: run_tier1(trees[side]) for side in order}}
+            _print_tier1(report["tier1"])
             report["wall_s"] = time.time() - started
     except (OSError, RuntimeError, ValueError, subprocess.SubprocessError) as err:
         print(f"error: {err}", file=sys.stderr)
