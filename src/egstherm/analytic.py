@@ -142,8 +142,7 @@ def _erfc_response(sc: Scenario, numerator: float, t: float | np.ndarray) -> flo
     live = z < _ERFC_SATURATION
     out = np.empty(t.shape)
     out.fill(t_hot)
-    # T0 + (T_inj - T0) erfc(z) in place: the same product and sum, so the
-    # same bits
+    # T0 + (T_inj - T0) erfc(z) in place: the same product and sum, the same bits
     temps = specfun.erfc(z[live])
     temps *= sc.fluid.injection_temperature - t_hot
     temps += t_hot

@@ -427,11 +427,9 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
     length = sc.fractures.flow_length
     if sc.fractures.count == 1:
         temps = analytic.fluid_temp_single(sc, length, times)
-        # in the band by construction (erfc of a live argument lies in [0, 1],
-        # saturated times are T0 exactly), which a property test pins
-        return ForecastSeries._from_checked("single", times, temps,
-                                            sc.fluid.injection_temperature,
-                                            sc.rock.initial_temperature)
+        t_cold, t_hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
+        # in the band by construction (erfc lies in [0, 1]), as a property test pins
+        return ForecastSeries._from_checked("single", times, temps, t_cold, t_hot)
 
     # both bindings are looked up at call time and the closure is passed on
     # as returned, so a wrapper installed on either sees every call
