@@ -496,6 +496,11 @@ def _saturation_rule(a, t):
     return a / (2.0 * math.sqrt(t)) < 6.0
 
 
+def _rewritten_rule(a, t):
+    # algebraically the saturation rule, but not in float64
+    return a < 12.0 * math.sqrt(t)
+
+
 def _closed_form(sc, a, t, live):
     # the closed form as its docstring states it, in scalar math: T0 at t = 0
     # and unless live(a, t), else T0 + (T_inj - T0) erfc(a / (2 sqrt(t)))
@@ -509,8 +514,8 @@ def test_fluid_temp_single_saturation_rule_bit_for_bit(valles, zeinali):
     # at 41 stations from the inlet (a = 0) to the outlet, t = 0 and the times
     # within 4 ulps of (a/12)^2, where the argument crosses 6, read the
     # predicate a / (2 sqrt(t)) < 6 exactly as written, scalar and array
-    # alike. With T0 = 0 C, T0 + (T_inj - T0) erfc(6) is not T0, so there the
-    # algebraically equal a < 12 sqrt(t) would move some of these outputs.
+    # alike. With T0 = 0 C, T0 + (T_inj - T0) erfc(6) is not T0, so there
+    # _rewritten_rule would move some of these outputs.
     moved = 0
     for base, faces in itertools.product((valles, zeinali), (1, 2)):
         single = collapse_to_single(base, faces)
@@ -529,8 +534,8 @@ def test_fluid_temp_single_saturation_rule_bit_for_bit(valles, zeinali):
                 assert [float(fluid_temp_single(sc, x, t)).hex() for t in times] == want
                 got = fluid_temp_single(sc, x, np.array(times)).tolist()
                 assert [v.hex() for v in got] == want
-                moved += sum(_closed_form(sc, a, t, lambda a, t: a < 12.0 * math.sqrt(t)).hex()
-                             != w for t, w in zip(times, want))
+                moved += sum(_closed_form(sc, a, t, _rewritten_rule).hex() != w
+                             for t, w in zip(times, want))
             assert fluid_temp_single(sc, 0.0, 1.0) == sc.fluid.injection_temperature
     assert moved > 0  # so these times tell the rule from its rewrite
 
