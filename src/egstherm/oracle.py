@@ -9,13 +9,13 @@ Numerical layout
 ----------------
 * y (into the rock): geometrically stretched nodes clustered at the face,
   resolving the sqrt(alpha t) boundary layer without uniform-grid cost.
-  Far boundary either pinned at the initial temperature (truncated
-  semi-infinite domain) or zero-flux (slab symmetry midplane at half the
-  fracture spacing, the same geometry as the transform-domain slab model).
+  The scenario sets the far boundary: a single fracture's is pinned at T0
+  (truncated semi-infinite domain), an array's is zero-flux (slab symmetry
+  midplane at half the fracture spacing, the transform-domain slab model's).
 * time: theta-weighted implicit step (Crank-Nicolson after two damped
   backward-Euler startup steps) taken in modal space. The symmetrized
   interior Laplacian is diagonalized once per grid shape (ny, ratio,
-  bc_far) in a process, at unit depth, and each run scales that basis by
+  far boundary) in a process, at unit depth, and each run scales that basis by
   its y_max; the last four shapes stay cached, (ny + 1)^2 * 8 bytes each
   (0.32 MB at the default ny = 200). A step scales each mode by its
   amplification factor S and adds the face forcing, at every x-station at
@@ -91,8 +91,6 @@ __all__ = [
     "convergence_study",
 ]
 
-_BC_TAGS = ("dirichlet_T0", "neumann_zero")
-
 # semi-infinite mode aborts at the first block end where the node beside the
 # truncated boundary is disturbed by more than this many degrees
 _CONTAMINATION_LIMIT_C = 0.1
@@ -128,8 +126,8 @@ class OracleGrid:
     Attributes
     ----------
     y_max : float
-        Rock depth covered, m. Semi-infinite mode wants >= 6 sqrt(alpha *
-        horizon); slab mode uses exactly half the fracture spacing.
+        Rock depth covered, m: >= 6 sqrt(alpha * horizon) for a single
+        fracture's half-space, exactly half the spacing for an array.
     dt : float
         The first time step, s; see the module's step ladder.
     nx, ny : int
@@ -137,10 +135,6 @@ class OracleGrid:
         nx, 200, is slab mode's (:func:`slab_grid`), where the x part of the
         outlet error, 0.0023-0.0028 C, is as large as the total;
         :func:`semi_infinite_grid` takes 100.
-    bc_far : str
-        ``dirichlet_T0`` pins the far boundary at the initial temperature
-        (truncated half-space); ``neumann_zero`` makes it a zero-flux
-        symmetry midplane (slab mode).
     ratio : float
         Geometric stretching between adjacent y-cells, in (1, 1.1].
     """
@@ -149,7 +143,6 @@ class OracleGrid:
     dt: float
     nx: int = 200
     ny: int = 200
-    bc_far: str = "dirichlet_T0"
     ratio: float = 1.025
 
     def __post_init__(self) -> None:
@@ -161,8 +154,6 @@ class OracleGrid:
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be a finite number > 0, got {value}")
-        if self.bc_far not in _BC_TAGS:
-            raise ValueError(f"bc_far must be one of {_BC_TAGS}, got {self.bc_far!r}")
         if not 1.0 < self.ratio <= 1.1:
             raise ValueError(f"stretching ratio must lie in (1, 1.1], got {self.ratio}")
 
@@ -213,12 +204,12 @@ def slab_grid(
     ratio: float = OracleGrid.ratio,
     horizon: float | None = None,
 ) -> OracleGrid:
-    """The semi-infinite grid ended at the zero-flux midplane, spacing/2."""
+    """The semi-infinite grid ended at the zero-flux midplane, spacing/2:
+    the grid fd_simulate takes for an array."""
     spacing = sc.fractures.spacing
     if spacing is None or not 0.0 < spacing < math.inf:
         raise ValueError("slab mode requires a scenario with a finite positive fracture spacing")
-    grid = semi_infinite_grid(sc, nx, ny, n_steps, ratio, horizon, y_max=spacing / 2)
-    return replace(grid, bc_far="neumann_zero")
+    return semi_infinite_grid(sc, nx, ny, n_steps, ratio, horizon, y_max=spacing / 2)
 
 
 @dataclass(frozen=True, eq=False)
@@ -251,7 +242,7 @@ class OracleDetails:
 
 
 @functools.lru_cache(maxsize=4)
-def _modes(ny: int, ratio: float, bc_far: str):
+def _modes(ny: int, ratio: float, pinned: bool):
     """Eigenpairs of the interior 3-point Laplacian on the unit-depth grid.
 
     On the unknown nodes (1 .. ny-1 below a pinned far boundary, 1 .. ny
@@ -277,10 +268,10 @@ def _modes(ny: int, ratio: float, bc_far: str):
     writes R, S, E and its temporaries into three m x m buffers, the first
     of them T's own.
     """
-    y = OracleGrid(y_max=1.0, dt=1.0, ny=ny, bc_far=bc_far, ratio=ratio).y_nodes()
+    y = OracleGrid(y_max=1.0, dt=1.0, ny=ny, ratio=ratio).y_nodes()
     inv_h = 1.0 / np.diff(y)
     s_diag = -(inv_h[:-1] + inv_h[1:])
-    if bc_far == "neumann_zero":
+    if not pinned:
         s_diag = np.append(s_diag, -inv_h[-1])
     m = s_diag.size
     root_w = np.sqrt(_trapezoid_weights(y)[1 : m + 1])
@@ -430,6 +421,7 @@ def fd_simulate(
     ----------
     sc : Scenario
     grid : OracleGrid
+        Any grid for a single fracture; an array takes :func:`slab_grid`'s.
     probe_times : sequence of float
         Times (s, > 0, strictly increasing) at which the outlet temperature
         is reported, by linear interpolation between completed steps.
@@ -452,23 +444,29 @@ def fd_simulate(
     ------
     ValueError
         If sc breaks a rule of validate (a ScenarioError, as the loader
-        raises), if the snapshot times are not 1-D, if a probe or snapshot
-        time is not a finite number > 0, if reaching the latest of them takes
-        more than 10**6 steps, if the probe times are not 1-D and strictly
-        increasing (checked before any step), if the first y-cell is wider
-        than 5 sqrt(alpha t) at the run's end or too thin for 1/h^2 and alpha
-        dt/h^2 to be finite floats, if the y-grid is graded so strongly that
-        its eigenbasis fails its own check (named with ny, the ratio, ratio^ny
-        and the first cell), or if the fluid march gain of a step is not
-        positive: the grid is too coarse along x and the outlet would
-        oscillate along it, or if an outlet at a probe lies outside
-        [T_inj, T0] (named with the grid).
+        raises), if sc is an array and grid.y_max is not half its spacing
+        (named with both; use :func:`slab_grid`), if the snapshot times are
+        not 1-D, if a probe or snapshot time is not a finite number > 0, if
+        reaching the latest of them takes more than 10**6 steps, if the probe
+        times are not 1-D and strictly increasing (checked before any step),
+        if the first y-cell is wider than 5 sqrt(alpha t) at the run's end or
+        too thin for 1/h^2 and alpha dt/h^2 to be finite floats, if the
+        y-grid is graded so strongly that its eigenbasis fails its own check
+        (named with ny, the ratio, ratio^ny and the first cell), or if the
+        fluid march gain of a step is not positive: the grid is too coarse
+        along x and the outlet would oscillate along it, or if an outlet at a
+        probe lies outside [T_inj, T0] (named with the grid).
     RuntimeError
         If semi-infinite mode finds the node beside the truncated far boundary
         disturbed by more than 0.1 C at a block's end (named in the message):
         y_max is too small for the horizon.
     """
     refuse_invalid(sc)
+    fr = sc.fractures
+    pinned = fr.count == 1
+    if not (pinned or grid.y_max == fr.spacing / 2):
+        raise ValueError(f"the grid ends at y_max={grid.y_max} m, not at this array's zero-flux "
+                         f"midplane, spacing/2 = {fr.spacing / 2} m; build it with slab_grid")
     probe_times = np.asarray(probe_times, dtype=float)
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     if snapshot_times.ndim != 1:
@@ -482,7 +480,6 @@ def fd_simulate(
     t_hot = sc.rock.initial_temperature
     t_cold = sc.fluid.injection_temperature
     alpha = thermal_diffusivity(sc.rock)
-    fr = sc.fractures
     coupling = face_coupling(sc)
 
     latest = {"probe": probe_times.max(initial=0.0), "snapshot": snapshot_times.max(initial=0.0)}
@@ -502,7 +499,6 @@ def fd_simulate(
     thetas, multiples = (np.repeat(column, counts.astype(int)) for column in (thetas, multiples))
     ends = np.append(0, np.cumsum(multiples))
     n_steps = multiples.size
-    pinned = grid.bc_far == "dirichlet_T0"
     probe_times = ForecastSeries.check_times(probe_times)  # the series' time rule, before any step
 
     y = grid.y_nodes()
@@ -532,7 +528,7 @@ def fd_simulate(
     stencil = _gradient_stencil(y)
     # the unit-depth basis of this grid shape, scaled to y_max (lam / y_max**2
     # could overflow in the square)
-    basis = _modes(grid.ny, grid.ratio, grid.bc_far)
+    basis = _modes(grid.ny, grid.ratio, pinned)
     if basis is None:
         raise ValueError(
             f"the y-grid of ny={grid.ny} cells at stretching ratio {grid.ratio} spans "
@@ -704,13 +700,16 @@ def convergence_study(sc: Scenario, base_grid: OracleGrid, levels: int) -> Conve
     Raises
     ------
     ValueError
-        If levels < 2.
+        If levels < 2, or if sc is an array, which runs to its midplane.
     ArithmeticError
         If the error sequence is not strictly decreasing (a solver bug
         signal, reported with the full error column).
     """
     if not (isinstance(levels, int) and levels >= 2):
         raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
+    if sc.fractures.count != 1:
+        raise ValueError("convergence_study refines toward the isolated fracture's closed form; "
+                         f"an array of {sc.fractures.count} fractures runs to its midplane")
     horizon = sc.operating.horizon
     probe_times = np.geomspace(0.05 * horizon, horizon, 8)
     reference = analytic.fluid_temp_single(sc, sc.fractures.flow_length, probe_times)

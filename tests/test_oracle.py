@@ -87,8 +87,6 @@ def test_grid_invariants():
     with pytest.raises(ValueError):
         OracleGrid(y_max=10.0, dt=1.0, nx=40.0)
     with pytest.raises(ValueError):
-        OracleGrid(y_max=10.0, dt=1.0, bc_far="adiabatic")
-    with pytest.raises(ValueError):
         OracleGrid(y_max=10.0, dt=1.0, ratio=1.0)
     with pytest.raises(ValueError):
         OracleGrid(y_max=10.0, dt=1.0, ratio=1.2)
@@ -115,7 +113,6 @@ def test_grid_factories(valles, valles_single):
     semi = semi_infinite_grid(valles_single, n_steps=300)
     # covers six diffusion lengths of the fifty-year horizon
     assert semi.y_max == pytest.approx(230.48489002167122, rel=1e-12)
-    assert semi.bc_far == "dirichlet_T0"
     assert semi.dt == pytest.approx(valles_single.operating.horizon / 300, rel=1e-15)
     # a quarter of the horizon halves the diffusion length
     short = semi_infinite_grid(valles_single, ratio=1.05, horizon=12.5 * YR)
@@ -124,7 +121,6 @@ def test_grid_factories(valles, valles_single):
     assert semi_infinite_grid(valles_single, y_max=50.0).y_max == 50.0
     slab = slab_grid(valles)
     assert slab.y_max == 20.0  # half the 40 m spacing
-    assert slab.bc_far == "neumann_zero"
     short_slab = slab_grid(valles, ratio=1.05, horizon=12.5 * YR)
     assert (short_slab.y_max, short_slab.ratio, short_slab.dt) == (20.0, 1.05, 12.5 * YR / 2400)
     with pytest.raises(ValueError):
@@ -140,9 +136,39 @@ def test_grid_factories(valles, valles_single):
 def test_slab_grid_is_the_semi_infinite_grid_ended_at_the_midplane(site, request):
     sc = request.getfixturevalue(site)
     semi = semi_infinite_grid(sc, 40, 80, 400, 1.05, 12.5 * YR, y_max=sc.fractures.spacing / 2)
-    assert slab_grid(sc, 40, 80, 400, 1.05, 12.5 * YR) == dataclasses.replace(
-        semi, bc_far="neumann_zero"
-    )
+    assert slab_grid(sc, 40, 80, 400, 1.05, 12.5 * YR) == semi
+
+
+def test_fd_refuses_a_grid_that_does_not_end_at_the_arrays_midplane(valles, monkeypatch):
+    # an array runs to its zero-flux midplane, so its grid must end there:
+    # the 40 m array's slab grid does not serve the same array at 160 m, nor
+    # the half-space grid the bundled array. Both are refused before any step
+    wide = dataclasses.replace(valles, fractures=dataclasses.replace(valles.fractures,
+                                                                     spacing=160.0))
+    monkeypatch.setattr("egstherm.oracle._march_scan", lambda *_: pytest.fail("stepped"))
+    with pytest.raises(ValueError, match=re.escape(
+        "the grid ends at y_max=20.0 m, not at this array's zero-flux midplane, "
+        "spacing/2 = 80.0 m; build it with slab_grid"
+    )):
+        fd_simulate(wide, slab_grid(valles), [wide.operating.horizon])
+    semi = semi_infinite_grid(valles)
+    with pytest.raises(ValueError, match=re.escape(
+        f"the grid ends at y_max={semi.y_max} m, not at this array's zero-flux midplane, "
+        "spacing/2 = 20.0 m; build it with slab_grid"
+    )):
+        fd_simulate(valles, semi, [valles.operating.horizon])
+
+
+def test_fd_runs_a_single_fracture_in_a_half_space_on_any_grid(valles, valles_single):
+    # the scenario, not the grid, sets the far boundary: one fracture on the
+    # array's 20 m slab grid runs in a half-space truncated there, which keeps
+    # no energy ledger and is refused once the front reaches y_max
+    grid = slab_grid(valles, nx=100, ny=32)
+    _, slab = fd_simulate(valles, grid, [grid.dt], return_details=True)
+    _, half_space = fd_simulate(valles_single, grid, [grid.dt], return_details=True)
+    assert slab.rock_heat_loss_J is not None and half_space.rock_heat_loss_J is None
+    with pytest.raises(RuntimeError, match=re.escape(" beside y_max=20 m); enlarge y_max ")):
+        fd_simulate(valles_single, grid, [valles.operating.horizon])
 
 
 def test_fd_rejects_bad_probes(valles_single):
@@ -585,7 +611,7 @@ def test_fd_default_runs_keep_one_block_alive(valles, valles_single):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < limit * 2**20, (grid.bc_far, grid.nx, peak)
+        assert peak < limit * 2**20, (sc.fractures.count, grid.nx, peak)
 
 
 def test_fd_slab_energy_balance(slab_run):
@@ -616,7 +642,7 @@ def _direct_theta_scheme(sc, grid, dts, thetas):
         fr.flow_length / nx / 2.0 * fr.faces * sc.rock.conductivity
         / (sc.fluid.density * sc.fluid.specific_heat * fracture_velocity(sc) * fr.aperture)
     )
-    pinned = grid.bc_far == "dirichlet_T0"
+    pinned = sc.fractures.count == 1
 
     lap = np.zeros((ny + 1, ny + 1))
     for j in range(1, ny):
@@ -810,11 +836,14 @@ def test_fd_scaled_basis_matches_the_grids_own_decomposition(site, request):
     # On the graded shapes (spans 1.05^250 and 1.025^466, about 10^5) NumPy's
     # eigh alone is up to 4e-6 off: only the basis's refinement meets the bounds
     sc = request.getfixturevalue(site)
-    slab, semi = slab_grid(sc), semi_infinite_grid(collapse_to_single(sc, faces=1))
-    graded = [dataclasses.replace(grid, ny=250, ratio=1.05) for grid in (slab, semi)]
-    for grid in (slab, semi, *graded, dataclasses.replace(slab, ny=466)):
-        lam, vectors, root_w = _direct_modes(grid.y_nodes(), grid.bc_far == "dirichlet_T0")
-        unit_lam, unit_vectors, unit_root_w = _modes(grid.ny, grid.ratio, grid.bc_far)
+    single = collapse_to_single(sc, faces=1)
+    slab, semi = slab_grid(sc), semi_infinite_grid(single)
+    graded = [(s, dataclasses.replace(grid, ny=250, ratio=1.05))
+              for s, grid in ((sc, slab), (single, semi))]
+    for s, grid in ((sc, slab), (single, semi), *graded, (sc, dataclasses.replace(slab, ny=466))):
+        pinned = s.fractures.count == 1
+        lam, vectors, root_w = _direct_modes(grid.y_nodes(), pinned)
+        unit_lam, unit_vectors, unit_root_w = _modes(grid.ny, grid.ratio, pinned)
         scaled_lam = unit_lam / grid.y_max / grid.y_max
         assert np.max(np.abs(scaled_lam - lam) / np.abs(lam)) <= 3.2e-13
         assert np.max(np.abs(unit_root_w * np.sqrt(grid.y_max) - root_w) / root_w) <= 4.5e-15
@@ -824,11 +853,11 @@ def test_fd_scaled_basis_matches_the_grids_own_decomposition(site, request):
 
 def test_fd_cached_basis_is_read_only_and_bounded():
     try:
-        for array in _modes(17, 1.05, "dirichlet_T0"):
+        for array in _modes(17, 1.05, True):
             with pytest.raises(ValueError, match="read-only"):
                 array[-1] = 0.0
         for ny in range(16, 26):
-            _modes(ny, 1.05, "neumann_zero")
+            _modes(ny, 1.05, False)
             info = _modes.cache_info()
             assert info.maxsize is not None and info.currsize <= info.maxsize
     finally:
@@ -884,6 +913,18 @@ def test_convergence_study_rejects_single_level(valles_single):
     base = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
     with pytest.raises(ValueError):
         convergence_study(valles_single, base, levels=1)
+
+
+def test_convergence_study_refuses_an_array(valles, monkeypatch):
+    # it refines toward the isolated fracture's closed form, which an array,
+    # running to its midplane, does not approach: refused before any run
+    monkeypatch.setattr("egstherm.oracle.fd_simulate", lambda *_: pytest.fail("ran"))
+    base = slab_grid(valles, nx=16, ny=16, n_steps=100)
+    with pytest.raises(ValueError, match=re.escape(
+        "convergence_study refines toward the isolated fracture's closed form; an array of "
+        "10 fractures runs to its midplane"
+    )):
+        convergence_study(valles, base, levels=2)
 
 
 def test_convergence_study_refuses_errors_that_do_not_shrink(valles_single, monkeypatch):

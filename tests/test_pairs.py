@@ -1,5 +1,6 @@
-"""The pair driver's pure parts: strict parsing, quartiles, verdicts, report,
-the comparison of two trees' outputs and the reading of pytest's summary line.
+"""The pair driver's pure parts: strict parsing, the traced line's check,
+quartiles, verdicts, report, the comparison of two trees' outputs and the
+reading of pytest's summary line.
 
 No benchmark or pytest run is started here.
 """
@@ -37,6 +38,22 @@ def test_last_result_is_the_last_line():
         pairs.last_result('{"metrics": {}}')
     with pytest.raises(ValueError, match="non-finite number NaN"):
         pairs.last_result(json.dumps(_result(op_p50_ms=float("nan"))))
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_traced_line_names_the_constant_it_refuses(constant):
+    # only the last non-empty line counts, as in the untraced runs
+    report = '{"metrics": {"laplace.stehfest_invert_us": {"value": 1.5}}}'
+    assert pairs.traced_line(f"{{}}\nstarted\n{report}\n\n") == {"strict_json": True}
+    bare = f'{{"metrics": {{"a": {{"value": {constant}}}, "b": {{"value": NaN}}}}}}'
+    assert pairs.traced_line(f"{report}\n{bare}\n") == {"strict_json": False,
+                                                         "refused": constant}
+
+
+def test_traced_line_reports_output_that_does_not_parse():
+    assert pairs.traced_line(" \n") == {"strict_json": False, "error": "printed nothing"}
+    got = pairs.traced_line('{"metrics": {"a": nan}}')
+    assert got["strict_json"] is False and got["error"].startswith("Expecting value")
 
 
 def test_quartiles_interpolate_inclusively():

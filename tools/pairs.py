@@ -30,7 +30,13 @@ A workload whose change fails a larger share of operations than the parent,
 in the median, is flagged ``more_failed``, and none of its metrics is then a
 ``gain``: those read ``within bound``.
 
-After the pairs it also runs one fixed script (``OUTPUTS_SCRIPT``) in each
+After the pairs it runs each tree's ``perfbench/run.py --trace 1`` once per
+workload, for ``run_seconds`` on the first pair's seed, and records under
+``traced`` whether the last line is strict JSON and, if not, the constant it
+refused (the traced report is where a per-layer span that no operation
+reaches has printed a bare ``NaN``).
+
+Then it runs one fixed script (``OUTPUTS_SCRIPT``) in each
 tree, in a subprocess importing that tree's ``src``: the design panel of the
 tree's own ``perfbench/workloads.py``, array at Stehfest orders 8, 12, 16 and
 18 and isolated once (the single-fracture path reads no Stehfest order), the
@@ -89,6 +95,23 @@ def last_result(stdout: str) -> dict:
                                              "metrics"} <= result.keys():
         raise ValueError(f"last line is not a benchmark result: {lines[-1][:200]}")
     return result
+
+
+def traced_line(stdout: str) -> dict:
+    """Whether a traced run's last non-empty output line is strict JSON:
+    {"strict_json": True}, or False with the first non-finite constant it
+    holds ("refused") or why it does not parse at all ("error")."""
+    lines = [line for line in stdout.splitlines() if line.strip()]
+    if not lines:
+        return {"strict_json": False, "error": "printed nothing"}
+    refused = []
+    try:
+        json.loads(lines[-1], parse_constant=refused.append)
+    except ValueError as err:
+        return {"strict_json": False, "error": str(err)}
+    if refused:
+        return {"strict_json": False, "refused": refused[0]}
+    return {"strict_json": True}
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -332,13 +355,17 @@ def export(rev: str, dest: Path) -> str:
     return commit
 
 
-def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def _benchmark_stdout(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> str:
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload,
-           "--seed", str(seed), "--seconds", format(seconds, "g"), "--trace", "0"]
+           "--seed", str(seed), "--seconds", format(seconds, "g"), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         raise RuntimeError(f"{' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr[-2000:]}")
-    return last_result(proc.stdout)
+    return proc.stdout
+
+
+def run_benchmark(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    return last_result(_benchmark_stdout(tree, workload, seed, seconds, trace=0))
 
 
 def _print_workload(workload: str, report: dict) -> None:
@@ -350,6 +377,14 @@ def _print_workload(workload: str, report: dict) -> None:
         print(f"  {name:12s} {p['median']:.6g} [{p['q1']:.6g}, {p['q3']:.6g}] -> "
               f"{c['median']:.6g} [{c['q1']:.6g}, {c['q3']:.6g}]  "
               f"won {m['wins']}/{m['pairs']}  {m['verdict']}")
+
+
+def _print_traced(traced: dict) -> None:
+    for workload, sides in traced["workloads"].items():
+        print(f"traced {workload}: " + ", ".join(
+            f"{side} " + ("strict JSON" if t["strict_json"] else
+                          f"NOT strict JSON ({t.get('refused') or t.get('error')})")
+            for side, t in sides.items()))
 
 
 def _print_outputs(outputs: dict) -> None:
@@ -411,6 +446,13 @@ def main(argv: list[str] | None = None) -> int:
                     runs.append(run)
                 report["workloads"][workload] = summarise(runs, bench["end_to_end"])
                 _print_workload(workload, report["workloads"][workload])
+            report["traced"] = {
+                "command": [*bench["command"], "--trace", "1"], "seed": args.seed,
+                "workloads": {workload: {side: traced_line(_benchmark_stdout(
+                    trees[side], workload, args.seed, seconds, trace=1))
+                    for side in ("parent", "change")} for workload in args.workload or names},
+            }
+            _print_traced(report["traced"])
             seeds = [args.seed + i for i in range(args.pairs)]
             report["outputs"] = compare_trees(*(run_outputs(trees[side], seeds)
                                                 for side in ("parent", "change")))
