@@ -9,9 +9,9 @@ Numerical layout
 ----------------
 * y (into the rock): geometrically stretched nodes clustered at the face,
   resolving the sqrt(alpha t) boundary layer without uniform-grid cost.
-  The scenario sets the far boundary: a single fracture's is pinned at T0
-  (truncated semi-infinite domain), an array's is zero-flux (slab symmetry
-  midplane at half the fracture spacing, the transform-domain slab model's).
+  The scenario sets the far boundary: an isolated fracture's (count 1, or
+  infinite spacing) is pinned at T0 (truncated semi-infinite domain), an
+  array's is zero-flux (slab symmetry midplane at half the spacing).
 * time: theta-weighted implicit step (Crank-Nicolson after two damped
   backward-Euler startup steps) taken in modal space. The symmetrized
   interior Laplacian is diagonalized once per grid shape (ny, ratio,
@@ -126,7 +126,7 @@ class OracleGrid:
     Attributes
     ----------
     y_max : float
-        Rock depth covered, m: >= 6 sqrt(alpha * horizon) for a single
+        Rock depth covered, m: >= 6 sqrt(alpha * horizon) for an isolated
         fracture's half-space, exactly half the spacing for an array.
     dt : float
         The first time step, s; see the module's step ladder.
@@ -421,7 +421,7 @@ def fd_simulate(
     ----------
     sc : Scenario
     grid : OracleGrid
-        Any grid for a single fracture; an array takes :func:`slab_grid`'s.
+        Any grid for an isolated fracture; an array takes :func:`slab_grid`'s.
     probe_times : sequence of float
         Times (s, > 0, strictly increasing) at which the outlet temperature
         is reported, by linear interpolation between completed steps.
@@ -463,7 +463,7 @@ def fd_simulate(
     """
     refuse_invalid(sc)
     fr = sc.fractures
-    pinned = fr.count == 1
+    pinned = fr.count == 1 or fr.spacing == math.inf  # isolated, as validate reads it
     if not (pinned or grid.y_max == fr.spacing / 2):
         raise ValueError(f"the grid ends at y_max={grid.y_max} m, not at this array's zero-flux "
                          f"midplane, spacing/2 = {fr.spacing / 2} m; build it with slab_grid")
@@ -700,14 +700,14 @@ def convergence_study(sc: Scenario, base_grid: OracleGrid, levels: int) -> Conve
     Raises
     ------
     ValueError
-        If levels < 2, or if sc is an array, which runs to its midplane.
+        If levels < 2, or if sc is an array at a finite spacing.
     ArithmeticError
         If the error sequence is not strictly decreasing (a solver bug
         signal, reported with the full error column).
     """
     if not (isinstance(levels, int) and levels >= 2):
         raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
-    if sc.fractures.count != 1:
+    if not (sc.fractures.count == 1 or sc.fractures.spacing == math.inf):
         raise ValueError("convergence_study refines toward the isolated fracture's closed form; "
                          f"an array of {sc.fractures.count} fractures runs to its midplane")
     horizon = sc.operating.horizon

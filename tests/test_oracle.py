@@ -171,6 +171,19 @@ def test_fd_runs_a_single_fracture_in_a_half_space_on_any_grid(valles, valles_si
         fd_simulate(valles_single, grid, [valles.operating.horizon])
 
 
+def test_fd_runs_an_array_at_infinite_spacing_as_isolated_fractures(valles):
+    # validate reads an infinite spacing as isolated fractures: each runs in
+    # the half-space, bit for bit one fracture at its share of the rate
+    fr, op = valles.fractures, valles.operating
+    apart = dataclasses.replace(valles, fractures=dataclasses.replace(fr, spacing=np.inf))
+    one = dataclasses.replace(valles, fractures=dataclasses.replace(fr, count=1, spacing=None),
+                              operating=dataclasses.replace(op, total_rate=op.total_rate / fr.count))
+    grid = semi_infinite_grid(apart, nx=16, ny=32, n_steps=300)
+    (a, details), (b, _) = (fd_simulate(sc, grid, PROBES, return_details=True) for sc in (apart, one))
+    assert np.array_equal(a.outlet_temperatures, b.outlet_temperatures)
+    assert details.rock_heat_loss_J is None
+
+
 def test_fd_rejects_bad_probes(valles_single):
     grid = semi_infinite_grid(valles_single, nx=16, ny=16, n_steps=100)
     with pytest.raises(ValueError):

@@ -44,10 +44,10 @@ def test_last_result_is_the_last_line():
 def test_traced_line_names_the_constant_it_refuses(constant):
     # only the last non-empty line counts, as in the untraced runs
     report = '{"metrics": {"laplace.stehfest_invert_us": {"value": 1.5}}}'
-    assert pairs.traced_line(f"{{}}\nstarted\n{report}\n\n") == {"strict_json": True}
     bare = f'{{"metrics": {{"a": {{"value": {constant}}}, "b": {{"value": NaN}}}}}}'
     assert pairs.traced_line(f"{report}\n{bare}\n") == {"strict_json": False,
                                                          "refused": constant}
+    assert pairs.traced_line(f"{bare}\n{report}\n\n") == {"strict_json": True}
 
 
 def test_traced_line_reports_output_that_does_not_parse():
