@@ -1,4 +1,4 @@
-"""The pair driver's pure parts: strict parsing, the traced line's check,
+"""The pure parts of tools/pairs.py: strict parsing, the traced line's check,
 quartiles, verdicts, report, the comparison of two trees' outputs and the
 reading of pytest's summary line.
 
