@@ -26,9 +26,7 @@ _SUBMODULE = {
     "thermal_power": "analytic",
     "time_to_radius": "scenario",
     "StehfestConfig": "laplace",
-    "fluid_temp_laplace": "laplace",
-    "fluid_temp_laplace_slab": "laplace",
-    "fluid_drop_laplace_slab": "laplace",
+    "fluid_drop_laplace": "laplace",
     "multi_fracture_forecast": "laplace",
     "stehfest_invert": "laplace",
     "ConvergenceStudy": "oracle",
@@ -46,6 +44,7 @@ _SUBMODULE = {
     "bundled_scenario": "scenario",
     "bundled_scenario_path": "scenario",
     "fracture_velocity": "scenario",
+    "half_spacing": "scenario",
     "load_scenario": "scenario",
     "scenario_from_dict": "scenario",
     "thermal_diffusivity": "scenario",

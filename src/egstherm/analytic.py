@@ -62,7 +62,7 @@ class ForecastSeries:
     """A produced-temperature time series from one model.
 
     times are seconds, strictly increasing (check_times); temperatures lie
-    in [T_inj, T0] up to a rounding slack (check_band). The public
+    in [T_inj, T0] up to band_outlier's default rounding slack. The public
     constructor, dataclasses.replace included, applies both rules. The
     engines apply each rule once on their own terms and build their series
     from those parts with _from_checked, which repeats neither. Equality
@@ -85,16 +85,6 @@ class ForecastSeries:
             raise ValueError("times must be strictly increasing")
         return times
 
-    @staticmethod
-    def check_band(temps: np.ndarray, cold: float, hot: float) -> None:
-        """Refuse temps unless each lies in [cold, hot] up to band_outlier's
-        default slack; a NaN lies outside."""
-        if band_outlier(temps, cold, hot) is not None:
-            raise ValueError(
-                "outlet temperatures must lie between the injection and initial "
-                f"temperatures [{cold}, {hot}]"
-            )
-
     def __post_init__(self) -> None:
         if self.model not in MODEL_TAGS:
             raise ValueError(f"model must be one of {MODEL_TAGS}, got {self.model!r}")
@@ -104,7 +94,12 @@ class ForecastSeries:
             raise ValueError("times and outlet_temperatures must be 1-D and equal length")
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "outlet_temperatures", temps)
-        self.check_band(temps, self.injection_temperature, self.initial_temperature)
+        cold, hot = self.injection_temperature, self.initial_temperature
+        if band_outlier(temps, cold, hot) is not None:
+            raise ValueError(
+                "outlet temperatures must lie between the injection and initial "
+                f"temperatures [{cold}, {hot}]"
+            )
 
     @classmethod
     def _from_checked(cls, model: str, times: np.ndarray, temps: np.ndarray,
@@ -113,9 +108,9 @@ class ForecastSeries:
 
         The caller's contract: model is one of MODEL_TAGS; times is the
         float64 array check_times returned; temps is a float64 array of the
-        times' shape with no NaN and every sample within check_band's slack
-        of [cold, hot], as a band check, or a clip after a check that refused
-        NaN, has made sure.
+        times' shape with no NaN and every sample within band_outlier's
+        default slack of [cold, hot], as a band check, or a clip after a
+        check that refused NaN, has made sure.
         """
         series = object.__new__(cls)
         object.__setattr__(series, "model", model)

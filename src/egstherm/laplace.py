@@ -1,12 +1,14 @@
-"""Gaver-Stehfest Laplace inversion and the Laplace-domain fluid solutions.
+"""Gaver-Stehfest Laplace inversion and the Laplace-domain cooling drop.
 
-The produced-temperature transform for a fracture against a semi-infinite
-rock half-space has a closed-form time-domain inverse, which makes it the
-natural self-test for the inversion machinery. The finite-slab variant
-(adjacent fractures share the rock between them, with a zero-flux symmetry
-midplane at half the spacing) has no elementary inverse and is where the
-numerical inversion earns its keep: it is the engine behind the
-multi-fracture forecast.
+One image, :func:`fluid_drop_laplace`, serves the isolated fracture and the
+array alike: the rock behind each fracture face ends at the depth
+:func:`~egstherm.scenario.half_spacing` reads from the scenario, half the
+spacing for an array (adjacent fractures share the rock between them, with a
+zero-flux symmetry midplane) and infinity for an isolated fracture. The
+half-space drop has a closed-form time-domain inverse, which makes it the
+natural self-test for the inversion machinery. The finite slab has no
+elementary inverse and is where the numerical inversion earns its keep: it
+is the engine behind the multi-fracture forecast.
 
 Stehfest weights are assembled exactly as rationals and only then rounded;
 the alternating weights grow like 10^12 by n_terms = 20, so naive
@@ -48,15 +50,14 @@ import numpy as np
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
 from .analytic import ForecastSeries, band_outlier
-from .scenario import along_fracture, face_coupling, refuse_invalid, thermal_diffusivity
+from .scenario import along_fracture, face_coupling, half_spacing
+from .scenario import refuse_invalid, thermal_diffusivity
 
 __all__ = [
     "LaplaceImage",
     "StehfestConfig",
     "stehfest_invert",
-    "fluid_temp_laplace",
-    "fluid_temp_laplace_slab",
-    "fluid_drop_laplace_slab",
+    "fluid_drop_laplace",
     "multi_fracture_forecast",
 ]
 
@@ -262,87 +263,44 @@ def stehfest_invert(
     return float(out) if out.ndim == 0 else out
 
 
-def fluid_temp_laplace(sc, x: float) -> LaplaceImage:
-    """Transform of the produced-fluid temperature, semi-infinite rock.
-
-    s -> T0/s + (T_inj - T0)/s * exp(-a sqrt(s)), with a the scenario's
-    transfer coefficient at x: the slab image at infinite spacing, tanh = 1.
-    The decaying exponential branch is the physical one (bounded
-    temperatures). The time-domain inverse is the closed form in
-    :func:`egstherm.analytic.fluid_temp_single`, so the two routes
-    cross-validate each other.
-    """
-    return _temperature_image(sc, _drop_image(sc, x, math.inf))
-
-
-def fluid_temp_laplace_slab(sc, x: float) -> LaplaceImage:
-    """Transform of the produced-fluid temperature, finite rock slab.
-
-    Models an interior member of an equidistant fracture array: the rock
-    available to each exchange face extends only to the midplane between
-    neighbours, d = spacing/2, where symmetry forces zero flux. In the
-    transform domain the half-space kernel sqrt(s/alpha) picks up a factor
-    tanh(d sqrt(s/alpha)):
-
-        s -> T0/s + (T_inj - T0) * D(s),
-
-    with D the cooling drop of :func:`fluid_drop_laplace_slab`. tanh -> 1
-    recovers the semi-infinite image exactly, so early times are
-    indistinguishable from the isolated fracture; once the diffusion depth
-    reaches d the slab starts exhausting its heat inventory and the forecast
-    drops toward T_inj on the depletion timescale
-    faces x d rho_r c_r / (rho_f c_f v b).
-    """
-    return _temperature_image(sc, fluid_drop_laplace_slab(sc, x))
-
-
-def fluid_drop_laplace_slab(sc, x: float) -> LaplaceImage:
-    """Transform of the normalised cooling drop (T0 - T) / (T0 - T_inj), finite
-    rock slab of half-thickness d = spacing/2:
+def fluid_drop_laplace(sc, x: float) -> LaplaceImage:
+    """Transform of the normalised cooling drop (T0 - T) / (T0 - T_inj) at x:
 
         D(s) = exp(-x g(s)) / s,
-        g(s) = (faces k / (rho_f c_f v b)) sqrt(s/alpha) tanh(d sqrt(s/alpha)).
+        g(s) = (faces k / (rho_f c_f v b)) sqrt(s/alpha) tanh(d sqrt(s/alpha)),
 
-    Its inverse is 0 before the cooling front arrives and rises toward 1 as
-    the slab is depleted. The array forecast inverts this image, not the
-    temperature's: the temperature's T0/s term inverts to T0 exactly.
+    with d = :func:`~egstherm.scenario.half_spacing` the rock depth behind each
+    face. An array's slab ends at the zero-flux midplane, d = spacing/2; an
+    isolated fracture's rock is a half-space, d = inf, where tanh = 1 and the
+    inverse is the closed form erfc(a / (2 sqrt(t))) of
+    :func:`egstherm.analytic.fluid_temp_single`, so the two routes
+    cross-validate each other. A finite d leaves early times indistinguishable
+    from the isolated fracture; once the diffusion depth reaches d the slab
+    starts exhausting its heat inventory and the drop rises toward 1 on the
+    depletion timescale faces x d rho_r c_r / (rho_f c_f v b).
+
+    The produced temperature is T0 + (T_inj - T0) times the inverse: the
+    temperature image's other term, T0/s, inverts to T0 exactly. The image
+    takes an unvalidated scenario; an array whose spacing is not > 0 and an
+    x outside [0, flow_length] are refused with a ValueError.
     """
-    fr = sc.fractures
-    if fr.count <= 1:
-        raise ValueError("slab image requires a multi-fracture array (count > 1)")
-    if fr.spacing is None or not fr.spacing > 0.0:
-        raise ValueError("slab image requires a positive fracture spacing")
-    return _drop_image(sc, x, fr.spacing / 2.0)
-
-
-def _drop_image(sc, x: float, half_spacing: float) -> LaplaceImage:
-    """The cooling drop's image at half-spacing d; d = inf is the half-space."""
+    depth = half_spacing(sc)
     x = along_fracture(sc, x)
     alpha = thermal_diffusivity(sc.rock)
     coupling = face_coupling(sc)
-    half_space = not half_spacing < _HALF_SPACE_DEPTH * math.sqrt(alpha)
+    half_space = not depth < _HALF_SPACE_DEPTH * math.sqrt(alpha)
 
     def image(s):
         root = np.sqrt(s / alpha)
-        gamma = coupling * root * (1.0 if half_space else np.tanh(half_spacing * root))
+        gamma = coupling * root * (1.0 if half_space else np.tanh(depth * root))
         return np.exp(-x * gamma) / s
 
     return image
 
 
-def _temperature_image(sc, drop: LaplaceImage) -> LaplaceImage:
-    """s -> T0/s + (T_inj - T0) drop(s)."""
-    t_hot = sc.rock.initial_temperature
-    span = sc.fluid.injection_temperature - t_hot
-
-    def image(s):
-        return t_hot / s + span * drop(s)
-
-    return image
-
-
-def _arrival(n_terms: int, reach: float, half_spacing: float, alpha: float) -> float:
-    """Latest time, s, up to which the n-term sum of the slab image is T0 in float64.
+def _arrival(n_terms: int, reach: float, depth: float, alpha: float) -> float:
+    """Latest time, s, up to which the n-term sum of the drop image at rock
+    depth d is T0 in float64.
 
     The n-term sum of the cooling drop at t is sum_k (V_k / k)
     exp(-x gamma(k ln 2 / t)), with gamma(s) = c r tanh(d r), r = sqrt(s / alpha);
@@ -358,8 +316,8 @@ def _arrival(n_terms: int, reach: float, half_spacing: float, alpha: float) -> f
     if not (0.0 < reach < math.inf and 0.0 < alpha < math.inf):
         return 0.0
     r0 = _front_exponent(n_terms) / reach
-    depth = math.tanh(half_spacing * r0) / r0
-    return depth * depth * math.log(2.0) / alpha
+    root_t = math.tanh(depth * r0) / r0
+    return root_t * root_t * math.log(2.0) / alpha
 
 
 def _finish_series(raw, times, sc, config: StehfestConfig):
@@ -400,8 +358,8 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
 
     A single fracture takes the exact closed-form path, whose samples lie in
     [T_inj, T0] by construction (pinned by a test, not checked at run time).
-    An array takes the finite-slab transform of the cooling drop
-    (:func:`fluid_drop_laplace_slab`), inverted numerically in one
+    An array takes the transform of the cooling drop at its half-spacing
+    (:func:`fluid_drop_laplace`), inverted numerically in one
     :func:`stehfest_invert` call over every
     requested time later than :func:`_arrival`'s bound and scaled onto
     [T_inj, T0]. t = 0 and the times up to that bound, where the cooling
@@ -433,12 +391,12 @@ def multi_fracture_forecast(sc, times: Sequence[float], config: StehfestConfig =
 
     # both bindings are looked up at call time and the closure is passed on
     # as returned, so a wrapper installed on either sees every call
-    drop = fluid_drop_laplace_slab(sc, length)
+    drop = fluid_drop_laplace(sc, length)
     samples = np.float64 if config.n_terms <= _FLOAT64_IMAGE_MAX_TERMS else np.longdouble
     front = _arrival(
         config.n_terms,
         length * face_coupling(sc),
-        sc.fractures.spacing / 2.0,
+        half_spacing(sc),
         thermal_diffusivity(sc.rock),
     )
     t_hot = sc.rock.initial_temperature

@@ -78,7 +78,7 @@ import numpy as np
 # wraps them), and a copy taken at import would then be wrapped twice
 from . import analytic
 from .analytic import ForecastSeries, band_outlier
-from .scenario import Scenario, face_coupling, refuse_invalid, thermal_diffusivity
+from .scenario import Scenario, face_coupling, half_spacing, refuse_invalid, thermal_diffusivity
 
 __all__ = [
     "OracleGrid",
@@ -205,11 +205,18 @@ def slab_grid(
     horizon: float | None = None,
 ) -> OracleGrid:
     """The semi-infinite grid ended at the zero-flux midplane, spacing/2:
-    the grid fd_simulate takes for an array."""
-    spacing = sc.fractures.spacing
-    if spacing is None or not 0.0 < spacing < math.inf:
-        raise ValueError("slab mode requires a scenario with a finite positive fracture spacing")
-    return semi_infinite_grid(sc, nx, ny, n_steps, ratio, horizon, y_max=spacing / 2)
+    the grid fd_simulate takes for an array. An isolated fracture's rock has
+    no midplane, so its scenario is refused, as is an array whose spacing is
+    not > 0 (by :func:`~egstherm.scenario.half_spacing`)."""
+    depth = half_spacing(sc)
+    if depth == math.inf:
+        raise ValueError(
+            "slab mode requires a scenario with a finite positive fracture spacing"
+            if sc.fractures.count > 1
+            else "slab mode requires a fracture array (count > 1); one fracture runs on "
+            "semi_infinite_grid"
+        )
+    return semi_infinite_grid(sc, nx, ny, n_steps, ratio, horizon, y_max=depth)
 
 
 @dataclass(frozen=True, eq=False)
@@ -463,10 +470,11 @@ def fd_simulate(
     """
     refuse_invalid(sc)
     fr = sc.fractures
-    pinned = fr.count == 1 or fr.spacing == math.inf  # isolated, as validate reads it
-    if not (pinned or grid.y_max == fr.spacing / 2):
+    depth = half_spacing(sc)
+    pinned = depth == math.inf  # an isolated fracture's far boundary holds T0
+    if not (pinned or grid.y_max == depth):
         raise ValueError(f"the grid ends at y_max={grid.y_max} m, not at this array's zero-flux "
-                         f"midplane, spacing/2 = {fr.spacing / 2} m; build it with slab_grid")
+                         f"midplane, spacing/2 = {depth} m; build it with slab_grid")
     probe_times = np.asarray(probe_times, dtype=float)
     snapshot_times = np.asarray(snapshot_times, dtype=float)
     if snapshot_times.ndim != 1:
@@ -700,14 +708,15 @@ def convergence_study(sc: Scenario, base_grid: OracleGrid, levels: int) -> Conve
     Raises
     ------
     ValueError
-        If levels < 2, or if sc is an array at a finite spacing.
+        If levels < 2, or if sc is an array at a finite spacing, or one
+        whose spacing is not > 0 (named by half_spacing).
     ArithmeticError
         If the error sequence is not strictly decreasing (a solver bug
         signal, reported with the full error column).
     """
     if not (isinstance(levels, int) and levels >= 2):
         raise ValueError(f"levels must be an integer >= 2, got {levels!r}")
-    if not (sc.fractures.count == 1 or sc.fractures.spacing == math.inf):
+    if half_spacing(sc) < math.inf:
         raise ValueError("convergence_study refines toward the isolated fracture's closed form; "
                          f"an array of {sc.fractures.count} fractures runs to its midplane")
     horizon = sc.operating.horizon

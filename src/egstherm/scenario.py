@@ -43,6 +43,7 @@ __all__ = [
     "fracture_velocity",
     "face_coupling",
     "along_fracture",
+    "half_spacing",
     "transfer_coefficient",
     "collapse_to_single",
     "validate",
@@ -223,6 +224,27 @@ def along_fracture(sc: Scenario, x: float) -> float:
     if not 0.0 <= x <= sc.fractures.flow_length:
         raise ValueError(f"x must lie in [0, flow_length={sc.fractures.flow_length}], got {x}")
     return x
+
+
+def half_spacing(sc: Scenario) -> float:
+    """Depth of rock behind each fracture face, m: half the spacing for an
+    array, whose zero-flux midplane between neighbours ends it, and inf for
+    an isolated fracture (count 1, or an infinite spacing, as validate reads
+    it), which faces a half-space. The one statement of that rule.
+
+    Raises
+    ------
+    ValueError
+        If sc is an array whose spacing is not > 0, None and NaN included.
+    """
+    fr = sc.fractures
+    if fr.count == 1 or fr.spacing == math.inf:
+        return math.inf
+    if fr.spacing is None or not fr.spacing > 0.0:
+        raise ValueError(
+            f"an array of {fr.count} fractures needs a positive fracture spacing, got {fr.spacing}"
+        )
+    return fr.spacing / 2.0
 
 
 def transfer_coefficient(sc: Scenario, x: float) -> float:

@@ -20,7 +20,7 @@ from egstherm.analytic import fluid_temp_single, onset_of_decline
 from egstherm.cli import main
 from egstherm.laplace import (
     StehfestConfig,
-    fluid_temp_laplace,
+    fluid_drop_laplace,
     multi_fracture_forecast,
     stehfest_invert,
 )
@@ -95,7 +95,10 @@ def test_criterion_04_transform_self_consistency(valles, zeinali):
         single = collapse_to_single(sc, faces=1)
         x = single.fractures.flow_length
         times = np.geomspace(0.01, 50.0, 50) * YR
-        inverted = stehfest_invert(fluid_temp_laplace(single, x), times)
+        # the half-space drop, inverted and scaled onto [T_inj, T0]
+        t_hot = single.rock.initial_temperature
+        span = single.fluid.injection_temperature - t_hot
+        inverted = t_hot + span * stehfest_invert(fluid_drop_laplace(single, x), times)
         closed = fluid_temp_single(single, x, times)
         worst = max(worst, float(np.max(np.abs(inverted - closed))))
     elapsed = time.perf_counter() - t0

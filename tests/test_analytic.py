@@ -439,13 +439,16 @@ def test_engine_series_passes_the_public_constructor(build, request):
 
 
 def test_forecast_series_band_rule_stands_alone():
-    ForecastSeries.check_band(np.array([65.0, 300.0 + 2e-7, 65.0 - 2e-7]), 65.0, 300.0)
-    ForecastSeries.check_band(np.array([]), 65.0, 300.0)
+    def series(temps):
+        return ForecastSeries("oracle", np.arange(len(temps)), temps, 65.0, 300.0)
+
+    series([65.0, 300.0 + 2e-7, 65.0 - 2e-7])
+    series([])
     for bad in ([300.0 + 3e-7], [64.0, 200.0], [200.0, math.nan]):
         with pytest.raises(ValueError, match=re.escape(
                 "outlet temperatures must lie between the injection and initial "
                 "temperatures [65.0, 300.0]")):
-            ForecastSeries.check_band(np.array(bad), 65.0, 300.0)
+            series(bad)
 
 
 @pytest.mark.parametrize("count", [1, 12])
@@ -572,11 +575,10 @@ def single_fracture_cases(draw):
 def test_single_path_series_lies_in_the_band_by_construction(case):
     # the single path builds its series without a band check: erfc of a live
     # argument lies in [0, 1] and a saturated time is T0 exactly, so every
-    # series passes check_band and rebuilds through the public constructor
+    # series rebuilds through the public constructor, which checks the band
     sc, times = case
     series = multi_fracture_forecast(sc, times)
     cold, hot = sc.fluid.injection_temperature, sc.rock.initial_temperature
-    ForecastSeries.check_band(series.outlet_temperatures, cold, hot)
     rebuilt = ForecastSeries("single", times, series.outlet_temperatures, cold, hot)
     assert np.array_equal(rebuilt.outlet_temperatures, series.outlet_temperatures)
     assert series.outlet_temperatures[0] == hot

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import functools
 import math
+import re
 import warnings
 from types import FunctionType
 
@@ -25,13 +26,17 @@ from egstherm.laplace import (
     _weight_fractions,
     _weights_float64,
     _weights_longdouble,
-    fluid_drop_laplace_slab,
-    fluid_temp_laplace,
-    fluid_temp_laplace_slab,
+    fluid_drop_laplace,
     multi_fracture_forecast,
     stehfest_invert,
 )
-from egstherm.scenario import ScenarioError, face_coupling, thermal_diffusivity
+from egstherm.scenario import (
+    ScenarioError,
+    collapse_to_single,
+    face_coupling,
+    half_spacing,
+    thermal_diffusivity,
+)
 from egstherm.units import SECONDS_PER_YEAR
 
 from conftest import with_total_rate
@@ -140,10 +145,16 @@ def _scalar_stehfest(image, t, n_terms):
 
 @pytest.mark.parametrize("n", [6, 12, 20])
 @pytest.mark.parametrize("site", ["valles", "zeinali"])
-@pytest.mark.parametrize("make_image", [fluid_temp_laplace, fluid_temp_laplace_slab])
-def test_array_inversion_matches_scalar_reference(make_image, site, n, request):
+# the ids keep the names the half-space and the slab image had before the
+# two became fluid_drop_laplace
+@pytest.mark.parametrize("isolated", [True, False],
+                         ids=["fluid_temp_laplace", "fluid_temp_laplace_slab"])
+def test_array_inversion_matches_scalar_reference(isolated, site, n, request):
+    # the cooling drop of the isolated fracture (a half-space) and of the array
     sc = request.getfixturevalue(site)
-    image = make_image(sc, sc.fractures.flow_length)
+    if isolated:
+        sc = collapse_to_single(sc)
+    image = fluid_drop_laplace(sc, sc.fractures.flow_length)
     horizon = sc.operating.horizon
     times = np.geomspace(horizon / 1e4, horizon, 200)
     cfg = StehfestConfig(n_terms=n)
@@ -157,13 +168,13 @@ def test_array_inversion_matches_scalar_reference(make_image, site, n, request):
 
 @pytest.fixture
 def slab_samples(monkeypatch):
-    """Every sample array the forecast hands the slab's cooling-drop image,
+    """Every sample array the forecast hands the array's cooling-drop image,
     as received."""
     seen = []
-    make_slab = egstherm.laplace.fluid_drop_laplace_slab
+    make_drop = egstherm.laplace.fluid_drop_laplace
 
-    def recording_slab(sc, x):
-        image = make_slab(sc, x)
+    def recording_drop(sc, x):
+        image = make_drop(sc, x)
 
         def recorded(s):
             seen.append(np.array(s))
@@ -171,7 +182,7 @@ def slab_samples(monkeypatch):
 
         return recorded
 
-    monkeypatch.setattr(egstherm.laplace, "fluid_drop_laplace_slab", recording_slab)
+    monkeypatch.setattr(egstherm.laplace, "fluid_drop_laplace", recording_drop)
     return seen
 
 
@@ -227,7 +238,7 @@ def test_invert_builds_the_sample_grid_in_the_dtype_asked(dtype):
 def test_float64_scalar_time_reads_its_element_of_an_array_call(site, n, request):
     # the float64 sum reduces each row of the grid as it reduces a lone row
     sc = request.getfixturevalue(site)
-    drop = fluid_drop_laplace_slab(sc, sc.fractures.flow_length)
+    drop = fluid_drop_laplace(sc, sc.fractures.flow_length)
     horizon = sc.operating.horizon
     times = np.geomspace(horizon / 1e4, horizon, 200)
     cfg = StehfestConfig(n)
@@ -263,7 +274,7 @@ def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
     for module, name in [
         (egstherm.scenario, "validate"),
         (egstherm.laplace, "stehfest_invert"),
-        (egstherm.laplace, "fluid_drop_laplace_slab"),
+        (egstherm.laplace, "fluid_drop_laplace"),
         (egstherm.analytic, "fluid_temp_single"),
         (egstherm.specfun, "erfc"),
     ]:
@@ -282,7 +293,7 @@ def test_design_operation_reaches_every_wrapped_binding(valles, monkeypatch):
     multi_fracture_forecast(valles, times)
     assert calls == {
         "scenario.validate": 1,
-        "laplace.fluid_drop_laplace_slab": 1,
+        "laplace.fluid_drop_laplace": 1,
         "laplace.image": 1,
         "laplace.stehfest_invert": 1,
     }
@@ -313,8 +324,7 @@ EXACT_SUM_BOUNDS = {6: 2e-13, 8: 2e-10, 10: 2e-9, 12: 2e-8, 14: 2e-7, 16: 4e-6,
 def _front(sc, n=12):
     """The time up to which the forecast takes T0 without sampling."""
     length = sc.fractures.flow_length
-    return _arrival(n, length * face_coupling(sc), sc.fractures.spacing / 2.0,
-                    thermal_diffusivity(sc.rock))
+    return _arrival(n, length * face_coupling(sc), half_spacing(sc), thermal_diffusivity(sc.rock))
 
 
 @pytest.mark.parametrize("n", range(6, 21, 2))
@@ -325,7 +335,7 @@ def test_forecast_matches_long_double_image_per_order(site, n, request):
     times = np.geomspace(horizon / 1e4, horizon, 200)
     cfg = StehfestConfig(n)
     t_hot = sc.rock.initial_temperature
-    drop = fluid_drop_laplace_slab(sc, sc.fractures.flow_length)
+    drop = fluid_drop_laplace(sc, sc.fractures.flow_length)
     raw = t_hot + (sc.fluid.injection_temperature - t_hot) * stehfest_invert(drop, times, cfg)
     if n == 6:
         # both leave the clamping band alike, by the same figures
@@ -351,8 +361,7 @@ def _exact_front_terms(sc, t, n):
     """(T_inj - T0) sum_k (V_k / k) exp(-x gamma(k ln 2 / t)), the n-term
     sum at t less T0, to 30 digits from the exact weights."""
     reach = sc.fractures.flow_length * face_coupling(sc)
-    fronts = _front_exponentials(reach, sc.fractures.spacing / 2.0,
-                                 thermal_diffusivity(sc.rock), float(t))
+    fronts = _front_exponentials(reach, half_spacing(sc), thermal_diffusivity(sc.rock), float(t))
     with mpmath.workdps(30):
         acc = mpmath.mpf(0)
         for k, v in enumerate(_weight_fractions(n), 1):
@@ -464,8 +473,15 @@ def test_weighted_sum_is_the_in_order_loop(valles, n, sample_dtype):
     # written, bit for bit as a term-by-term loop over the same image values;
     # the float64 sum, with each weight rounded to float64, lies within
     # float64's rounding bound of that loop, (n + 4) 2^-53 of the sum of the
-    # terms' sizes
-    image = fluid_temp_laplace_slab(valles, L)
+    # terms' sizes. The image is the array's temperature, T0/s + (T_inj - T0)
+    # D(s), whose terms cancel more than the drop D's alone
+    drop = fluid_drop_laplace(valles, L)
+    t_hot = valles.rock.initial_temperature
+    span = valles.fluid.injection_temperature - t_hot
+
+    def image(s):
+        return t_hot / s + span * drop(s)
+
     seen = []
 
     def recorded(s):
@@ -541,58 +557,74 @@ def test_invert_refuses_a_non_finite_image_value_as_such(dtype, bad):
 
 
 def test_semi_infinite_image_value_theorems(valles_single):
-    image = fluid_temp_laplace(valles_single, L)
-    # initial value: s F(s) -> T0 as s -> inf (front not yet at the outlet)
-    assert 1e12 * image(1e12) == pytest.approx(300.0, rel=1e-12)
-    # final value: s F(s) -> T_inj as s -> 0 (fully swept)
-    assert 1e-30 * image(1e-30) == pytest.approx(65.0, rel=1e-9)
+    drop = fluid_drop_laplace(valles_single, L)
+    # initial value: s D(s) -> 0 as s -> inf (front not yet at the outlet)
+    assert 1e12 * drop(1e12) == pytest.approx(0.0, abs=1e-12)
+    # final value: s D(s) -> 1 as s -> 0 (fully swept)
+    assert 1e-30 * drop(1e-30) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_semi_infinite_inversion_matches_closed_form(valles_single):
-    image = fluid_temp_laplace(valles_single, L)
+    drop = fluid_drop_laplace(valles_single, L)
+    t_hot = valles_single.rock.initial_temperature
+    span = valles_single.fluid.injection_temperature - t_hot
     # worst case sits on the steep early knee, ~0.01 C at 12 terms; the
     # flat tail is orders of magnitude cleaner
     for t_yr, tol in ((1.0, 0.05), (10.0, 0.01), (50.0, 1e-3)):
-        got = stehfest_invert(image, t_yr * YR)
+        got = t_hot + span * stehfest_invert(drop, t_yr * YR)
         want = fluid_temp_single(valles_single, L, t_yr * YR)
         assert got == pytest.approx(want, abs=tol)
 
 
-def test_slab_image_requires_array(valles, valles_single):
-    fluid_temp_laplace_slab(valles, L)
-    with pytest.raises(ValueError):
-        fluid_temp_laplace_slab(valles_single, L)
+def test_image_refuses_an_unspaced_array_and_x_off_the_fracture(valles, valles_single):
+    fluid_drop_laplace(valles, L)
+    fluid_drop_laplace(valles_single, L)
     for bad in (-1.0, L + 1.0, math.nan):
         with pytest.raises(ValueError, match=r"^x must lie in \[0, flow_length="):
-            fluid_temp_laplace_slab(valles, bad)
-    # the image takes an unvalidated scenario: an array with no spacing is refused
-    unspaced = dataclasses.replace(
-        valles, fractures=dataclasses.replace(valles.fractures, spacing=None)
-    )
-    with pytest.raises(ValueError, match="^slab image requires a positive fracture spacing$"):
-        fluid_temp_laplace_slab(unspaced, L)
+            fluid_drop_laplace(valles, bad)
+    # the image takes an unvalidated scenario: an array whose spacing is not
+    # > 0 is refused, before x is read
+    for spacing in (None, 0.0, -1.0, math.nan):
+        unspaced = dataclasses.replace(
+            valles, fractures=dataclasses.replace(valles.fractures, spacing=spacing)
+        )
+        with pytest.raises(ValueError, match=re.escape(
+                f"an array of 10 fractures needs a positive fracture spacing, got {spacing}")):
+            fluid_drop_laplace(unspaced, math.nan)
+
+
+def _half_space_twins(sc):
+    """sc at a spacing of 1e12 m, at an infinite spacing, and as one fracture
+    at the same per-fracture rate: the same coupling, each facing rock as
+    deep as a half-space."""
+    fr = sc.fractures
+    return [
+        *(dataclasses.replace(sc, fractures=dataclasses.replace(fr, spacing=spacing))
+          for spacing in (1e12, math.inf)),
+        with_total_rate(dataclasses.replace(sc, fractures=dataclasses.replace(fr, count=1)),
+                        sc.operating.total_rate / fr.count),
+    ]
 
 
 def test_slab_image_reduces_to_semi_infinite_at_huge_spacing(valles):
-    # tanh saturates to exactly 1.0 at 1e12 m and is taken as 1 at inf, making
-    # the two images bitwise equal on float64 and long-double samples alike
-    semi = fluid_temp_laplace(valles, L)
+    # tanh saturates to exactly 1.0 at 1e12 m and is taken as 1 at inf and
+    # for one fracture, making the three images bitwise equal on float64 and
+    # long-double samples alike
     s = np.array([1e-10, 1e-8, 1e-6, 1e-3, 1.0])
-    for spacing in (1e12, math.inf):
-        far = dataclasses.replace(
-            valles, fractures=dataclasses.replace(valles.fractures, spacing=spacing)
-        )
-        slab = fluid_temp_laplace_slab(far, L)
-        for samples in (s, s.astype(np.longdouble)):
-            assert np.array_equal(slab(samples), semi(samples))
+    images = [fluid_drop_laplace(sc, L) for sc in _half_space_twins(valles)]
+    for samples in (s, s.astype(np.longdouble)):
+        semi = images[-1](samples)
+        assert semi.dtype == samples.dtype
+        for image in images[:-1]:
+            assert np.array_equal(image(samples), semi)
 
 
 def test_slab_image_cools_faster_than_semi_infinite(valles):
-    # bounded rock holds less heat: image lies below the semi-infinite one
-    slab = fluid_temp_laplace_slab(valles, L)
-    semi = fluid_temp_laplace(valles, L)
+    # bounded rock holds less heat: the slab's drop lies above the half-space's
+    slab = fluid_drop_laplace(valles, L)
+    semi = fluid_drop_laplace(_half_space_twins(valles)[1], L)
     for s in (1e-10, 1e-9, 1e-8):
-        assert slab(s) < semi(s)
+        assert slab(s) > semi(s)
 
 
 def test_forecast_single_path_is_closed_form(valles_single):

@@ -139,6 +139,32 @@ def test_slab_grid_is_the_semi_infinite_grid_ended_at_the_midplane(site, request
     assert slab_grid(sc, 40, 80, 400, 1.05, 12.5 * YR) == semi
 
 
+def test_slab_grid_refuses_an_isolated_scenario_by_name(valles, valles_single):
+    # one fracture, with or without a spacing, and an array at infinite
+    # spacing face a half-space, with no midplane for a slab grid to end at;
+    # an array whose spacing is not > 0 has none either
+    fr = valles.fractures
+    one = dataclasses.replace(valles, fractures=dataclasses.replace(fr, count=1))
+    assert one.fractures.spacing == 40.0
+    for sc in (one, valles_single):
+        with pytest.raises(ValueError, match=re.escape(
+            "slab mode requires a fracture array (count > 1); one fracture runs on "
+            "semi_infinite_grid"
+        )):
+            slab_grid(sc)
+    apart = dataclasses.replace(valles, fractures=dataclasses.replace(fr, spacing=np.inf))
+    with pytest.raises(ValueError, match=re.escape(
+        "slab mode requires a scenario with a finite positive fracture spacing"
+    )):
+        slab_grid(apart)
+    for spacing in (None, 0.0, -1.0, np.nan):
+        unspaced = dataclasses.replace(valles, fractures=dataclasses.replace(fr, spacing=spacing))
+        with pytest.raises(ValueError, match=re.escape(
+            f"an array of 10 fractures needs a positive fracture spacing, got {spacing}"
+        )):
+            slab_grid(unspaced)
+
+
 def test_fd_refuses_a_grid_that_does_not_end_at_the_arrays_midplane(valles, monkeypatch):
     # an array runs to its zero-flux midplane, so its grid must end there:
     # the 40 m array's slab grid does not serve the same array at 160 m, nor

@@ -1,6 +1,6 @@
 """The pure parts of tools/pairs.py: strict parsing, the traced line's check,
-quartiles, verdicts, report, the comparison of two trees' outputs and the
-reading of pytest's summary line.
+quartiles, verdicts, report, the comparison of two trees' outputs, the
+reading of pytest's summary line and the refusal of a pair count.
 
 No benchmark or pytest run is started here.
 """
@@ -233,3 +233,18 @@ def test_tier1_counts_read_pytests_summary_line(text, want):
 def test_tier1_counts_refuse_output_without_a_summary_line(text):
     with pytest.raises(ValueError, match="no pytest summary line"):
         pairs.tier1_counts(text)
+
+
+def test_every_run_makes_ten_pairs(monkeypatch, capsys):
+    # with one pair the parent's interquartile distance is 0, and any lead
+    # would read as a gain: the pair count is not an option
+    def started(*args, **kwargs):
+        raise AssertionError("nothing may be exported or run")
+
+    for name in ("export", "run_benchmark", "run_outputs", "run_tier1"):
+        monkeypatch.setattr(pairs, name, started)
+    with pytest.raises(SystemExit) as exit_:
+        pairs.main(["--against", "HEAD", "--label", "x", "--pairs", "1"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --pairs 1" in capsys.readouterr().err
+    assert pairs.PAIRS == 10

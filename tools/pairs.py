@@ -2,13 +2,15 @@
 
     python3 tools/pairs.py --against 829a798 --label pr41
     python3 tools/pairs.py --against HEAD~1 --label x \\
-        --workload design_sweep --pairs 10 --seed 1
+        --workload design_sweep --seed 1
 
 Exports the parent revision and HEAD with ``git archive`` into a temporary
 directory, so each runs from its committed files alone, and runs each tree's
 own ``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s ``run_seconds``
 once per pair and workload, on the pair's seed, alternating which side runs
-first. Each run's last line is parsed as strict JSON (NaN and Infinity
+first. Every run makes ``PAIRS`` (ten) pairs: with fewer, the parent's
+interquartile distance, which a gain must exceed, is too coarse to tell a
+gain (with one pair it is 0). Each run's last line is parsed as strict JSON (NaN and Infinity
 refused). For every end-to-end metric of
 ``BENCHMARK.json`` it reports both sides' medians and quartiles, the pairs the
 change won and a verdict against the metric's bound, and it writes all of it,
@@ -73,6 +75,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 RUN_TIMEOUT_S = 900.0
 GAIN_SHARE = 0.9
+PAIRS = 10
 
 
 def _refuse_constant(name: str):
@@ -412,11 +415,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--label", required=True, help="writes BENCH_<label>.json")
     parser.add_argument("--workload", action="append", choices=names,
                         help="repeatable (default: every workload of BENCHMARK.json)")
-    parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seed", type=int, default=1, help="seed of the first pair")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error("--pairs must be at least 1")
     seconds = bench["run_seconds"]
 
     report = {
@@ -425,7 +425,7 @@ def main(argv: list[str] | None = None) -> int:
                  "cpus": os.cpu_count(), "load_average_at_start": list(os.getloadavg())},
         "python": platform.python_version(),
         "numpy": importlib.metadata.version("numpy"),
-        "settings": {"pairs": args.pairs, "seconds": seconds, "first_seed": args.seed,
+        "settings": {"pairs": PAIRS, "seconds": seconds, "first_seed": args.seed,
                      "benchmark_command": [*bench["command"], "--trace", "0"]},
         "workloads": {},
     }
@@ -437,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
             started = time.time()
             for workload in args.workload or names:
                 runs = []
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     seed = args.seed + i
                     order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                     run = {"seed": seed, "first": order[0]}
@@ -453,12 +453,12 @@ def main(argv: list[str] | None = None) -> int:
                     for side in ("parent", "change")} for workload in args.workload or names},
             }
             _print_traced(report["traced"])
-            seeds = [args.seed + i for i in range(args.pairs)]
+            seeds = [args.seed + i for i in range(PAIRS)]
             report["outputs"] = compare_trees(*(run_outputs(trees[side], seeds)
                                                 for side in ("parent", "change")))
             _print_outputs(report["outputs"])
-            # pair number args.pairs of the alternation: the last pair's second runs first
-            order = ("parent", "change") if args.pairs % 2 == 0 else ("change", "parent")
+            # pair number PAIRS of the alternation: the last pair's second runs first
+            order = ("parent", "change") if PAIRS % 2 == 0 else ("change", "parent")
             report["tier1"] = {"command": ["python", *TIER1_COMMAND], "first": order[0],
                                **{side: run_tier1(trees[side]) for side in order}}
             _print_tier1(report["tier1"])
