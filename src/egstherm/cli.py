@@ -43,6 +43,7 @@ from .scenario import (
     Scenario,
     bundled_scenario_path,
     collapse_to_single,
+    half_spacing,
     interference_table,
     load_scenario,
     thermal_diffusivity,
@@ -360,7 +361,9 @@ def cmd_oracle(args: argparse.Namespace) -> _Output:
     # only the grid flags given reach the factories, which own the defaults
     given = {"nx": args.nx, "ny": args.ny, "n_steps": args.nt, "ratio": args.ratio}
     grid_args = {name: value for name, value in given.items() if value is not None}
-    if model.base == "multi_slab":
+    # the scenario, not the model's name, says where the rock ends: an array
+    # at infinite spacing runs as isolated fractures, as in fd_simulate
+    if half_spacing(resolved) < math.inf:
         if args.y_max is not None:
             raise ValueError("slab mode fixes y_max at spacing/2; drop --y-max")
         grid = slab_grid(resolved, horizon=horizon, **grid_args)

@@ -43,9 +43,15 @@ Numerical layout
   itself, solves the fluid of all the block's steps, and one more product
   advances the modes to the block's end. Each stretch builds its block's
   matrices in place of the last one's, so one block's matrices are alive
-  at a time. Node values are synthesized only where needed (face
-  gradient, snapshots, and the node beside a pinned far boundary at each
-  block's end).
+  at a time. Every elementwise pass of the block loop runs over contiguous
+  memory: the scan's and the modal products write into buffers the run or
+  the stretch keeps, and each scan level adds its product to the fluid in
+  one pass over a full-width buffer, since a strided add into the shifted
+  columns costs about as much as the product itself; a block of one step
+  forms its forcing as a broadcast product, the k = 1 matmul's floats.
+  Node values
+  are synthesized only where needed (face gradient, snapshots, and the
+  node beside a pinned far boundary at each block's end).
 * x (along the fracture): nx uniform cells. A block of `length` steps
   costs the fluid scan 1 + ceil(log2(nx + 1)) products of length^2 * nx and
   the modal products modes * nx per step, so each mode's grid factory takes
@@ -351,6 +357,15 @@ def _march_scan(gain: float, s: float, h: np.ndarray, theta: float, inlet: float
     levels, one (length x length)(length x nx) product each, every station
     holds its whole sum from the inlet. Returns fluid(leads, start, out),
     which writes F_1 .. F_length to out, one row each, building r in leads.
+
+    The closure keeps one length x (nx + 1) buffer for the stretch: it takes
+    r's start term, then the station pairs r(i-1) + r(i) in one flat add,
+    then each level's product written from column 2^k on, its first 2^k
+    columns zero, so that the level is applied by one contiguous add over
+    the whole block; on a 32 x 200 block a strided add into F's last
+    columns takes about as long as the 32 x 32 product. The buffer changes
+    where a product lands, not what it sums, so the fluid is the same to the
+    bit as with strided adds.
     """
     length = h.size - 1
     k = np.arange(length)
@@ -362,14 +377,23 @@ def _march_scan(gain: float, s: float, h: np.ndarray, theta: float, inlet: float
     while 2 ** len(ladder) <= nx:
         ladder.append(ladder[-1] @ ladder[-1])
     s_a = s * a
+    shifted = np.zeros((length, nx + 1))
+    flat = shifted.reshape(-1)
 
     def fluid(leads: np.ndarray, start: np.ndarray, out: np.ndarray) -> None:
-        leads += np.outer(start_column, start)
+        leads += np.multiply(start_column[:, None], start, out=shifted)
+        # station pairs r(i-1) + r(i) in one flat pass: column nx of each row
+        # pairs it with the next row's station 0 and is never read
+        rows = leads.reshape(-1)
+        np.add(rows[:-1], rows[1:], out=flat[:-1])
         out[:, 0] = inlet
-        np.matmul(s_a, leads[:, :-1] + leads[:, 1:], out=out[:, 1:])
+        np.matmul(s_a, shifted[:, :-1], out=out[:, 1:])
         for level, power in enumerate(ladder):
             offset = 2**level
-            out[:, offset:] += power @ out[:, :-offset]
+            # clear the columns the last level wrote and this one does not
+            shifted[:, offset // 2 : offset] = 0.0
+            np.matmul(power, out[:, :-offset], out=shifted[:, offset:])
+            out += shifted
 
     return fluid
 
@@ -401,8 +425,13 @@ def _advance(powers, carry, coeffs, earned, n: int, out: np.ndarray, work: np.nd
     """Modal state after the first n steps of a block that started at coeffs,
     written to out (which may be coeffs). work takes the forcing product: on
     the default grid a fresh array of this size costs more in page faults
-    than the product itself."""
-    np.matmul(carry[:, carry.shape[1] - n :], earned[:n], out=work)
+    than the product itself. At n = 1 that product is an outer one, formed
+    by broadcasting: the same floats as the k = 1 matmul, which takes about
+    five times as long as the k = 2 one on the slab grid."""
+    if n == 1:
+        np.multiply(carry[:, -1:], earned[:1], out=work)
+    else:
+        np.matmul(carry[:, carry.shape[1] - n :], earned[:n], out=work)
     np.multiply(coeffs, powers[n][:, None], out=out)
     return np.add(out, work, out=out)
 
@@ -599,6 +628,7 @@ def fd_simulate(
     # the fluid (face) deviation after each step of a block, row 0 its start
     history = np.zeros((_BLOCK + 1, grid.nx + 1))
     earned = np.empty((_BLOCK, grid.nx + 1))  # w_j of each step in a block
+    leads = np.empty((_BLOCK, grid.nx + 1))  # each step's lead row times coeffs
 
     outlet_history = np.empty(n_steps + 1)
     outlet_history[0] = t_hot
@@ -622,7 +652,8 @@ def fd_simulate(
             # every block computes all its rows, so a run cut short inside a
             # block reproduces the longer run's outlets bit for bit; the fluid
             # after each step comes from one scan along x
-            fluid(lead_rows @ coeffs, history[0], history[1 : length + 1])
+            fluid(np.matmul(lead_rows, coeffs, out=leads[:length]), history[0],
+                  history[1 : length + 1])
             step = min(start + length, stretch_end)
             count = step - start
             earned[:count] = (1.0 - theta) * history[:count] + theta * history[1 : count + 1]

@@ -1,7 +1,9 @@
 """Command-line interface, driven in-process through main(argv)."""
 
 import argparse
+import dataclasses
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -384,8 +386,6 @@ THIN_CELL_SUFFIX = (" over ny=16 cells is thinner than 7.4e-154 m, where 1/h^2 o
         # non-finite geometry is refused by name before NumPy sees it
         (["--nt", "60", "--probes", "2", "--y-max", "inf"],
          "error: y_max must be a finite number > 0, got inf\n"),
-        (["--nt", "60", "--probes", "2", "--model", "multi_slab", "--spacing-m", "inf"],
-         "error: slab mode requires a scenario with a finite positive fracture spacing\n"),
         # a finite but far-off probe would need more steps than the oracle can hold
         (["--nt", "60", "--probe-yr", "1e300"], CAP_PREFIX + "3.1536e+307 s, takes 1.5e+299"
          + CAP_SUFFIX),
@@ -409,7 +409,7 @@ THIN_CELL_SUFFIX = (" over ny=16 cells is thinner than 7.4e-154 m, where 1/h^2 o
     ],
     ids=["nt-zero", "probes-negative", "probes-with-probe-yr", "probe-nan", "probe-nan-and-inf",
          "snapshot-inf", "snapshot-yr-alone", "snapshot-out-alone", "out-dir-missing", "snapshot-dir-missing",
-         "y-max-inf", "slab-spacing-inf", "probe-1e300-yr", "probe-1e12-yr", "y-max-1e300",
+         "y-max-inf", "probe-1e300-yr", "probe-1e12-yr", "y-max-1e300",
          "y-max-1e4", "slab-spacing-1e6", "slab-spacing-1e300", "y-max-1e-224",
          "slab-spacing-1e-224"],
 )
@@ -418,6 +418,37 @@ def test_oracle_refuses_bad_grid_input(flags, message, capsys):
     assert rc == 1
     assert out == ""
     assert err == message
+
+
+@pytest.mark.parametrize("y_max", [None, 300.0], ids=["default-depth", "y-max"])
+def test_oracle_runs_an_array_at_infinite_spacing_as_isolated_fractures(y_max, monkeypatch,
+                                                                        capsys):
+    # the scenario's half_spacing, not the model's name, picks the grid: an
+    # array at infinite spacing runs on the half-space grid, as fd_simulate
+    # and forecast read it, and takes --y-max, which only a grid ended at the
+    # midplane refuses
+    runs = []
+    real = egstherm.oracle.fd_simulate
+
+    def recorded(sc, grid, *args, **kwargs):
+        runs.append((sc, grid, real(sc, grid, *args, **kwargs)))
+        return runs[-1][2]
+
+    monkeypatch.setattr(egstherm.oracle, "fd_simulate", recorded)
+    flags = [] if y_max is None else ["--y-max", str(y_max)]
+    rc, out, err = run(capsys, "oracle", "--nx", "16", "--ny", "16", "--nt", "60", "--probes",
+                       "2", "--model", "multi_slab", "--spacing-m", "inf", *flags)
+    assert rc == 0 and err == ""
+    ((sc, grid, (series, _)),) = runs
+    base = bundled_scenario("valles_caldera")
+    assert sc.fractures == dataclasses.replace(base.fractures, spacing=math.inf)
+    horizon = base.operating.horizon / SECONDS_PER_YEAR * SECONDS_PER_YEAR
+    assert grid == semi_infinite_grid(sc, nx=16, ny=16, n_steps=60, horizon=horizon,
+                                      y_max=y_max)
+    served = real(sc, grid, series.times).outlet_temperatures
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert [row[1] for row in rows[:2]] == [format(t, ".6g") for t in served]
+    assert out.splitlines()[-1].startswith("max deviation vs multi_slab: ")
 
 
 def test_oracle_names_its_own_out_of_range_outlet(capsys):

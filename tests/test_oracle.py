@@ -5,6 +5,8 @@
   run takes to its latest time;
 - agreement with the closed forms and the frozen slab inversion, on small
   and on default grids, and with itself at nx 200, 600 and 800;
+- the fluid scan against the same recurrence marched station by station,
+  and a single-step block's forcing against the matmul it replaces;
 - the refusals: bad grids, probes and scenarios, the step cap, a first cell
   the front never reaches, an oscillating fluid march, a y-grid the basis
   cannot resolve, a contaminated far boundary;
@@ -634,11 +636,11 @@ def test_fd_default_slab_grid_error(valles):
 
 
 def test_fd_default_runs_keep_one_block_alive(valles, valles_single):
-    # traced peak of a run over the horizon, basis warm: 1.16 MiB (slab) and
-    # 0.70 MiB (semi-infinite) with one (theta, step size) block alive at a
+    # traced peak of a run over the horizon, basis warm: 1.21 MiB (slab) and
+    # 0.72 MiB (semi-infinite) with one (theta, step size) block alive at a
     # time and the fluid solved along x by a scan, 3.94 and 1.75 MiB when all
     # eight blocks were kept to the run's end. At nx = 800 the scan's run
-    # peaks at 3.7 MiB, against 13.1 MiB when each block built the dense
+    # peaks at 4.1 MiB, against 13.1 MiB when each block built the dense
     # (nx + 1)^2 march, which alone is 801^2 * 8 B = 5.1 MB
     for sc, grid, limit in ((valles, slab_grid(valles), 2.5),
                             (valles_single, semi_infinite_grid(valles_single), 1.25),
@@ -946,6 +948,76 @@ def test_fd_drained_slab_outlet_decays_smoothly(site, request):
     outlets = series.outlet_temperatures
     assert np.all(np.diff(outlets) <= 0.0)
     assert outlets[-1] > sc.fluid.injection_temperature
+
+
+def _march_by_station(gain, s, h, theta, inlet, leads, start):
+    """_march_scan's recurrence marched station by station: F_j(i) = gain
+    F_j(i-1) + s (p_j(i-1) + p_j(i)), p_j = lead_j + sum over k < j - 1 of
+    h_(j-1-k) w_k + (1 - theta) h_0 F_(j-1), w_k = (1 - theta) F_k + theta
+    F_(k+1), from F_0 = start and F_j(0) = inlet. Returns F_1 .. F_length."""
+    length, width = leads.shape
+    fluid = np.empty((length + 1, width))
+    fluid[0] = start
+    fluid[1:, 0] = inlet
+    drive = np.empty((length + 1, width))
+
+    def drive_at(j, i):  # p_j at station i, from F_0 .. F_(j-1) there
+        w = (1.0 - theta) * fluid[: j - 1, i] + theta * fluid[1:j, i]
+        return leads[j - 1, i] + h[j - 1 : 0 : -1] @ w + (1.0 - theta) * h[0] * fluid[j - 1, i]
+
+    for j in range(1, length + 1):
+        drive[j, 0] = drive_at(j, 0)
+    for i in range(1, width):
+        for j in range(1, length + 1):
+            drive[j, i] = drive_at(j, i)
+            fluid[j, i] = gain * fluid[j, i - 1] + s * (drive[j, i - 1] + drive[j, i])
+    return fluid[1:]
+
+
+# (theta, gain, s, h) as the default slab grid's first rung gives them: a
+# damped block of two steps, whose h falls off at once, and a Crank-Nicolson
+# block of _BLOCK, whose h alternates in sign and barely decays
+SCAN_BLOCKS = {
+    2: (1.0, 0.5693, 0.169, np.array([412.7, 0.6377, 0.1594])),
+    _BLOCK: (0.5, 0.4408, 0.155, 824.35 * (-0.9988) ** np.arange(_BLOCK + 1)),
+}
+
+
+@pytest.mark.parametrize("nx", [16, 31, 32, 100, 200])
+@pytest.mark.parametrize("length", sorted(SCAN_BLOCKS))
+def test_march_scan_is_the_station_by_station_march(length, nx):
+    # each doubling level writes its product into a scratch buffer and adds
+    # it in one pass; the closure keeps that buffer between blocks, so it is
+    # called twice on different inputs, and the second call must match the
+    # march and a fresh closure alike
+    theta, gain, s, h = SCAN_BLOCKS[length]
+    inlet = -235.0
+    rng = np.random.default_rng(length * 1000 + nx)
+    fluid = egstherm.oracle._march_scan(gain, s, h, theta, inlet, nx)
+    for call in range(2):
+        leads = rng.normal(scale=50.0, size=(length, nx + 1))
+        start = rng.uniform(inlet, 0.0, size=nx + 1)
+        want = _march_by_station(gain, s, h, theta, inlet, leads, start)
+        got = np.empty((length, nx + 1))
+        fluid(leads.copy(), start, got)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (call, length, nx)
+    fresh = np.empty_like(got)
+    egstherm.oracle._march_scan(gain, s, h, theta, inlet, nx)(leads.copy(), start, fresh)
+    assert np.array_equal(got, fresh)
+
+
+@pytest.mark.parametrize("modes, width", [(199, 201), (200, 101), (15, 17)])
+def test_advance_takes_a_single_step_as_the_matmul_does(modes, width):
+    # a block of one step (the damped first step of each longer rung) forms
+    # its forcing as a broadcast product: the same floats as the k = 1 matmul
+    rng = np.random.default_rng(modes)
+    powers = rng.uniform(-1.0, 1.0, size=(3, modes))
+    carry = rng.normal(size=(3, modes)).T  # a transposed view, as theta_block's
+    coeffs, earned = rng.normal(size=(modes, width)), rng.normal(size=(2, width))
+    got = egstherm.oracle._advance(powers, carry, coeffs, earned, 1, np.empty_like(coeffs),
+                                   np.empty_like(coeffs))
+    want = coeffs * powers[1][:, None] + np.matmul(carry[:, -1:], earned[:1])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_convergence_study_rejects_single_level(valles_single):

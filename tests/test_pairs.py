@@ -2,7 +2,8 @@
 quartiles, verdicts, report, the comparison of two trees' outputs, the
 reading of pytest's summary line and the refusal of a pair count.
 
-No benchmark or pytest run is started here.
+No benchmark or pytest run is started here; the outputs script runs once,
+in this tree and without CLI commands.
 """
 
 import importlib.util
@@ -182,6 +183,28 @@ def test_compare_outputs_of_identical_trees_finds_nothing():
     assert got["not_identical"] == 0 and got["differing_refusals"] == got["unmatched"] == []
     assert got["groups"]["design array n=8"]["refused"] == 1
     assert got["groups"]["design isolated"]["max_abs_diff_C"] == 0.0
+
+
+def test_outputs_script_records_the_oracles_groups():
+    # no seeds, so no CLI command runs: each oracle group holds both sites,
+    # served except the drained slab, which both refuse
+    got = pairs.run_outputs(ROOT, [])
+    assert got["cli"] == {}
+    oracle = {group: cases for group, cases in got["series"].items()
+              if group.startswith("oracle")}
+    assert list(oracle) == [
+        "oracle slab", "oracle slab 16x16", "oracle slab snapshots", "oracle semi-infinite",
+        "oracle semi-infinite 16x16", "oracle semi-infinite snapshots",
+        "oracle slab ledger (J)", "oracle drained slab"]
+    sizes = {"oracle slab snapshots": 2 * 201 * 201,
+             "oracle semi-infinite snapshots": 2 * 201 * 101, "oracle slab ledger (J)": 2}
+    for group, cases in oracle.items():
+        assert list(cases) == ["valles_caldera", "zeinali"]
+        for case in cases.values():
+            if group == "oracle drained slab":
+                assert case["refused"].startswith("ValueError: the oracle outlet at t=")
+            else:
+                assert len(case["values"]) == sizes.get(group, 32)
 
 
 def test_compare_cli_reports_each_stream_per_command():

@@ -42,10 +42,13 @@ Then it runs one fixed script (``OUTPUTS_SCRIPT``) in each
 tree, in a subprocess importing that tree's ``src``: the design panel of the
 tree's own ``perfbench/workloads.py``, array at Stehfest orders 8, 12, 16 and
 18 and isolated once (the single-fracture path reads no Stehfest order), the
-default ``fd_simulate`` grid in slab and semi-infinite mode on both bundled
-sites, and every distinct ``cli_session`` command of the pairs' seeds as
-``python -m egstherm``. The report's ``outputs`` entry gives, per group, the
-largest difference in C, the count of arrays that are not bit-identical and
+oracle in slab and semi-infinite mode on both bundled sites (outlets on the
+default grid and on a 16 x 16 grid of 60 steps per horizon, the default
+grid's rock fields at h/20 and h/2, the slab energy ledger in J, and the
+drained 1 mm slab, which the oracle refuses), and every distinct
+``cli_session`` command of the pairs' seeds as ``python -m egstherm``. The
+report's ``outputs`` entry gives, per group, the largest difference (in C,
+the ledger's in J), the count of arrays that are not bit-identical and
 every refusal whose message differs between the trees, and, per command,
 whether its stdout, its stderr and its exit code match byte for byte.
 
@@ -191,6 +194,7 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
 # per byte, so equal strings are equal bytes).
 OUTPUTS_SCRIPT = """
 import json, subprocess, sys
+from dataclasses import replace
 from pathlib import Path
 import numpy as np
 import egstherm
@@ -200,9 +204,13 @@ import workloads
 
 def record(run):
     try:
-        return {"values": run().outlet_temperatures.tolist()}
+        return {"values": np.ravel(run()).tolist()}
     except (ArithmeticError, ValueError) as err:
         return {"refused": f"{type(err).__name__}: {err}"}
+
+def ledger(sc, probes):
+    _, details = egstherm.fd_simulate(sc, egstherm.slab_grid(sc), probes, return_details=True)
+    return [details.fluid_enthalpy_J, details.rock_heat_loss_J]
 
 series = {}
 panel = workloads.design_panel(workloads.load_sites(Path.cwd()))
@@ -210,23 +218,35 @@ for d in panel:
     times = np.array(d["times"])
     sc = egstherm.scenario_from_dict(d["isolated"])
     series.setdefault("design isolated", {})[d["id"]] = record(
-        lambda: egstherm.multi_fracture_forecast(sc, times))
+        lambda: egstherm.multi_fracture_forecast(sc, times).outlet_temperatures)
 for n in (8, 12, 16, 18):
     config = egstherm.StehfestConfig(n)
     for d in panel:
         times = np.array(d["times"])
         sc = egstherm.scenario_from_dict(d["array"])
         series.setdefault(f"design array n={n}", {})[d["id"]] = record(
-            lambda: egstherm.multi_fracture_forecast(sc, times, config))
+            lambda: egstherm.multi_fracture_forecast(sc, times, config).outlet_temperatures)
 for site in workloads.SITES:
     sc = egstherm.bundled_scenario(site)
     h = sc.operating.horizon
     probes = np.geomspace(h / 100.0, h, 32)
     single = collapse_to_single(sc, 1)
-    series.setdefault("oracle slab", {})[site] = record(
-        lambda: egstherm.fd_simulate(sc, egstherm.slab_grid(sc), probes))
-    series.setdefault("oracle semi-infinite", {})[site] = record(
-        lambda: egstherm.fd_simulate(single, egstherm.semi_infinite_grid(single), probes))
+    for mode, run_sc, factory in (("slab", sc, egstherm.slab_grid),
+                                  ("semi-infinite", single, egstherm.semi_infinite_grid)):
+        series.setdefault(f"oracle {mode}", {})[site] = record(
+            lambda: egstherm.fd_simulate(run_sc, factory(run_sc), probes).outlet_temperatures)
+        series.setdefault(f"oracle {mode} 16x16", {})[site] = record(
+            lambda: egstherm.fd_simulate(run_sc, factory(run_sc, nx=16, ny=16, n_steps=60),
+                                         probes).outlet_temperatures)
+        # the rock fields at h/20 and h/2, one after the other
+        series.setdefault(f"oracle {mode} snapshots", {})[site] = record(lambda: [
+            snap.temperatures for snap in egstherm.fd_simulate(
+                run_sc, factory(run_sc), probes, snapshot_times=[h / 20.0, h / 2.0])[1].snapshots])
+    series.setdefault("oracle slab ledger (J)", {})[site] = record(lambda: ledger(sc, probes))
+    drained = replace(sc, fractures=replace(sc.fractures, spacing=1e-3))
+    series.setdefault("oracle drained slab", {})[site] = record(
+        lambda: egstherm.fd_simulate(drained, egstherm.slab_grid(drained),
+                                     probes).outlet_temperatures)
 cli = {}
 for seed in map(int, sys.argv[1:]):
     for command in workloads.build_inputs("cli_session", seed, Path.cwd())["commands"]:
